@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .cocycles import CohomClass, SchurMultiplier, schur_multiplier
+from .cocycles import SCHUR_DEFAULT_MAX_ORDER, CohomClass, SchurMultiplier, schur_multiplier
 from .errors import InconsistentAction, ParamRange, UnknownEntry
 from .groups import FiniteGroup, Subgroup
 from .motives import Block, CollectionSpec
-
-SCHUR_GUARD = 48
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ def _class_from_coords(M: SchurMultiplier, coords: tuple[int, ...]) -> CohomClas
 
 
 def instantiate(entry: CatalogEntry, action: ActionSpec,
-                max_group_order: int = SCHUR_GUARD) -> CollectionSpec:
+                max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> CollectionSpec:
     """Build the collection blocks the action induces on the entry."""
     G = action.group
     M = schur_multiplier(G, max_group_order)

@@ -20,8 +20,8 @@ from .cocycles import (
     TwoCocycle,
     cocycle_validate,
     class_arith,
-    is_cohomologous,
     schur_multiplier,
+    SCHUR_DEFAULT_MAX_ORDER,
 )
 from .errors import MotiveLabError
 from .groups import FiniteGroup, Subgroup, construct_group
@@ -51,26 +51,13 @@ USAGE_ERROR, CHECK_FAILURE = 1, 2
 
 
 def parse_group_arg(arg: str) -> FiniteGroup:
-    """Text shorthand (cyclic:4, symmetric:3, dihedral:8, elem_abelian:2,2),
-    inline JSON, or @file.json."""
+    """@file.json, inline JSON, or a spec string for construct_group
+    (cyclic:4, symmetric:3, dihedral:8, elem_abelian:2,2)."""
     if arg.startswith("@"):
-        spec = json.loads(Path(arg[1:]).read_text())
-    elif arg.lstrip().startswith("{"):
-        spec = json.loads(arg)
-    else:
-        name, _, raw = arg.partition(":")
-        params = [int(x) for x in raw.split(",")] if raw else []
-        if name == "cyclic":
-            spec = {"kind": "cyclic", "n": params[0]}
-        elif name == "symmetric":
-            spec = {"kind": "symmetric", "n": params[0]}
-        elif name == "dihedral":
-            spec = {"kind": "dihedral", "order": params[0]}
-        elif name == "elem_abelian":
-            spec = {"kind": "elem_abelian", "p": params[0], "k": params[1]}
-        else:
-            raise ValueError(f"unknown group shorthand {arg!r}")
-    return construct_group(spec)
+        return construct_group(json.loads(Path(arg[1:]).read_text()))
+    if arg.lstrip().startswith("{"):
+        return construct_group(json.loads(arg))
+    return construct_group(arg)
 
 
 def parse_action(G: FiniteGroup, raw) -> ActionSpec:
@@ -106,7 +93,8 @@ def load_cocycle(path: str, G: FiniteGroup | None = None) -> TwoCocycle:
     return TwoCocycle.from_exponents(group, int(data["modulus"]), data["exponents"])
 
 
-def collection_spec_from_json(G: FiniteGroup, data, max_group_order: int = 48):
+def collection_spec_from_json(G: FiniteGroup, data,
+                              max_group_order: int = SCHUR_DEFAULT_MAX_ORDER):
     from .motives import Block, CollectionSpec
     M = schur_multiplier(G, max_group_order)
     blocks = []
@@ -147,7 +135,8 @@ def load_expr(G: FiniteGroup, data) -> K0VarExpr:
     return expr
 
 
-def skeleton_from_json(G: FiniteGroup, atoms, max_group_order: int = 48) -> MotiveSkeleton:
+def skeleton_from_json(G: FiniteGroup, atoms,
+                       max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> MotiveSkeleton:
     M = schur_multiplier(G, max_group_order)
     out = []
     for a in atoms:
@@ -416,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float, default=1e-8)
-    common.add_argument("--max-order", type=int, default=48,
+    common.add_argument("--max-order", type=int, default=SCHUR_DEFAULT_MAX_ORDER,
                         help="group-order guard for multiplier computations")
     parser = argparse.ArgumentParser(
         prog="motivelab", parents=[common],

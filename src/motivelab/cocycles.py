@@ -25,21 +25,26 @@ import numpy as np
 
 from .errors import (
     GroupMismatch,
+    InvariantViolation,
     ModulusMismatch,
     NotACocycle,
+    NotAbelian,
     SizeBound,
+    Unsolvable,
 )
 from .groups import FiniteGroup, Subgroup, abelianization, same_group
 from .intlinalg import (
+    coeffs_in_basis,
+    crt_idempotent,
+    crt_pair,
+    crt_zip,
+    diagonalize_mod_q,
     eliminate_mod_q,
-    howell_rows,
-    inv_mod,
+    in_span_mod,
     invert_mod_q,
     kernel_mod_q,
-    diagonalize_mod_q,
     prime_power_factors,
-    crt_pair,
-    ModMatrix,
+    require_modulus,
     solve_mod,
 )
 
@@ -57,6 +62,7 @@ class TwoCocycle:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        require_modulus(self.modulus)
         n = self.group.order
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise NotACocycle("table dimensions must match the group order")
@@ -161,7 +167,8 @@ def central_pairing_cocycle(H: FiniteGroup) -> TwoCocycle:
     """
     from .groups import product_group
 
-    assert H.is_abelian(), "central pairing needs an abelian base group"
+    if not H.is_abelian():
+        raise NotAbelian("central pairing needs an abelian base group")
     e = H.exponent()
     ab = abelianization(H)
     coords = ab.projection
@@ -213,7 +220,8 @@ class _Reconstruction:
                         parent[g] = (pos, gp)
                         nxt.append(g)
             frontier = nxt
-        assert all(seen), "generating set does not generate the group"
+        if not all(seen):
+            raise InvariantViolation("generating set does not generate the group")
         self.parent = parent
         M = np.zeros((n, n, self.dim), dtype=np.int32)
         order = self._bfs_order()
@@ -341,58 +349,32 @@ def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray,
     return eliminate_mod_q(np.array(gens, dtype=np.int64), p, a)
 
 
-def _coeffs_in_basis(basis: np.ndarray, piv: list[tuple[int, int]], v: np.ndarray,
-                     p: int, a: int) -> np.ndarray | None:
-    """Express v in the reduced basis; None when v is outside the span."""
-    q = p ** a
-    v = v.astype(np.int64) % q
-    coeffs = np.zeros(len(piv), dtype=np.int64)
-    for i, (c, val) in enumerate(piv):
-        pv = p ** val
-        if v[c] % pv:
-            return None
-        t = int(v[c]) // pv
-        if t:
-            v = (v - t * basis[i]) % q
-            coeffs[i] = t
-    if v.any():
-        return None
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # Cocycle space as full tables
 # ---------------------------------------------------------------------------
 
 
-def cocycle_space(G: FiniteGroup, n: int) -> ModMatrix:
-    """Howell basis of normalized Z^2(G, Z/n) on the |G|^2 table coordinates."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
+def cocycle_space(G: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of normalized Z^2(G, Z/n) on the |G|^2 table coordinates:
+    the reduced basis mod each p^a || n, joined row by row by crt_zip."""
+    require_modulus(n)
     size = G.order * G.order
     if size > COCYCLE_SPACE_GUARD:
         raise SizeBound(f"|G|^2 = {size} exceeds {COCYCLE_SPACE_GUARD}")
     if n == 1 or G.order == 1:
-        return ModMatrix(n, ())
+        return ()
     recon = _Reconstruction(G)
-    rows: list[list[int]] = []
+    parts = []
     for p, a in prime_power_factors(n):
         q = p ** a
-        cq = (n // q) * inv_mod((n // q) % q, q) % n if n != q else 1
         basis, _ = _solution_basis(recon, p, a)
-        for x in basis:
-            table = recon.expand(x, q)
-            rows.append([int(v) * cq % n for v in table.reshape(-1)])
-    reduced = howell_rows(rows, n, size) if rows else []
-    return ModMatrix.from_rows(reduced, n)
+        parts.append((q, [recon.expand(x, q).reshape(-1) for x in basis]))
+    return crt_zip(parts, n, size)
 
 
-def cocycle_in_space(space: ModMatrix, alpha: TwoCocycle) -> bool:
-    flat = [x for row in alpha.table for x in row]
-    from .intlinalg import in_row_span
-    if space.modulus == 1:
-        return True
-    return in_row_span(space.entries, flat, space.modulus)
+def cocycle_in_space(space: Sequence[Sequence[int]], alpha: TwoCocycle) -> bool:
+    """Membership of alpha in the space cocycle_space(alpha.group, alpha.modulus)."""
+    return in_span_mod(space, [x for row in alpha.table for x in row], alpha.modulus)
 
 
 def random_cocycle(G: FiniteGroup, n: int, rng: np.random.Generator) -> TwoCocycle:
@@ -400,7 +382,7 @@ def random_cocycle(G: FiniteGroup, n: int, rng: np.random.Generator) -> TwoCocyc
     space = cocycle_space(G, n)
     size = G.order
     acc = np.zeros(size * size, dtype=np.int64)
-    for row in space.entries:
+    for row in space:
         acc = (acc + int(rng.integers(0, n)) * np.asarray(row, dtype=np.int64)) % n
     table = acc.reshape(size, size)
     return TwoCocycle.from_exponents(G, n, table)
@@ -435,25 +417,17 @@ def is_cohomologous(alpha: TwoCocycle, beta: TwoCocycle) -> CoboundaryWitness | 
     big = alpha.modulus * G.exponent()
     ea = alpha.promote(big).as_array()
     eb = beta.promote(big).as_array()
-    t = G.cayley
-    rows = []
-    rhs = []
-    for rho in range(n):
-        for sigma in range(n):
-            row = [0] * n
-            row[t[rho, sigma]] += 1
-            row[rho] -= 1
-            row[sigma] -= 1
-            rows.append(row)
-            rhs.append(int(eb[rho, sigma] - ea[rho, sigma]) % big)
-    # pin delta(1) = 0
-    pin = [0] * n
-    pin[0] = 1
-    rows.append(pin)
-    rhs.append(0)
-    from .errors import Unsolvable
+    # one row per (rho, sigma): delta(rho sigma) - delta(rho) - delta(sigma)
+    k = np.arange(n * n)
+    rho, sigma = np.divmod(k, n)
+    rows = np.zeros((n * n + 1, n), dtype=np.int64)
+    np.add.at(rows, (k, G.cayley[rho, sigma]), 1)
+    np.add.at(rows, (k, rho), -1)
+    np.add.at(rows, (k, sigma), -1)
+    rows[n * n, 0] = 1  # pin delta(1) = 0
+    rhs = np.append((eb - ea).reshape(-1) % big, 0)
     try:
-        sol = solve_mod(ModMatrix.from_rows(rows, big), rhs)
+        sol = solve_mod(rows, rhs, big)
     except Unsolvable:
         return None
     return CoboundaryWitness(big, sol.particular)
@@ -541,13 +515,11 @@ class SchurMultiplier:
         for ci, pos_idx, _ in slot:
             comp = self._components[ci]
             q = comp.q
-            r = len(comp.piv)
             Vinv = invert_mod_q(comp.V, comp.p, comp.a)
             combo = Vinv[comp.positions[pos_idx]] % q
             x = combo @ comp.basis % q
             table = self._recon.expand(x.astype(np.int64), q)
-            cq = (n // q) * inv_mod((n // q) % q, q) % n if n != q else 1
-            acc = (acc + cq * table) % n
+            acc = (acc + crt_idempotent(n, q) * table) % n
         return TwoCocycle.from_exponents(G, n, acc)
 
     def project(self, alpha: TwoCocycle) -> tuple[int, ...]:
@@ -565,7 +537,7 @@ class SchurMultiplier:
         for comp in self._components:
             q = comp.q
             x = self._recon.restrict_table(table, q)
-            c = _coeffs_in_basis(comp.basis, list(comp.piv), x, comp.p, comp.a)
+            c = coeffs_in_basis(comp.basis, comp.piv, x, comp.p, comp.a)
             if c is None:
                 raise NotACocycle("table is not in the cocycle space")
             y = c @ comp.V % q
@@ -628,14 +600,16 @@ def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_OR
         for i, (c, val) in enumerate(piv):
             if val > 0:
                 target = (p ** (a - val)) * basis[i] % q
-                coeff = _coeffs_in_basis(basis, list(piv), target, p, a)
-                assert coeff is not None
+                coeff = coeffs_in_basis(basis, piv, target, p, a)
+                if coeff is None:
+                    raise InvariantViolation("torsion multiple escaped the cocycle span")
                 row = -coeff
                 row[i] += p ** (a - val)
                 relations.append(row % q)
         for x in recon.coboundary_xvecs(q) + recon.carry_xvecs(q):
-            coeff = _coeffs_in_basis(basis, list(piv), x, p, a)
-            assert coeff is not None, "coboundary escaped the cocycle space"
+            coeff = coeffs_in_basis(basis, piv, x, p, a)
+            if coeff is None:
+                raise InvariantViolation("coboundary escaped the cocycle space")
             relations.append(coeff % q)
         R = np.array(relations, dtype=np.int64) if relations else np.zeros((0, r), dtype=np.int64)
         _, vals, V = diagonalize_mod_q(R, p, a)

@@ -7,6 +7,10 @@ class MotiveLabError(Exception):
     """Base class for all errors raised by motivelab."""
 
 
+class InvariantViolation(MotiveLabError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 # -- group construction ------------------------------------------------------
 
 class NonAssociative(MotiveLabError):
@@ -26,7 +30,16 @@ class OrderBound(MotiveLabError):
 
 
 class NotASubgroup(MotiveLabError):
-    """A member set is not closed or misses the identity/inverses."""
+    """A member set is not closed, misses the identity/inverses, or names an
+    element outside the group."""
+
+
+class NotAbelian(MotiveLabError):
+    """An operation that needs an abelian group got a nonabelian one."""
+
+
+class BadGroupSpec(MotiveLabError, ValueError):
+    """A group spec (dict or shorthand string) is malformed or unknown."""
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -41,6 +54,10 @@ class DivisionByZero(MotiveLabError, ZeroDivisionError):
 
 class Unsolvable(MotiveLabError):
     """A linear system over Z/n has no solution."""
+
+
+class BadModulus(MotiveLabError, ValueError):
+    """A modulus is not a positive integer."""
 
 
 # -- cocycles and cohomology -------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadGroupSpec,
     NoIdentity,
     NonAssociative,
     NotASubgroup,
@@ -24,7 +25,7 @@ from .errors import (
     OrderBound,
     SizeBound,
 )
-from .intlinalg import crt_pair, inv_mod, smith_normal_form
+from .intlinalg import crt_idempotent, crt_pair, prime_power_factors, smith_normal_form
 
 DEFAULT_MAX_ORDER = 2048
 EXHAUSTIVE_ASSOC_BOUND = 64
@@ -265,6 +266,10 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
         members = tuple(sorted(set(int(m) for m in members)))
+        outside = [m for m in members if not 0 <= m < parent.order]
+        if outside:
+            raise NotASubgroup(
+                f"element {outside[0]} is outside the group of order {parent.order}")
         if 0 not in members:
             raise NotASubgroup("missing identity")
         mset = set(members)
@@ -514,12 +519,32 @@ def group_from_permutations(degree: int, gens: Sequence[Sequence[int]]) -> Finit
     return FiniteGroup(table, label=f"P{n}", gens=gen_idx)
 
 
+# shorthand name -> spec keys of its comma-separated integer parameters
+_SHORTHAND_KEYS = {"cyclic": ("n",), "symmetric": ("n",), "dihedral": ("order",),
+                   "elem_abelian": ("p", "k")}
+
+
+def _parse_shorthand(text: str) -> dict:
+    """cyclic:4, symmetric:3, dihedral:8 or elem_abelian:2,2 as a spec dict."""
+    name, _, raw = text.partition(":")
+    keys = _SHORTHAND_KEYS.get(name)
+    try:
+        params = [int(x) for x in raw.split(",")] if raw else []
+    except ValueError:
+        params = None
+    if keys is None or params is None or len(params) != len(keys):
+        raise BadGroupSpec(f"unknown group shorthand {text!r}")
+    return {"kind": name, **dict(zip(keys, params))}
+
+
 def construct_group(spec) -> FiniteGroup:
-    """Build a group from a JSON-style spec dict (see package docs)."""
+    """Build a group from a JSON-style spec dict or a shorthand string."""
     if isinstance(spec, FiniteGroup):
         return spec
+    if isinstance(spec, str):
+        spec = _parse_shorthand(spec)
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"bad group spec: {spec!r}")
+        raise BadGroupSpec(f"bad group spec: {spec!r}")
     kind = spec["kind"]
     if kind == "cyclic":
         return cyclic_group(int(spec["n"]))
@@ -535,7 +560,7 @@ def construct_group(spec) -> FiniteGroup:
         return group_from_cayley(spec["table"])
     if kind == "perm_gens":
         return group_from_permutations(int(spec["degree"]), spec["gens"])
-    raise ValueError(f"unknown group kind {kind!r}")
+    raise BadGroupSpec(f"unknown group kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +614,9 @@ def _abelian_structure(Q: FiniteGroup) -> tuple[list[int], list[tuple[int, ...]]
         return [], [()]
     assert Q.is_abelian()
     factor_data = []  # per prime: (factors desc, coords per element of Q)
-    for p, a in _factor(n):
-        pa = p ** a
-        m = n // pa
-        t = inv_mod(m % pa, pa) if pa > 1 else 1
-        part_of = [Q.power(g, m * t) for g in Q.elements()]
+    for p, a in prime_power_factors(n):
+        e = crt_idempotent(n, p ** a)
+        part_of = [Q.power(g, e) for g in Q.elements()]
         part_elems = sorted(set(part_of))
         factors, coords = _primary_structure(Q, part_elems, p)
         coord_of = {e: c for e, c in zip(part_elems, coords)}
@@ -689,23 +712,6 @@ def _primary_structure(Q: FiniteGroup, elems: list[int], p: int) -> tuple[list[i
     factors_sorted = [factors[i] for i in order_idx]
     coords_sorted = [tuple(c[i] for i in order_idx) for c in coords]
     return factors_sorted, coords_sorted
-
-
-def _factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            out.append((p, a))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:

@@ -1,20 +1,21 @@
 """Exact linear algebra over Z/n and Z.
 
-Z/n is not a field, so row reduction uses Howell forms: a canonical echelon
-shape whose row span supports a complete membership test even for composite
-moduli.  Prime-power moduli additionally get a fast vectorized elimination
-used by the cohomology solvers.
+Z/n is not a field.  All work over Z/n happens modulo prime powers q = p^a,
+where a vectorized elimination keeps pivots of the form p^v and saturates
+the row span, so that membership and coordinates are decided by one pass
+over the pivots.  A composite modulus n is split into its prime-power parts
+and the per-prime results are joined with the CRT idempotents e_q.  Smith
+normal form works over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeBound, Unsolvable
+from .errors import BadModulus, InvariantViolation, SizeBound, Unsolvable
 
 SNF_DIM_GUARD = 5000
 
@@ -41,28 +42,6 @@ def inv_mod(a: int, n: int) -> int:
     return s % n
 
 
-def stab_unit(a: int, n: int) -> int:
-    """A unit u mod n with u*a == gcd(a, n) mod n.
-
-    Multiplying a row by u normalizes its pivot to a divisor of n without
-    changing the row span.
-    """
-    if n == 1:
-        return 1
-    a %= n
-    d = gcd(a, n)
-    if d == 0:
-        return 1
-    nd = n // d
-    g, s, _ = xgcd(a // d, nd)
-    assert g == 1
-    u = s % nd if nd > 1 else 1
-    # u inverts a/d mod n/d; bump by multiples of n/d until coprime to n.
-    while gcd(u, n) != 1:
-        u += nd
-    return u % n
-
-
 def prime_power_factors(n: int) -> list[tuple[int, int]]:
     """Factor n as a list of (p, a) with p^a || n."""
     out = []
@@ -81,129 +60,37 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def require_modulus(n: int) -> None:
+    if n < 1:
+        raise BadModulus(f"modulus must be a positive integer, got {n}")
+
+
+def crt_idempotent(n: int, q: int) -> int:
+    """e_q mod n for a prime power q || n: e_q == 1 mod q and 0 mod n/q."""
+    m = n // q
+    return m * inv_mod(m % q, q) % n
+
+
+def crt_zip(parts: Sequence[tuple[int, Sequence[np.ndarray]]], n: int,
+            width: int) -> tuple[tuple[int, ...], ...]:
+    """Join per-prime generators (q, rows mod q): row j is sum_q e_q g_{q,j}.
+
+    The joined rows generate the direct sum of the per-prime row spans.
+    """
+    rows = np.zeros((max((len(g) for _, g in parts), default=0), width), dtype=object)
+    for q, gens in parts:
+        e = crt_idempotent(n, q)
+        for j, g in enumerate(gens):
+            rows[j] = (rows[j] + e * np.asarray(g, dtype=object)) % n
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     """The residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime)."""
     g, s, _ = xgcd(m1, m2)
-    assert g == 1
+    if g != 1:
+        raise InvariantViolation(f"CRT moduli {m1} and {m2} are not coprime")
     return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
-
-
-# ---------------------------------------------------------------------------
-# Howell forms over Z/n
-# ---------------------------------------------------------------------------
-
-
-def _leading(v: np.ndarray) -> int:
-    nz = np.nonzero(v)[0]
-    return int(nz[0]) if nz.size else -1
-
-
-def _howell_insert(pivots: dict[int, np.ndarray], v: np.ndarray, n: int) -> None:
-    """Fold row v into the pivot dictionary, preserving the row span."""
-    while True:
-        v %= n
-        c = _leading(v)
-        if c < 0:
-            return
-        if c not in pivots:
-            u = stab_unit(int(v[c]), n)
-            v = (v * u) % n
-            pivots[c] = v
-            return
-        p = pivots[c]
-        d = int(p[c])  # divisor of n by normalization
-        vc = int(v[c])
-        if vc % d == 0:
-            v = v - (vc // d) * p
-            continue
-        g, s, t = xgcd(d, vc)
-        newp = (s * p + t * v) % n
-        newv = ((d // g) * v - (vc // g) * p) % n
-        u = stab_unit(int(newp[c]), n)
-        pivots[c] = (newp * u) % n
-        v = newv
-
-
-def howell_rows(rows: Iterable[Sequence[int]], n: int, cols: int) -> list[list[int]]:
-    """Canonical Howell basis of the Z/n-row span of the given rows."""
-    if n == 1:
-        return []
-    dtype = np.int64 if n <= 1 << 30 else object
-    pivots: dict[int, np.ndarray] = {}
-    queue = [np.asarray(r, dtype=dtype) % n for r in rows]
-    while queue:
-        for v in queue:
-            _howell_insert(pivots, v.copy(), n)
-        queue = []
-        # Saturation: the annihilator multiple of each pivot row may expose
-        # span elements supported on later columns.
-        for c in sorted(pivots):
-            p = pivots[c]
-            d = int(p[c])
-            if d == n:
-                continue
-            stab = ((n // d) * p) % n
-            stab = _reduce_by_pivots(pivots, stab, n)
-            if _leading(stab) >= 0:
-                queue.append(stab)
-    ordered = [pivots[c] for c in sorted(pivots)]
-    # Reduce entries above each pivot into [0, pivot): rows bottom-up, each
-    # against the already-canonical later rows in ascending pivot order.
-    for i in range(len(ordered) - 2, -1, -1):
-        row = ordered[i]
-        for j in range(i + 1, len(ordered)):
-            pj = ordered[j]
-            c = _leading(pj)
-            q = int(row[c]) // int(pj[c])
-            if q:
-                row = (row - q * pj) % n
-        ordered[i] = row
-    return [[int(x) for x in row] for row in ordered]
-
-
-def _reduce_by_pivots(pivots: dict[int, np.ndarray], v: np.ndarray, n: int) -> np.ndarray:
-    v = v % n
-    while True:
-        c = _leading(v)
-        if c < 0 or c not in pivots:
-            return v
-        p = pivots[c]
-        d = int(p[c])
-        q = int(v[c]) // d
-        v = (v - q * p) % n
-        if int(v[c]) != 0:
-            return v  # residue below the pivot: irreducible at this column
-
-
-def reduce_row(basis: Sequence[Sequence[int]], v: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """Reduce v against a Howell basis; return (residual, coefficients).
-
-    v is in the row span iff the residual is zero; the coefficients then
-    express v as the recorded combination of basis rows.
-    """
-    dtype = np.int64 if n <= 1 << 30 else object
-    v = np.asarray(v, dtype=dtype) % n
-    coeffs = [0] * len(basis)
-    lead = {_leading(np.asarray(b, dtype=dtype)): i for i, b in enumerate(basis)}
-    c = _leading(v)
-    while c >= 0 and c in lead:
-        i = lead[c]
-        b = np.asarray(basis[i], dtype=dtype)
-        d = int(b[c])
-        q = int(v[c]) // d
-        if q == 0 and int(v[c]) != 0:
-            break
-        v = (v - q * b) % n
-        coeffs[i] = (coeffs[i] + q) % n
-        if int(v[c]) != 0:
-            break
-        c = _leading(v)
-    return [int(x) for x in v], coeffs
-
-
-def in_row_span(basis: Sequence[Sequence[int]], v: Sequence[int], n: int) -> bool:
-    residual, _ = reduce_row(basis, v, n)
-    return not any(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +262,26 @@ def kernel_mod_q(A: np.ndarray, p: int, a: int) -> list[np.ndarray]:
     return gens
 
 
+def coeffs_in_basis(basis: np.ndarray, piv: Sequence[tuple[int, int]], v: np.ndarray,
+                    p: int, a: int) -> np.ndarray | None:
+    """Coordinates of v in a reduced basis from eliminate_mod_q; None when v
+    is outside its span mod p**a."""
+    q = p ** a
+    v = v.astype(np.int64) % q
+    coeffs = np.zeros(len(piv), dtype=np.int64)
+    for i, (c, val) in enumerate(piv):
+        pv = p ** val
+        if v[c] % pv:
+            return None
+        t = int(v[c]) // pv
+        if t:
+            v = (v - t * basis[i]) % q
+            coeffs[i] = t
+    if v.any():
+        return None
+    return coeffs
+
+
 def invert_mod_q(M: np.ndarray, p: int, a: int) -> np.ndarray:
     """Inverse of a square matrix invertible mod p**a."""
     q = p ** a
@@ -386,89 +293,44 @@ def invert_mod_q(M: np.ndarray, p: int, a: int) -> np.ndarray:
     return V @ U % q
 
 
-# ---------------------------------------------------------------------------
-# Public matrix types and operations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModMatrix:
-    """Dense matrix over Z/n with entries reduced to {0..n-1}."""
-
-    modulus: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        reduced = tuple(tuple(int(x) % self.modulus for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", reduced)
-        widths = {len(r) for r in reduced}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], modulus: int) -> "ModMatrix":
-        return ModMatrix(modulus, tuple(tuple(int(x) for x in r) for r in rows))
-
-
-def howell_form(M: ModMatrix) -> ModMatrix:
-    """Canonical Howell form of the row space of M."""
-    if M.rows == 0 or M.cols == 0 or M.modulus == 1:
-        return ModMatrix(M.modulus, ())
-    basis = howell_rows(M.entries, M.modulus, M.cols)
-    return ModMatrix.from_rows(basis, M.modulus)
-
-
-def row_space_contains(M: ModMatrix, v: Sequence[int]) -> bool:
-    H = howell_form(M)
-    if M.modulus == 1:
-        return True
-    return in_row_span(H.entries, v, M.modulus)
-
-
 @dataclass(frozen=True)
 class ModSolution:
-    """Solution set of A x = b over Z/n: one particular solution plus a
-    kernel basis spanning all homogeneous solutions."""
+    """Solution set of A x = b over Z/n: one particular solution plus kernel
+    generators spanning all homogeneous solutions."""
 
     modulus: int
     particular: tuple[int, ...]
     kernel: tuple[tuple[int, ...], ...]
 
 
-def solve_mod(A: ModMatrix, b: Sequence[int]) -> ModSolution:
-    """Solve A x = b over Z/n; raise Unsolvable when inconsistent."""
-    n = A.modulus
-    m, c = A.rows, A.cols
-    if len(b) != m:
+def solve_mod(A, b: Sequence[int], n: int) -> ModSolution:
+    """Solve A x = b over Z/n; raise Unsolvable when inconsistent.
+
+    A is a 2-D array or a list of integer rows.  Each prime power q || n is
+    solved on its own; the particular solutions and the kernel generators
+    are joined with the CRT idempotents.
+    """
+    require_modulus(n)
+    mat = np.asarray(A, dtype=np.int64)
+    if mat.ndim != 2 or mat.shape[0] != len(b):
         raise ValueError("dimension mismatch")
+    c = mat.shape[1]
     if n == 1:
         return ModSolution(1, tuple([0] * c), ())
-    mat = np.asarray(A.entries, dtype=np.int64) if m else np.zeros((0, c), dtype=np.int64)
+    mat = mat % n
     bvec = np.asarray([int(x) % n for x in b], dtype=np.int64)
     particular = np.zeros(c, dtype=object)
-    kernel_gens: list[np.ndarray] = []
+    kernels: list[tuple[int, list[np.ndarray]]] = []
+    # reduce the augmented system first so transforms stay (c+1)-sized
+    aug = np.hstack([mat, bvec[:, None]])
     for p, a in prime_power_factors(n):
         q = p ** a
-        # reduce the augmented system first so transforms stay (c+1)-sized
-        aug = np.hstack([mat, bvec[:, None]]) if m else np.zeros((0, c + 1), dtype=np.int64)
         red, _ = eliminate_mod_q(aug, p, a)
-        Ared = red[:, :c] if red.size else np.zeros((0, c), dtype=np.int64)
-        bred = red[:, c] if red.size else np.zeros(0, dtype=np.int64)
-        mr = Ared.shape[0]
+        Ared, bred = red[:, :c], red[:, c]
         U, vals, V = diagonalize_mod_q(Ared, p, a)
-        rhs = U @ bred % q if mr else np.zeros(0, dtype=np.int64)
+        rhs = U @ bred % q
         z = np.zeros(c, dtype=np.int64)
-        for t in range(mr):
+        for t in range(Ared.shape[0]):
             target = int(rhs[t])
             if t < len(vals):
                 pv = p ** vals[t]
@@ -478,16 +340,24 @@ def solve_mod(A: ModMatrix, b: Sequence[int]) -> ModSolution:
             elif target % q != 0:
                 raise Unsolvable(f"no solution mod {q}")
         xq = V @ z % q
-        cq = (n // q) * inv_mod((n // q) % q, q) % n if n != q else 1
-        particular = (particular + cq * xq.astype(object)) % n
-        for g in kernel_mod_q(Ared, p, a):
-            kernel_gens.append(cq * g.astype(object) % n)
-    check = (mat.astype(object) @ particular) % n if m else np.zeros(0, dtype=object)
-    if m and not np.array_equal(check, bvec.astype(object)):
+        particular = (particular + crt_idempotent(n, q) * xq.astype(object)) % n
+        kernels.append((q, kernel_mod_q(Ared, p, a)))
+    check = (mat.astype(object) @ particular) % n
+    if not np.array_equal(check, bvec.astype(object)):
         raise Unsolvable("inconsistent system")
-    kbasis = howell_rows(kernel_gens, n, c) if kernel_gens else []
-    return ModSolution(n, tuple(int(x) for x in particular),
-                       tuple(tuple(row) for row in kbasis))
+    return ModSolution(n, tuple(int(x) for x in particular), crt_zip(kernels, n, c))
+
+
+def in_span_mod(rows, v: Sequence[int], n: int) -> bool:
+    """Whether v lies in the Z/n-row span of rows, decided mod each p^a || n."""
+    require_modulus(n)
+    v = np.asarray(v, dtype=np.int64)
+    R = np.asarray(rows, dtype=np.int64).reshape(-1, v.size)
+    for p, a in prime_power_factors(n):
+        basis, piv = eliminate_mod_q(R, p, a)
+        if coeffs_in_basis(basis, piv, v, p, a) is None:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +458,3 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
                               tuple(tuple(r) for r in U),
                               tuple(tuple(r) for r in V))
 
-
-def abelian_invariants_from_relations(rel_rows: Sequence[Sequence[int]], rank: int) -> list[int]:
-    """Invariant factors (>1) of Z^rank modulo the row lattice of rel_rows."""
-    if rank == 0:
-        return []
-    if not rel_rows:
-        return [0] * rank
-    snf = smith_normal_form(rel_rows)
-    diag = list(snf.invariant_factors) + [0] * (rank - len(snf.invariant_factors))
-    return [d for d in diag[:rank] if d != 1]

@@ -23,7 +23,7 @@ from .characters import (
     permutation_character,
     rank,
 )
-from .cocycles import schur_multiplier
+from .cocycles import SCHUR_DEFAULT_MAX_ORDER
 from .cyclotomic import Cyclotomic
 from .errors import ClassCountMismatch, GroupMismatch, UnsupportedInvariant
 from .groups import FiniteGroup, same_group
@@ -160,7 +160,7 @@ class K0NCClass:
         return out
 
 
-def mu_nc(symbol, max_group_order: int = 48) -> K0NCClass:
+def mu_nc(symbol, max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> K0NCClass:
     """The motivic measure: class of the collection decomposition.
 
     Products decompose through box-product collections; atom-level tensor
@@ -169,7 +169,7 @@ def mu_nc(symbol, max_group_order: int = 48) -> K0NCClass:
     return K0NCClass.from_skeleton(symbol_skeleton(symbol, max_group_order))
 
 
-def symbol_skeleton(symbol, max_group_order: int = 48) -> MotiveSkeleton:
+def symbol_skeleton(symbol, max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> MotiveSkeleton:
     if isinstance(symbol, ProductSymbol):
         A = symbol_skeleton(symbol.left, max_group_order)
         B = symbol_skeleton(symbol.right, max_group_order)
@@ -180,7 +180,7 @@ def symbol_skeleton(symbol, max_group_order: int = 48) -> MotiveSkeleton:
     return decompose_collection(spec, max_group_order)
 
 
-def resolve_expr(expr: K0VarExpr, max_group_order: int = 48) -> K0NCClass:
+def resolve_expr(expr: K0VarExpr, max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> K0NCClass:
     out: K0NCClass | None = None
     for coeff, symbol in expr.terms:
         cls = mu_nc(symbol, max_group_order).scale(coeff)
@@ -206,7 +206,7 @@ class BlowupCheck:
 
 
 def blowup_check(X: K0VarExpr, Y: K0VarExpr, c: int, Bl: K0VarExpr,
-                 E: K0VarExpr, max_group_order: int = 48) -> BlowupCheck:
+                 E: K0VarExpr, max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> BlowupCheck:
     """Verify [Bl] = [X] + (c-1)[Y] and [E] = c[Y] at class level."""
     if c < 1:
         raise ValueError("codimension must be >= 1")
@@ -298,7 +298,7 @@ class FactorizationCheck:
 
 
 def factorization_check(symbol, fixed_locus: Sequence[int],
-                        max_group_order: int = 48) -> FactorizationCheck:
+                        max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> FactorizationCheck:
     """Euler character from fixed-locus data must match the Hochschild
     shadow of the measured skeleton, as exact virtual characters."""
     G = symbol.group

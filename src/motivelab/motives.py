@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cocycles import CohomClass, SchurMultiplier, schur_multiplier
+from .cocycles import SCHUR_DEFAULT_MAX_ORDER, CohomClass, SchurMultiplier, schur_multiplier
 from .errors import (
     GroupMismatch,
     LengthMismatch,
@@ -26,8 +26,6 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup, coset_space, same_group
 from .twisted import alpha_regular
-
-SCHUR_GUARD_FOR_BLOCKS = 48
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ class CollectionSpec:
 
 
 def decompose_collection(spec: CollectionSpec,
-                         max_group_order: int = SCHUR_GUARD_FOR_BLOCKS) -> MotiveSkeleton:
+                         max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> MotiveSkeleton:
     """One atom per block: a twisted unit for invariant blocks, an induced
     point for permuted blocks whose stabilizer has trivial multiplier."""
     G = spec.group

@@ -24,7 +24,6 @@ from .characters import (
 from .cocycles import (
     TwoCocycle,
     central_pairing_cocycle,
-    cocycle_space,
     is_cohomologous,
     random_cocycle,
     schur_multiplier,
@@ -309,7 +308,6 @@ def property_suites(cases: int = 200, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     groups = [cyclic_group(4), symmetric_group(3), elementary_abelian_group(2, 2),
               dihedral_group(8)]
-    spaces = {G.label: cocycle_space(G, G.order) for G in groups}
     multipliers = {G.label: schur_multiplier(G) for G in groups}
     per_group = max(1, cases // len(groups))
 

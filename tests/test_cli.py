@@ -124,6 +124,28 @@ def test_cocycle_roundtrip(tmp_path, capsys):
     assert json.loads(out)["coordinates"] == [0]
 
 
+@pytest.mark.parametrize("modulus", [0, -2])
+def test_cocycle_check_bad_modulus(tmp_path, capsys, modulus):
+    f = tmp_path / "bad_modulus.json"
+    f.write_text(json.dumps({"group": {"kind": "cyclic", "n": 2}, "modulus": modulus,
+                             "exponents": [[0, 0], [0, 0]]}))
+    code, _, err = run(capsys, "cocycle", "check", str(f))
+    assert code == 1
+    assert "modulus" in err and "Traceback" not in err
+
+
+def test_cocycle_file_group_shorthand(tmp_path, capsys):
+    f = tmp_path / "c4.json"
+    f.write_text(json.dumps({"group": "cyclic:4", "modulus": 4,
+                             "exponents": [[0] * 4] * 4}))
+    code, out, _ = run(capsys, "cocycle", "check", str(f), "--json")
+    assert code == 0 and json.loads(out)["ok"]
+    f.write_text(json.dumps({"group": "cyclic:4:2", "modulus": 4,
+                             "exponents": [[0] * 4] * 4}))
+    code, _, err = run(capsys, "cocycle", "check", str(f))
+    assert code == 1 and "shorthand" in err
+
+
 def test_twisted_command(capsys):
     code, out, _ = run(capsys, "twisted", "--group", "cyclic:4", "--json")
     assert code == 0
@@ -133,9 +155,10 @@ def test_twisted_command(capsys):
 
 
 def test_exit_codes(tmp_path, capsys):
-    # usage error
-    code, _, err = run(capsys, "schur", "--group", "nonsense:1")
-    assert code == 1
+    # usage error, including shorthands that lack parameters
+    for spec in ("nonsense:1", "cyclic", "elem_abelian:2"):
+        code, _, err = run(capsys, "schur", "--group", spec)
+        assert code == 1 and "shorthand" in err
     # check failure: corrupted cocycle
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -14,7 +14,7 @@ from motivelab.cocycles import (
     schur_multiplier,
     verify_witness,
 )
-from motivelab.errors import ModulusMismatch, NotACocycle, SizeBound
+from motivelab.errors import BadModulus, ModulusMismatch, NotACocycle, NotAbelian, SizeBound
 from motivelab.groups import (
     cyclic_group,
     dihedral_group,
@@ -53,14 +53,14 @@ def test_validate_normalization():
 
 def test_cocycle_space_trivial_group():
     space = cocycle_space(cyclic_group(1), 5)
-    assert space.entries == ()
+    assert space == ()
 
 
 def test_cocycle_space_c2_size_two():
     space = cocycle_space(cyclic_group(2), 2)
-    assert len(space.entries) == 1
+    assert len(space) == 1
     # the whole space: trivial table and the nontrivial one
-    assert list(space.entries[0]) == [0, 0, 0, 1]
+    assert list(space[0]) == [0, 0, 0, 1]
 
 
 def test_cocycle_space_contains_pairing():
@@ -78,6 +78,35 @@ def test_cocycle_space_contains_random_members():
             alpha = random_cocycle(G, n, rng)
             assert cocycle_validate(alpha).ok
             assert cocycle_in_space(space, alpha)
+
+
+def test_cocycle_space_composite_modulus_spans_every_cocycle():
+    # the zipped generators mod 6 must reach every cocycle on S3 mod 6:
+    # each sum of a mod-2 and a mod-3 cocycle, built from the prime spaces
+    G = symmetric_group(3)
+    space = cocycle_space(G, 6)
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        a2 = random_cocycle(G, 2, rng).promote(6)
+        a3 = random_cocycle(G, 3, rng).promote(6)
+        assert cocycle_in_space(space, a2.mul(a3))
+    broken = [list(r) for r in TwoCocycle.trivial(G, 6).table]
+    broken[1][2] = 1
+    assert not cocycle_in_space(space, TwoCocycle.from_exponents(G, 6, broken))
+
+
+def test_bad_modulus_is_typed():
+    G = cyclic_group(2)
+    for n in (0, -2):
+        with pytest.raises(BadModulus):
+            TwoCocycle.trivial(G, n)
+        with pytest.raises(BadModulus):
+            cocycle_space(G, n)
+
+
+def test_central_pairing_needs_abelian_group():
+    with pytest.raises(NotAbelian):
+        central_pairing_cocycle(symmetric_group(3))
 
 
 def test_cocycle_space_guard():
@@ -341,6 +370,6 @@ def test_alternating_groups_via_permutations():
 def test_cocycle_space_composite_modulus():
     space = cocycle_space(cyclic_group(2), 6)
     # one free entry, unconstrained: the space is all of Z/6
-    assert len(space.entries) == 1
+    assert len(space) == 1
     nontrivial = TwoCocycle.from_exponents(cyclic_group(2), 6, [[0, 0], [0, 5]])
     assert cocycle_in_space(space, nontrivial)

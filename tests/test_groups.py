@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from motivelab.errors import NoIdentity, NonAssociative, NotASubgroup, NotClosed, OrderBound
+from motivelab.errors import (
+    BadGroupSpec,
+    NoIdentity,
+    NonAssociative,
+    NotASubgroup,
+    NotClosed,
+    OrderBound,
+)
 from motivelab.groups import (
     Subgroup,
     abelianization,
@@ -183,6 +190,16 @@ def test_construct_group_specs():
     assert G.order == 6 and G.is_abelian()
 
 
+def test_construct_group_shorthand():
+    assert construct_group("cyclic:4").order == 4
+    assert construct_group("symmetric:3").order == 6
+    assert construct_group("dihedral:8").order == 8
+    assert construct_group("elem_abelian:2,2").order == 4
+    for bad in ("nonsense:1", "cyclic", "cyclic:x", "elem_abelian:2"):
+        with pytest.raises(BadGroupSpec):
+            construct_group(bad)
+
+
 def test_cayley_input_validation():
     with pytest.raises(NoIdentity):
         group_from_cayley([[0, 0], [0, 0]])
@@ -224,6 +241,13 @@ def test_subgroup_validation():
         Subgroup(G, (1, 2))  # missing identity
     with pytest.raises(NotASubgroup):
         G.subgroup([0, 3])  # not closed: 3*3 = ?
+
+
+def test_subgroup_out_of_range_member():
+    with pytest.raises(NotASubgroup, match="element 5 .* order 2"):
+        Subgroup(cyclic_group(2), (0, 5))
+    with pytest.raises(NotASubgroup, match="element -1"):
+        Subgroup(cyclic_group(2), (0, -1))
 
 
 def test_all_subgroups_counts():

@@ -1,19 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motivelab.errors import Unsolvable
+from motivelab.errors import BadModulus, Unsolvable
 from motivelab.intlinalg import (
-    ModMatrix,
+    crt_idempotent,
+    crt_zip,
     eliminate_mod_q,
-    howell_form,
-    howell_rows,
-    in_row_span,
+    in_span_mod,
     kernel_mod_q,
     prime_power_factors,
     smith_normal_form,
     solve_mod,
-    stab_unit,
     xgcd,
 )
 
@@ -25,79 +25,88 @@ def test_xgcd():
         assert g >= 0
 
 
-def test_stab_unit():
-    for n in (4, 6, 12, 36):
-        for a in range(n):
-            u = stab_unit(a, n)
-            from math import gcd
-            assert gcd(u, n) == 1
-            assert (u * a) % n == gcd(a, n) % n
-
-
 def test_prime_power_factors():
     assert prime_power_factors(120) == [(2, 3), (3, 1), (5, 1)]
     assert prime_power_factors(1) == []
 
 
-def test_howell_zero_and_identity():
-    Z = ModMatrix.from_rows([[0, 0], [0, 0]], 6)
-    assert howell_form(Z).entries == ()
-    I = ModMatrix.from_rows([[1, 0], [0, 1]], 6)
-    assert howell_form(I).entries == ((1, 0), (0, 1))
+def test_crt_idempotent():
+    for n in (6, 12, 36, 60, 120):
+        for p, a in prime_power_factors(n):
+            q = p ** a
+            e = crt_idempotent(n, q)
+            assert e % q == 1 and e % (n // q) == 0
+    assert crt_idempotent(8, 8) == 1
 
 
-def test_howell_mod4_torsion_row():
-    M = ModMatrix.from_rows([[2]], 4)
-    H = howell_form(M)
-    assert H.entries == ((2,),)
-    # row space is exactly {0, 2}
-    assert in_row_span(H.entries, [2], 4)
-    assert not in_row_span(H.entries, [1], 4)
-    assert in_row_span(H.entries, [0], 4)
+def _brute_span(rows, n, width):
+    """Every Z/n-combination of the rows, by closure under adding a row."""
+    span = {(0,) * width}
+    frontier = list(span)
+    while frontier:
+        base = frontier.pop()
+        for r in rows:
+            y = tuple((x + int(c)) % n for x, c in zip(base, r))
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
 
 
-def test_howell_saturation_catches_hidden_rows():
-    # over Z/4, the span of (2, 1) contains (0, 2) = 2*(2, 1); Howell must
-    # expose it as a second pivot row
-    H = howell_rows([[2, 1]], 4, 2)
-    assert in_row_span(H, [0, 2], 4)
-    assert len(H) == 2
+# Explicit systems: zero and identity rows; [2] mod 4 holds 2 but not 1; the
+# span of (2, 1) mod 4 holds (0, 2) = 2*(2, 1), found only by saturation.
+_EXPLICIT_SYSTEMS = [([[0, 0], [0, 0]], 6), ([[1, 0], [0, 1]], 6), ([[2]], 4),
+                     ([[2, 1]], 4), ([[3, 2], [0, 4]], 12)]
 
 
-def test_howell_idempotent_and_canonical():
+def _random_systems():
     rng = np.random.default_rng(7)
-    for n in (4, 6, 8, 12):
-        for _ in range(20):
-            rows = rng.integers(0, n, size=(4, 5)).tolist()
-            H1 = howell_rows(rows, n, 5)
-            H2 = howell_rows(H1, n, 5)
-            assert H1 == H2
-            # membership stable under random row operations
-            mixed = []
-            for _ in range(4):
-                coeffs = rng.integers(0, n, size=len(rows))
-                mixed.append([int(sum(c * r[j] for c, r in zip(coeffs, rows))) % n
-                              for j in range(5)])
-            H3 = howell_rows(mixed + rows, n, 5)
-            assert H3 == H1
+    for n in (4, 6, 8, 9, 12):
+        divisors = [d for d in range(1, n) if n % d == 0]
+        for _ in range(4):
+            k = int(rng.integers(1, 4))
+            rows = rng.integers(0, n, size=(k, 3)) * rng.choice(divisors, size=(k, 1)) % n
+            yield rows.tolist(), n
+
+
+@pytest.mark.parametrize("rows,n", _EXPLICIT_SYSTEMS + list(_random_systems()))
+def test_span_membership_matches_brute_force(rows, n):
+    width = len(rows[0])
+    span = _brute_span(rows, n, width)
+    every = itertools.product(range(n), repeat=width)
+    assert {v for v in every if in_span_mod(rows, v, n)} == span
+    # the per-prime reduced bases, zipped by CRT, generate the same module
+    parts = [(p ** a, list(eliminate_mod_q(np.array(rows), p, a)[0]))
+             for p, a in prime_power_factors(n)]
+    assert _brute_span(crt_zip(parts, n, width), n, width) == span
+
+
+def test_span_explicit_torsion_cases():
+    assert in_span_mod([[2]], [2], 4) and not in_span_mod([[2]], [1], 4)
+    assert in_span_mod([[2, 1]], [0, 2], 4) and not in_span_mod([[2, 1]], [0, 1], 4)
+
+
+def test_bad_modulus_is_typed():
+    for n in (0, -2):
+        with pytest.raises(BadModulus):
+            solve_mod([[1]], [1], n)
+        with pytest.raises(BadModulus):
+            in_span_mod([[1]], [1], n)
 
 
 def test_solve_identity():
-    A = ModMatrix.from_rows([[1, 0], [0, 1]], 12)
-    sol = solve_mod(A, [5, 7])
+    sol = solve_mod([[1, 0], [0, 1]], [5, 7], 12)
     assert sol.particular == (5, 7)
     assert sol.kernel == ()
 
 
 def test_solve_parity_obstruction():
-    A = ModMatrix.from_rows([[2]], 4)
     with pytest.raises(Unsolvable):
-        solve_mod(A, [1])
+        solve_mod([[2]], [1], 4)
 
 
 def test_solve_2x_eq_2_mod_4():
-    A = ModMatrix.from_rows([[2]], 4)
-    sol = solve_mod(A, [2])
+    sol = solve_mod([[2]], [2], 4)
     solutions = {sol.particular[0]}
     for row in sol.kernel:
         for c in range(4):
@@ -113,7 +122,7 @@ def test_solve_random_consistency():
             A = rng.integers(0, n, size=(3, 4))
             x = rng.integers(0, n, size=4)
             b = (A @ x) % n
-            sol = solve_mod(ModMatrix.from_rows(A.tolist(), n), b.tolist())
+            sol = solve_mod(A, b, n)
             assert tuple((A @ np.array(sol.particular)) % n) == tuple(b)
             for row in sol.kernel:
                 assert not ((A @ np.array(row)) % n).any()
