@@ -9,13 +9,17 @@ splitting seed never shows in the output.
 
 Virtual characters store integer (or rational) coordinates over the
 irreducible basis; class-function values are derived on demand, which makes
-integrality checks trivial.
+integrality checks trivial.  Products in R(G) contract the coordinates with the
+tensor structure constants N_ij^k = <chi_i chi_j, chi_k>, which each table
+computes once, on first use, in F_p as Dixon's method does: no field arithmetic.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -23,6 +27,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic
 from .errors import (
     GroupMismatch,
+    InvariantViolation,
     NonIntegralCharacter,
     NonIntegralDecomposition,
     PrimeSearchFailed,
@@ -51,7 +56,7 @@ class CharacterTable:
         return self.irreducibles[irrep][class_index]
 
     def verify_orthogonality(self) -> None:
-        """Exact first orthogonality of rows; raises AssertionError on failure."""
+        """Exact first orthogonality of rows; raises InvariantViolation on failure."""
         sizes = self.class_sizes()
         n = self.group.order
         k = self.num_irreducibles
@@ -62,8 +67,16 @@ class CharacterTable:
                     acc = acc + sizes[c] * self.irreducibles[i][c] * \
                         self.irreducibles[j][c].conjugate()
                 expected = Fraction(n) if i == j else Fraction(0)
-                assert acc == Cyclotomic.from_rational(expected), \
-                    f"row orthogonality fails at ({i},{j})"
+                if acc != Cyclotomic.from_rational(expected):
+                    raise InvariantViolation(f"row orthogonality fails at ({i},{j})")
+
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """Read-only int64 array N[i, j, k] = <chi_i chi_j, chi_k>: the
+        multiplicity of chi_k in chi_i (x) chi_j.  Built on first use."""
+        N = _tensor_constants(self)
+        N.setflags(write=False)
+        return N
 
 
 def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
@@ -74,7 +87,7 @@ def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
         table = _abelian_table(G)
     else:
         table = _dixon_table(G, seed)
-    assert sum(d * d for d in table.degrees) == G.order, "degree sum check failed"
+    _check(sum(d * d for d in table.degrees) == G.order, "degree sum check failed")
     if table.num_irreducibles <= _ORTHOGONALITY_CHECK_BOUND:
         table.verify_orthogonality()
     G._char_table = table
@@ -116,14 +129,19 @@ def _abelian_table(G: FiniteGroup) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-def _find_prime(e: int, n: int) -> int:
-    bound = 2 * isqrt(n) + 1
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvariantViolation(message)
+
+
+def _find_prime(e: int, lower: int) -> int:
+    """The least prime p = 1 (mod e) with p > lower."""
     p = e + 1
     while p < PRIME_SEARCH_LIMIT:
-        if p > bound and _is_prime(p):
+        if p > lower and _is_prime(p):
             return p
         p += e
-    raise PrimeSearchFailed(f"no prime = 1 mod {e} above {bound} below {PRIME_SEARCH_LIMIT}")
+    raise PrimeSearchFailed(f"no prime = 1 mod {e} above {lower} below {PRIME_SEARCH_LIMIT}")
 
 
 def _is_prime(n: int) -> bool:
@@ -161,7 +179,7 @@ def _primitive_root(p: int) -> int:
         d += 1
     if m > 1:
         factors.add(m)
-    for g in range(2, p):
+    for g in range(1, p):  # 1 only for p = 2, where p - 1 has no prime factor
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise PrimeSearchFailed("no primitive root found")
@@ -172,7 +190,7 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
     k = len(classes)
     n = G.order
     e = G.exponent()
-    p = _find_prime(e, n)
+    p = _find_prime(e, 2 * isqrt(n) + 1)
     reps = [c.representative for c in classes]
     sizes = [c.size for c in classes]
     inv_class = [G.class_index_of(G.inv(r)) for r in reps]
@@ -187,19 +205,20 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
 
     mats = [np.array(a[i], dtype=np.int64) % p for i in range(k)]  # A_i[j][l]
 
-    # split the common eigenspaces over F_p
-    rng = np.random.default_rng(seed)
+    # split the common eigenspaces over F_p; the stdlib generator spares the
+    # table build the import of numpy.random (about 6 MB of resident memory)
+    rng = random.Random(seed)
     spaces = [np.eye(k, dtype=np.int64)]
     rounds = 0
     while any(s.shape[1] > 1 for s in spaces):
         rounds += 1
         if rounds > 60:
             raise PrimeSearchFailed("eigenspace splitting failed to converge")
-        coeffs = rng.integers(0, p, size=k)
+        coeffs = [rng.randrange(p) for _ in range(k)]
         B = np.zeros((k, k), dtype=np.int64)
         for i in range(k):
             if coeffs[i]:
-                B = (B + int(coeffs[i]) * mats[i]) % p
+                B = (B + coeffs[i] * mats[i]) % p
         new_spaces = []
         for S in spaces:
             if S.shape[1] == 1:
@@ -218,7 +237,7 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
     inv_sizes = [pow(s % p, p - 2, p) for s in sizes]
     for S in spaces:
         w = S[:, 0] % p
-        assert w[0] != 0, "central character must be nonzero on the identity class"
+        _check(w[0] != 0, "central character must be nonzero on the identity class")
         w = w * pow(int(w[0]), p - 2, p) % p
         omega = [int(x) for x in w]
         denom = sum(omega[i] * omega[inv_class[i]] * inv_sizes[i] for i in range(k)) % p
@@ -240,13 +259,59 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
                 for t in range(o):
                     mu = (mu + chi_p[pow_class[i][t]] * pow(z_o, (-u * t) % o, p)) % p
                 mu = mu * inv_o % p
-                assert mu <= d, "eigenvalue multiplicity exceeds the degree"
+                _check(mu <= d, "eigenvalue multiplicity exceeds the degree")
                 if mu:
                     val = val + mu * Cyclotomic.root_of_unity(e, (u * e) // o)
             row.append(val)
         rows.append(row)
         degrees.append(d)
     return _canonical_rows(G, e, rows, degrees)
+
+
+def _tensor_constants(table: CharacterTable) -> np.ndarray:
+    """N[i, j, k] = |G|^-1 sum_c |c| chi_i(c) chi_j(c) conj(chi_k(c)), computed
+    in F_p for a prime p = 1 (mod exp(G)) with p > |G|, zeta_e -> z_e.
+
+    Exact: 0 <= N_ij^k <= d_i d_j <= |G| < p, so each residue is the integer
+    itself.  Two exact identities are checked before the array is returned."""
+    G = table.group
+    n, e, k = G.order, table.exponent, table.num_irreducibles
+    p = _find_prime(e, n)
+    z_e = pow(_primitive_root(p), (p - 1) // e, p)
+    X = np.array([[_residue(v, e, z_e, p) for v in row] for row in table.irreducibles],
+                 dtype=np.int64)
+    # conj(chi)(c) = chi(c^-1)
+    inv_class = [G.class_index_of(G.inv(c.representative)) for c in G.conjugacy_classes()]
+    n_inv = pow(n, -1, p)
+    weights = np.array([s * n_inv % p for s in table.class_sizes()], dtype=np.int64)
+    # p < PRIME_SEARCH_LIMIT < 2^20: a product of two residues is below 2^40
+    # and the matmul sums k <= |G| < 2^20 of them, below 2^60.
+    W = X * weights % p                                     # [j, c]
+    T = W[:, None, :] * X[None, :, inv_class] % p           # [j, k, c]
+    N = (X @ T.reshape(k * k, k).T % p).reshape(k, k, k)    # [i, j, k]
+
+    degrees = np.array(table.degrees, dtype=np.int64)
+    _check(np.array_equal(N @ degrees, np.outer(degrees, degrees)),
+           "structure constants fail sum_k N_ij^k d_k = d_i d_j")
+    rows = table.irreducibles
+    dual = np.zeros((k, k), dtype=np.int64)
+    for i, row in enumerate(rows):
+        conj = tuple(row[c] for c in inv_class)
+        j = next((j for j, other in enumerate(rows) if other == conj), None)
+        _check(j is not None, f"conjugate of chi_{i} missing from the table")
+        dual[i, j] = 1
+    _check(np.array_equal(N[:, :, _trivial_index(table)], dual),
+           "structure constants fail N_ij^triv = [chi_j = conj(chi_i)]")
+    return N
+
+
+def _residue(v: Cyclotomic, e: int, z_e: int, p: int) -> int:
+    """Image of v (conductor dividing e) in F_p under zeta_e -> z_e."""
+    z = pow(z_e, e // v.conductor, p)
+    acc = 0
+    for c in reversed(v.coeffs):
+        acc = (acc * z + c.numerator * pow(c.denominator, -1, p)) % p
+    return acc
 
 
 def _split_space(B: np.ndarray, S: np.ndarray, p: int, rng) -> list[np.ndarray]:
@@ -262,7 +327,7 @@ def _split_space(B: np.ndarray, S: np.ndarray, p: int, rng) -> list[np.ndarray]:
         if K.shape[1]:
             out.append(S @ K % p)
     total = sum(s.shape[1] for s in out)
-    assert total == S.shape[1], "eigenspace split lost dimensions"
+    _check(total == S.shape[1], "eigenspace split lost dimensions")
     return out
 
 
@@ -373,7 +438,7 @@ def _poly_roots(poly: list[int], p: int, rng) -> list[int]:
     poly = [c % p for c in poly]
     while poly and poly[-1] == 0:
         poly.pop()
-    assert poly, "zero polynomial has no canonical roots"
+    _check(bool(poly), "zero polynomial has no canonical roots")
     inv_lead = pow(poly[-1], p - 2, p)
     poly = [c * inv_lead % p for c in poly]
     # linear-factor part: gcd(x^p - x, poly)
@@ -397,7 +462,7 @@ def _collect_roots(f: list[int], p: int, rng, out: list[int]) -> None:
         _collect_roots(_poly_monic(f[1:], p), p, rng, out)
         return
     while True:
-        c = int(rng.integers(0, p))
+        c = rng.randrange(p)
         # gcd((x+c)^((p-1)/2) - 1, f) splits the roots with prob ~ 1/2
         h = _poly_powmod([c, 1], (p - 1) // 2, f, p)
         h = _poly_sub_mod(h, [1], p)
@@ -559,16 +624,21 @@ class VirtualCharacter:
         return VirtualCharacter(self.group, tuple(s * c for c in self.coeffs))
 
     def mul(self, other: "VirtualCharacter") -> "VirtualCharacter":
+        """out_k = sum_{i,j} a_i b_j N_ij^k over the supports of a and b."""
         _same(self, other)
-        G = self.group
-        va = self.class_values()
-        vb = other.class_values()
-        prod = [a * b for a, b in zip(va, vb)]
-        coeffs = decompose_class_function(G, prod, allow_rational=True)
-        out = VirtualCharacter(G, coeffs)
-        if self.is_integral() and other.is_integral() and not out.is_integral():
-            raise NonIntegralDecomposition("product of characters must be integral")
-        return out
+        N = character_table(self.group).structure_constants
+        out = [Fraction(0)] * len(self.coeffs)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if not b:
+                    continue
+                ab = a * b
+                for k, m in enumerate(N[i, j].tolist()):
+                    if m:
+                        out[k] += ab * m
+        return VirtualCharacter(self.group, tuple(out))
 
     def __eq__(self, other):
         if not isinstance(other, VirtualCharacter):
@@ -588,7 +658,7 @@ def _trivial_index(table: CharacterTable) -> int:
     for i, row in enumerate(table.irreducibles):
         if table.degrees[i] == 1 and all(v == one for v in row):
             return i
-    raise AssertionError("trivial character missing from the table")
+    raise InvariantViolation("trivial character missing from the table")
 
 
 def rr_arith(op: str, a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
@@ -624,11 +694,11 @@ def idempotents(G: FiniteGroup) -> RingIdempotents:
     e_plus = VirtualCharacter(G, tuple(Fraction(d, n) for d in table.degrees))
     one = VirtualCharacter.trivial_character(G)
     e_minus = one.sub(e_plus)
-    assert e_plus.mul(e_plus) == e_plus
-    assert e_minus.mul(e_minus) == e_minus
-    assert e_plus.mul(e_minus) == VirtualCharacter.zero(G)
-    assert e_plus.add(e_minus) == one
-    assert rank(e_plus) == 1 and rank(e_minus) == 0
+    _check(e_plus.mul(e_plus) == e_plus, "e+ is not idempotent")
+    _check(e_minus.mul(e_minus) == e_minus, "e- is not idempotent")
+    _check(e_plus.mul(e_minus) == VirtualCharacter.zero(G), "e+ e- is not zero")
+    _check(e_plus.add(e_minus) == one, "e+ + e- is not the unit")
+    _check(rank(e_plus) == 1 and rank(e_minus) == 0, "idempotent ranks are not 1 and 0")
     return RingIdempotents(e_plus, e_minus)
 
 
@@ -665,10 +735,10 @@ def permutation_character(G: FiniteGroup, H: Subgroup) -> VirtualCharacter:
         values.append(Cyclotomic.from_rational(fixed))
     coeffs = decompose_class_function(G, values)
     out = VirtualCharacter(G, coeffs)
-    assert rank(out) == H.index
+    _check(rank(out) == H.index, "permutation character rank is not the index")
     triv = _trivial_index(character_table(G))
-    assert out.coeffs[triv] == 1, "transitive action must contain one trivial copy"
-    assert all(c >= 0 for c in out.coeffs)
+    _check(out.coeffs[triv] == 1, "transitive action must contain one trivial copy")
+    _check(all(c >= 0 for c in out.coeffs), "permutation character has a negative multiplicity")
     return out
 
 

@@ -23,7 +23,7 @@ from .cocycles import (
     schur_multiplier,
     SCHUR_DEFAULT_MAX_ORDER,
 )
-from .errors import MotiveLabError
+from .errors import MissingField, MotiveLabError
 from .groups import FiniteGroup, Subgroup, construct_group
 from .measures import (
     K0VarExpr,
@@ -357,15 +357,19 @@ def cmd_measure(args) -> int:
         return 0
     if data is None:
         raise ValueError("this measure action needs a dataset file")
-    G = construct_group(data["group"])
+
+    def field(key):
+        return _dataset_field(data, key, args.action)
+
+    G = construct_group(field("group"))
     if args.action == "euler":
-        chi = euler_char_rep(G, per_class_values(G, data["fixed_locus"]))
+        chi = euler_char_rep(G, per_class_values(G, field("fixed_locus")))
         payload = {"multiplicities": [str(Fraction(c)) for c in chi.coeffs]}
         _emit(payload, args.json, f"euler character multiplicities {payload['multiplicities']}")
         return 0
     if args.action in ("factor-check", "check"):
-        symbol = load_symbol(G, data["symbol"])
-        fc = factorization_check(symbol, per_class_values(G, data["fixed_locus"]),
+        symbol = load_symbol(G, field("symbol"))
+        fc = factorization_check(symbol, per_class_values(G, field("fixed_locus")),
                                  max_order)
         ok = fc.ok
         extra = {}
@@ -381,13 +385,22 @@ def cmd_measure(args) -> int:
         _emit(payload, args.json, "ok" if ok else "violation: " + json.dumps(payload))
         return 0 if ok else CHECK_FAILURE
     if args.action == "blowup-check":
-        bc = blowup_check(load_expr(G, data["X"]), load_expr(G, data["Y"]),
-                          int(data["c"]), load_expr(G, data["Bl"]),
-                          load_expr(G, data["E"]), max_order)
+        bc = blowup_check(load_expr(G, field("X")), load_expr(G, field("Y")),
+                          int(field("c")), load_expr(G, field("Bl")),
+                          load_expr(G, field("E")), max_order)
         payload = {"ok": bc.ok, "messages": list(bc.messages)}
         _emit(payload, args.json, "ok" if bc.ok else "violation: " + "; ".join(bc.messages))
         return 0 if bc.ok else CHECK_FAILURE
     raise ValueError(f"unknown measure action {args.action!r}")
+
+
+def _dataset_field(data, key: str, action: str):
+    if isinstance(data, dict) and key in data:
+        return data[key]
+    hint = ""
+    if isinstance(data, dict) and {"X", "Y", "Bl", "E"} <= data.keys():
+        hint = "; this is a blow-up dataset, use 'measure blowup-check'"
+    raise MissingField(f"measure {action}: dataset has no {key!r} field{hint}")
 
 
 def cmd_selftest(args) -> int:

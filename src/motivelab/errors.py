@@ -146,3 +146,7 @@ class UnsupportedInvariant(MotiveLabError):
 
 class ClassCountMismatch(MotiveLabError):
     """Per-class data has the wrong number of entries."""
+
+
+class MissingField(MotiveLabError):
+    """A dataset file lacks a field the requested action needs."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 

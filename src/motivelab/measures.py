@@ -13,7 +13,6 @@ must reproduce the fixed-locus Euler character class for class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .catalog import ActionSpec, CatalogEntry, instantiate
@@ -21,7 +20,6 @@ from .characters import (
     VirtualCharacter,
     decompose_class_function,
     permutation_character,
-    rank,
 )
 from .cocycles import SCHUR_DEFAULT_MAX_ORDER
 from .cyclotomic import Cyclotomic

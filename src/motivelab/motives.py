@@ -12,7 +12,6 @@ all twisted units become isomorphic, so only the atom count survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cocycles import SCHUR_DEFAULT_MAX_ORDER, CohomClass, SchurMultiplier, schur_multiplier
 from .errors import (

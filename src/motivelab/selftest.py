@@ -8,7 +8,6 @@ full-size property suites) by the pytest acceptance module.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,9 +16,7 @@ from .characters import (
     VirtualCharacter,
     character_table,
     idempotents,
-    permutation_character,
     rank,
-    restrict,
 )
 from .cocycles import (
     TwoCocycle,
@@ -28,6 +25,7 @@ from .cocycles import (
     random_cocycle,
     schur_multiplier,
 )
+from .errors import MotiveLabError
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -44,7 +42,6 @@ from .measures import (
     blowup_check,
     evaluate_invariant,
     factorization_check,
-    mu_nc,
     orbifold_dims,
     symbol_skeleton,
 )
@@ -395,7 +392,7 @@ def run(fast: bool = False, verbose: bool = True) -> list[str]:
             fn()
             if verbose:
                 print(f"PASS {name} ({time.time() - t0:.1f}s)")
-        except AssertionError as exc:
+        except (AssertionError, MotiveLabError) as exc:
             failures.append(name)
             if verbose:
                 print(f"FAIL {name}: {exc}")

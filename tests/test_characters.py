@@ -15,11 +15,12 @@ from motivelab.characters import (
     rr_arith,
 )
 from motivelab.cyclotomic import Cyclotomic
-from motivelab.errors import NonIntegralCharacter
+from motivelab.errors import GroupMismatch, NonIntegralCharacter
 from motivelab.groups import (
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
+    group_from_permutations,
     product_group,
     symmetric_group,
 )
@@ -251,3 +252,109 @@ def test_decompose_rejects_non_integral():
 def test_number_of_irreducibles_is_class_count():
     for G in BATTERY:
         assert character_table(G).num_irreducibles == len(G.conjugacy_classes())
+
+
+# ---------------------------------------------------------------------------
+# Tensor structure constants N_ij^k and the products built on them
+# ---------------------------------------------------------------------------
+
+
+def _a4():
+    return group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
+
+
+def _a5():
+    return group_from_permutations(5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]])
+
+
+def _q8():
+    # the regular representation of Q8 on i^a j^b, a < 4, b < 2
+    return group_from_permutations(8, [[1, 2, 3, 0, 5, 6, 7, 4],
+                                       [4, 7, 6, 5, 2, 1, 0, 3]])
+
+
+def _oracle(G, va, vb):
+    """The product of two class functions by exact cyclotomic inner products:
+    values multiplied pointwise, then decomposed over the irreducibles."""
+    return decompose_class_function(G, [x * y for x, y in zip(va, vb)],
+                                    allow_rational=True)
+
+
+def _oracle_product(G, a, b):
+    return _oracle(G, a.class_values(), b.class_values())
+
+
+@pytest.mark.parametrize("G", BATTERY + [cyclic_group(1), _a4(), _q8(), symmetric_group(4),
+                                         _a5(), symmetric_group(5)],
+                         ids=lambda G: G.label)
+def test_structure_constants_match_inner_products(G):
+    table = character_table(G)
+    N = table.structure_constants
+    k = table.num_irreducibles
+    assert N.shape == (k, k, k) and not N.flags.writeable
+    rows = table.irreducibles
+    irr = [VirtualCharacter.irreducible(G, i) for i in range(k)]
+    for i in range(k):
+        for j in range(i, k):  # N is symmetric in i, j: see the ring-law test
+            assert tuple(int(m) for m in N[i, j]) == _oracle(G, rows[i], rows[j])
+            assert irr[i].mul(irr[j]).coeffs == tuple(N[i, j])
+
+
+@pytest.mark.parametrize("G", BATTERY + [_a5()], ids=lambda G: G.label)
+def test_structure_constants_ring_laws(G):
+    table = character_table(G)
+    N = table.structure_constants
+    k = table.num_irreducibles
+    assert np.array_equal(N, N.transpose(1, 0, 2))
+    assert np.array_equal(np.einsum("ijm,mkl->ijkl", N, N),
+                          np.einsum("jkm,iml->ijkl", N, N))
+    triv = VirtualCharacter.trivial_character(G).coeffs.index(1)
+    assert np.array_equal(N[triv], np.eye(k, dtype=N.dtype))
+
+
+def _by_degree(G, d):
+    table = character_table(G)
+    return [i for i, di in enumerate(table.degrees) if di == d]
+
+
+def test_s4_standard_square():
+    G = symmetric_group(4)
+    triv = VirtualCharacter.trivial_character(G)
+    (two,) = _by_degree(G, 2)
+    threes = _by_degree(G, 3)
+    expected = triv.add(VirtualCharacter.irreducible(G, two))
+    for i in threes:
+        expected = expected.add(VirtualCharacter.irreducible(G, i))
+    for i in threes:  # std and std (x) sign square to 1 + 2 + 3 + 3'
+        std = VirtualCharacter.irreducible(G, i)
+        assert std.mul(std) == expected
+
+
+def test_a5_three_square():
+    G = _a5()
+    assert character_table(G).degrees == (1, 3, 3, 4, 5)
+    triv = VirtualCharacter.trivial_character(G)
+    (five,) = _by_degree(G, 5)
+    for i in _by_degree(G, 3):  # 3 (x) 3 = 1 + 3 + 5, with the same 3
+        three = VirtualCharacter.irreducible(G, i)
+        assert three.mul(three) == triv.add(three).add(VirtualCharacter.irreducible(G, five))
+
+
+@pytest.mark.parametrize("G", [symmetric_group(4), dihedral_group(16)], ids=lambda G: G.label)
+def test_rational_products_are_exact(G):
+    idem = idempotents(G)
+    table = character_table(G)
+    assert idem.e_plus.coeffs == tuple(Fraction(d, G.order) for d in table.degrees)
+    for a in (idem.e_plus, idem.e_minus):
+        for b in (idem.e_plus, idem.e_minus):
+            assert a.mul(b).coeffs == _oracle_product(G, a, b)
+    third = VirtualCharacter.from_coeffs(G, [Fraction(i + 1, 3)
+                                             for i in range(len(table.degrees))])
+    assert third.mul(idem.e_minus).coeffs == _oracle_product(G, third, idem.e_minus)
+
+
+def test_mul_rejects_other_group():
+    a = VirtualCharacter.trivial_character(symmetric_group(3))
+    b = VirtualCharacter.trivial_character(cyclic_group(6))
+    with pytest.raises(GroupMismatch):
+        a.mul(b)

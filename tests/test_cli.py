@@ -146,6 +146,16 @@ def test_cocycle_file_group_shorthand(tmp_path, capsys):
     assert code == 1 and "shorthand" in err
 
 
+def test_measure_check_on_blowup_dataset(capsys):
+    code, _, err = run(capsys, "measure", "check", dataset_path("del_pezzo_blowup.json"))
+    assert code == 1
+    assert "'symbol'" in err and "measure blowup-check" in err
+    assert "Traceback" not in err
+    code, _, err = run(capsys, "measure", "blowup-check", dataset_path("p1_c2.json"))
+    assert code == 1
+    assert err.strip().endswith("dataset has no 'X' field")  # no blow-up hint
+
+
 def test_twisted_command(capsys):
     code, out, _ = run(capsys, "twisted", "--group", "cyclic:4", "--json")
     assert code == 0
@@ -182,6 +192,19 @@ def test_selftest_fast(capsys):
     code, out, _ = run(capsys, "selftest", "--fast")
     assert code == 0
     assert out.count("PASS") == 9
+
+
+def test_selftest_reports_invariant_violation(monkeypatch, capsys):
+    from motivelab import selftest
+    from motivelab.errors import InvariantViolation
+
+    def broken():
+        raise InvariantViolation("degree sum check failed")
+
+    monkeypatch.setattr(selftest, "ROWS", [("1 broken row", broken)])
+    code, out, _ = run(capsys, "selftest", "--fast")
+    assert code == 2
+    assert "FAIL 1 broken row: degree sum check failed" in out
 
 
 def test_measure_collection_symbol(capsys):
