@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .cocycles import SCHUR_DEFAULT_MAX_ORDER, CohomClass, SchurMultiplier, schur_multiplier
-from .errors import InconsistentAction, ParamRange, UnknownEntry
+from .errors import InconsistentAction, ParamRange, UnknownEntry, check_invariant
 from .groups import FiniteGroup, Subgroup
 from .motives import Block, CollectionSpec
 
@@ -81,7 +81,7 @@ def _poly_div(a: list[int], i: int) -> list[int]:
         out[k] = a[k] + prev
     for k in range(len(out), len(a)):
         prev = out[k - i] if 0 <= k - i < len(out) else 0
-        assert a[k] == -prev, "gaussian binomial division must be exact"
+        check_invariant(a[k] == -prev, "gaussian binomial division must be exact")
     return out
 
 
@@ -130,7 +130,8 @@ def catalog_lookup(name: str, params: tuple[int, ...] = ()) -> CatalogEntry:
         betti = []
         for i in range(2 * dim + 1):
             betti.append(coeffs[i // 2] if i % 2 == 0 else 0)
-        assert sum(coeffs) == comb(d, n)
+        check_invariant(sum(coeffs) == comb(d, n),
+                        "gaussian binomial at q = 1 must be the binomial coefficient")
         powers = []
         for r, b in enumerate(coeffs):
             powers.extend([r] * b)

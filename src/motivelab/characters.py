@@ -31,6 +31,7 @@ from .errors import (
     NonIntegralCharacter,
     NonIntegralDecomposition,
     PrimeSearchFailed,
+    check_invariant,
 )
 from .groups import FiniteGroup, Subgroup, abelianization, coset_space, same_group
 
@@ -87,7 +88,7 @@ def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
         table = _abelian_table(G)
     else:
         table = _dixon_table(G, seed)
-    _check(sum(d * d for d in table.degrees) == G.order, "degree sum check failed")
+    check_invariant(sum(d * d for d in table.degrees) == G.order, "degree sum check failed")
     if table.num_irreducibles <= _ORTHOGONALITY_CHECK_BOUND:
         table.verify_orthogonality()
     G._char_table = table
@@ -127,11 +128,6 @@ def _abelian_table(G: FiniteGroup) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # Dixon's method
 # ---------------------------------------------------------------------------
-
-
-def _check(ok: bool, message: str) -> None:
-    if not ok:
-        raise InvariantViolation(message)
 
 
 def _find_prime(e: int, lower: int) -> int:
@@ -203,11 +199,56 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
             j = G.class_index_of(G.mul(G.inv(x), z))
             a[i, j, l] += 1
 
-    mats = [np.array(a[i], dtype=np.int64) % p for i in range(k)]  # A_i[j][l]
-
-    # split the common eigenspaces over F_p; the stdlib generator spares the
-    # table build the import of numpy.random (about 6 MB of resident memory)
+    # the stdlib generator spares the table build the import of numpy.random
+    # (about 6 MB of resident memory)
     rng = random.Random(seed)
+    rows: list[list[Cyclotomic]] = []
+    degrees: list[int] = []
+    z_ord = [G.element_order(r) for r in reps]
+    pow_class = [[G.class_index_of(G.power(reps[i], t)) for t in range(z_ord[i])]
+                 for i in range(k)]
+    g0 = _primitive_root(p)
+    z_e = pow(g0, (p - 1) // e, p)
+    inv_sizes = [pow(s % p, p - 2, p) for s in sizes]
+    for omega, d in split_class_algebra(a, inv_class, n, p, rng):
+        chi_p = [d * omega[i] * inv_sizes[i] % p for i in range(k)]
+        row = []
+        for i in range(k):
+            o = z_ord[i]
+            z_o = pow(z_e, e // o, p)
+            inv_o = pow(o % p, p - 2, p)
+            val = Cyclotomic.zero(e)
+            for u in range(o):
+                mu = 0
+                for t in range(o):
+                    mu = (mu + chi_p[pow_class[i][t]] * pow(z_o, (-u * t) % o, p)) % p
+                mu = mu * inv_o % p
+                check_invariant(mu <= d, "eigenvalue multiplicity exceeds the degree")
+                if mu:
+                    val = val + mu * Cyclotomic.root_of_unity(e, (u * e) // o)
+            row.append(val)
+        rows.append(row)
+        degrees.append(d)
+    return _canonical_rows(G, e, rows, degrees)
+
+
+def split_class_algebra(a: np.ndarray, partner: list[int], n: int, p: int,
+                        rng: random.Random) -> list[tuple[list[int], int]]:
+    """Central characters and degrees of a split semisimple class algebra over F_p.
+
+    a[i, j, l] are the structure constants K_i K_j = sum_l a_ijl K_l of a basis
+    of class sums of an algebra of dimension n, with K_0 the unit and
+    K_partner(i) the class sum on the inverse class.  The common eigenspaces of
+    the matrices A_i[j][l] = a_ijl are split with random combinations drawn
+    from rng.  Each eigenvector, scaled to omega_0 = 1, is a central character
+    omega_i = omega(K_i), and its degree d is read from Dixon's formula
+        d^2 = n / sum_i omega_i omega_partner(i) / pair_i  (mod p),
+    pair_i = a[i, partner(i), 0] being the e_1 coefficient of K_i K_partner(i):
+    the class size for a group algebra, |C_i| times a root of unity for a
+    twisted one (Conlon).  Needs p > 2 sqrt(n) and p prime to n.  Returns one
+    (omega, d) per character, in splitting order."""
+    k = a.shape[0]
+    mats = [np.array(a[i], dtype=np.int64) % p for i in range(k)]  # A_i[j][l]
     spaces = [np.eye(k, dtype=np.int64)]
     rounds = 0
     while any(s.shape[1] > 1 for s in spaces):
@@ -227,45 +268,22 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
             new_spaces.extend(_split_space(B, S, p, rng))
         spaces = new_spaces
 
-    rows: list[list[Cyclotomic]] = []
-    degrees: list[int] = []
-    z_ord = [G.element_order(r) for r in reps]
-    pow_class = [[G.class_index_of(G.power(reps[i], t)) for t in range(z_ord[i])]
-                 for i in range(k)]
-    g0 = _primitive_root(p)
-    z_e = pow(g0, (p - 1) // e, p)
-    inv_sizes = [pow(s % p, p - 2, p) for s in sizes]
+    inv_pairs = [pow(int(a[i, partner[i], 0]) % p, p - 2, p) for i in range(k)]
+    out = []
     for S in spaces:
         w = S[:, 0] % p
-        _check(w[0] != 0, "central character must be nonzero on the identity class")
+        check_invariant(w[0] != 0, "central character must be nonzero on the identity class")
         w = w * pow(int(w[0]), p - 2, p) % p
         omega = [int(x) for x in w]
-        denom = sum(omega[i] * omega[inv_class[i]] * inv_sizes[i] for i in range(k)) % p
+        denom = sum(omega[i] * omega[partner[i]] * inv_pairs[i] for i in range(k)) % p
         if denom == 0:
             raise PrimeSearchFailed("degenerate degree denominator")
         d2 = n * pow(denom, p - 2, p) % p
         d = next((t for t in range(1, isqrt(n) + 1) if t * t % p == d2), None)
         if d is None:
             raise PrimeSearchFailed("no integral degree matches the eigenvalue data")
-        chi_p = [d * omega[i] * inv_sizes[i] % p for i in range(k)]
-        row = []
-        for i in range(k):
-            o = z_ord[i]
-            z_o = pow(z_e, e // o, p)
-            inv_o = pow(o % p, p - 2, p)
-            val = Cyclotomic.zero(e)
-            for u in range(o):
-                mu = 0
-                for t in range(o):
-                    mu = (mu + chi_p[pow_class[i][t]] * pow(z_o, (-u * t) % o, p)) % p
-                mu = mu * inv_o % p
-                _check(mu <= d, "eigenvalue multiplicity exceeds the degree")
-                if mu:
-                    val = val + mu * Cyclotomic.root_of_unity(e, (u * e) // o)
-            row.append(val)
-        rows.append(row)
-        degrees.append(d)
-    return _canonical_rows(G, e, rows, degrees)
+        out.append((omega, d))
+    return out
 
 
 def _tensor_constants(table: CharacterTable) -> np.ndarray:
@@ -291,16 +309,16 @@ def _tensor_constants(table: CharacterTable) -> np.ndarray:
     N = (X @ T.reshape(k * k, k).T % p).reshape(k, k, k)    # [i, j, k]
 
     degrees = np.array(table.degrees, dtype=np.int64)
-    _check(np.array_equal(N @ degrees, np.outer(degrees, degrees)),
+    check_invariant(np.array_equal(N @ degrees, np.outer(degrees, degrees)),
            "structure constants fail sum_k N_ij^k d_k = d_i d_j")
     rows = table.irreducibles
     dual = np.zeros((k, k), dtype=np.int64)
     for i, row in enumerate(rows):
         conj = tuple(row[c] for c in inv_class)
         j = next((j for j, other in enumerate(rows) if other == conj), None)
-        _check(j is not None, f"conjugate of chi_{i} missing from the table")
+        check_invariant(j is not None, f"conjugate of chi_{i} missing from the table")
         dual[i, j] = 1
-    _check(np.array_equal(N[:, :, _trivial_index(table)], dual),
+    check_invariant(np.array_equal(N[:, :, _trivial_index(table)], dual),
            "structure constants fail N_ij^triv = [chi_j = conj(chi_i)]")
     return N
 
@@ -327,7 +345,7 @@ def _split_space(B: np.ndarray, S: np.ndarray, p: int, rng) -> list[np.ndarray]:
         if K.shape[1]:
             out.append(S @ K % p)
     total = sum(s.shape[1] for s in out)
-    _check(total == S.shape[1], "eigenspace split lost dimensions")
+    check_invariant(total == S.shape[1], "eigenspace split lost dimensions")
     return out
 
 
@@ -438,7 +456,7 @@ def _poly_roots(poly: list[int], p: int, rng) -> list[int]:
     poly = [c % p for c in poly]
     while poly and poly[-1] == 0:
         poly.pop()
-    _check(bool(poly), "zero polynomial has no canonical roots")
+    check_invariant(bool(poly), "zero polynomial has no canonical roots")
     inv_lead = pow(poly[-1], p - 2, p)
     poly = [c * inv_lead % p for c in poly]
     # linear-factor part: gcd(x^p - x, poly)
@@ -694,11 +712,11 @@ def idempotents(G: FiniteGroup) -> RingIdempotents:
     e_plus = VirtualCharacter(G, tuple(Fraction(d, n) for d in table.degrees))
     one = VirtualCharacter.trivial_character(G)
     e_minus = one.sub(e_plus)
-    _check(e_plus.mul(e_plus) == e_plus, "e+ is not idempotent")
-    _check(e_minus.mul(e_minus) == e_minus, "e- is not idempotent")
-    _check(e_plus.mul(e_minus) == VirtualCharacter.zero(G), "e+ e- is not zero")
-    _check(e_plus.add(e_minus) == one, "e+ + e- is not the unit")
-    _check(rank(e_plus) == 1 and rank(e_minus) == 0, "idempotent ranks are not 1 and 0")
+    check_invariant(e_plus.mul(e_plus) == e_plus, "e+ is not idempotent")
+    check_invariant(e_minus.mul(e_minus) == e_minus, "e- is not idempotent")
+    check_invariant(e_plus.mul(e_minus) == VirtualCharacter.zero(G), "e+ e- is not zero")
+    check_invariant(e_plus.add(e_minus) == one, "e+ + e- is not the unit")
+    check_invariant(rank(e_plus) == 1 and rank(e_minus) == 0, "idempotent ranks are not 1 and 0")
     return RingIdempotents(e_plus, e_minus)
 
 
@@ -735,10 +753,10 @@ def permutation_character(G: FiniteGroup, H: Subgroup) -> VirtualCharacter:
         values.append(Cyclotomic.from_rational(fixed))
     coeffs = decompose_class_function(G, values)
     out = VirtualCharacter(G, coeffs)
-    _check(rank(out) == H.index, "permutation character rank is not the index")
+    check_invariant(rank(out) == H.index, "permutation character rank is not the index")
     triv = _trivial_index(character_table(G))
-    _check(out.coeffs[triv] == 1, "transitive action must contain one trivial copy")
-    _check(all(c >= 0 for c in out.coeffs), "permutation character has a negative multiplicity")
+    check_invariant(out.coeffs[triv] == 1, "transitive action must contain one trivial copy")
+    check_invariant(all(c >= 0 for c in out.coeffs), "permutation character has a negative multiplicity")
     return out
 
 

@@ -89,8 +89,10 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
 
 def load_cocycle(path: str, G: FiniteGroup | None = None) -> TwoCocycle:
     data = json.loads(Path(path).read_text())
-    group = G if G is not None else construct_group(data["group"])
-    return TwoCocycle.from_exponents(group, int(data["modulus"]), data["exponents"])
+    where = f"cocycle file {path}"
+    group = G if G is not None else construct_group(_field(data, "group", where))
+    return TwoCocycle.from_exponents(group, int(_field(data, "modulus", where)),
+                                     _field(data, "exponents", where))
 
 
 def collection_spec_from_json(G: FiniteGroup, data,
@@ -98,14 +100,14 @@ def collection_spec_from_json(G: FiniteGroup, data,
     from .motives import Block, CollectionSpec
     M = schur_multiplier(G, max_group_order)
     blocks = []
-    for b in data["blocks"]:
+    for b in _field(data, "blocks", "collection"):
         members = b.get("stabilizer")
         H = Subgroup(G, tuple(members)) if members is not None else G.full_subgroup()
         cls = None
         if H.is_whole_group():
             coords = b.get("cocycle_class")
             cls = M.class_from_coords(tuple(coords)) if coords else M.trivial_class()
-        blocks.append(Block(int(b["length"]), H, cls))
+        blocks.append(Block(int(_field(b, "length", "collection block")), H, cls))
     return CollectionSpec(G, tuple(blocks))
 
 
@@ -117,7 +119,7 @@ def load_symbol(G: FiniteGroup, data):
         from .measures import CollectionSymbol
         spec = collection_spec_from_json(G, data["collection"])
         return CollectionSymbol(data.get("name", "collection"), spec)
-    entry = parse_catalog_address(data["catalog"])
+    entry = parse_catalog_address(_field(data, "catalog", "symbol"))
     action = parse_action(G, data.get("action", "trivial"))
     return VarietySymbol(entry, action)
 
@@ -127,8 +129,8 @@ def load_expr(G: FiniteGroup, data) -> K0VarExpr:
         return K0VarExpr.of(load_symbol(G, data))
     expr = None
     for term in data:
-        coeff = int(term.get("coeff", 1))
-        part = K0VarExpr.of(load_symbol(G, term["symbol"]), coeff)
+        symbol = load_symbol(G, _field(term, "symbol", "expression term"))
+        part = K0VarExpr.of(symbol, int(term.get("coeff", 1)))
         expr = part if expr is None else expr.add(part)
     if expr is None:
         raise ValueError("empty variety expression")
@@ -140,13 +142,15 @@ def skeleton_from_json(G: FiniteGroup, atoms,
     M = schur_multiplier(G, max_group_order)
     out = []
     for a in atoms:
-        if a["kind"] == "twisted_unit":
+        kind = _field(a, "kind", "atom")
+        if kind == "twisted_unit":
             out.append(twisted_unit(M.class_from_coords(tuple(a.get("class", ())))
                                     if a.get("class") else M.trivial_class()))
-        elif a["kind"] == "induced":
-            out.append(induced_atom(Subgroup(G, tuple(a["stabilizer"])), M))
+        elif kind == "induced":
+            members = _field(a, "stabilizer", "induced atom")
+            out.append(induced_atom(Subgroup(G, tuple(members)), M))
         else:
-            raise ValueError(f"unknown atom kind {a['kind']!r}")
+            raise ValueError(f"unknown atom kind {kind!r}")
     return MotiveSkeleton(G, tuple(out))
 
 
@@ -181,8 +185,8 @@ def _load_skeleton_arg(args, which: str, max_order: int) -> MotiveSkeleton:
     data = json.loads(Path(raw).read_text()) if not raw.lstrip().startswith(("[", "{")) \
         else json.loads(raw)
     if isinstance(data, dict):
-        G = construct_group(data["group"])
-        atoms = data["atoms"]
+        G = construct_group(_field(data, "group", f"--{which} skeleton"))
+        atoms = _field(data, "atoms", f"--{which} skeleton")
     else:
         if not args.group:
             raise ValueError("a bare atom list needs --group")
@@ -273,10 +277,10 @@ def cmd_twisted(args) -> int:
     algebra = build_twisted(G, alpha)
     reg = alpha_regular(G, alpha)
     center = center_basis(algebra)
-    profile = wedderburn_dims(algebra, seed=args.seed, tol=args.tol)
+    profile = wedderburn_dims(algebra, seed=args.seed)
     payload = {"group": G.label, "regular_classes": reg.count,
                "center_dim": len(center), "dims": list(profile.dims),
-               "seed": args.seed, "tol": args.tol}
+               "seed": args.seed}
     _emit(payload, args.json,
           f"{G.label}: {reg.count} regular classes, center dim {len(center)}, "
           f"block dims {list(profile.dims)}")
@@ -358,8 +362,11 @@ def cmd_measure(args) -> int:
     if data is None:
         raise ValueError("this measure action needs a dataset file")
 
+    hint = "; this is a blow-up dataset, use 'measure blowup-check'" \
+        if isinstance(data, dict) and {"X", "Y", "Bl", "E"} <= data.keys() else ""
+
     def field(key):
-        return _dataset_field(data, key, args.action)
+        return _field(data, key, f"measure {args.action}: dataset", hint)
 
     G = construct_group(field("group"))
     if args.action == "euler":
@@ -394,13 +401,11 @@ def cmd_measure(args) -> int:
     raise ValueError(f"unknown measure action {args.action!r}")
 
 
-def _dataset_field(data, key: str, action: str):
+def _field(data, key: str, where: str, hint: str = ""):
+    """data[key] from a JSON input, or MissingField naming the field and the input."""
     if isinstance(data, dict) and key in data:
         return data[key]
-    hint = ""
-    if isinstance(data, dict) and {"X", "Y", "Bl", "E"} <= data.keys():
-        hint = "; this is a blow-up dataset, use 'measure blowup-check'"
-    raise MissingField(f"measure {action}: dataset has no {key!r} field{hint}")
+    raise MissingField(f"{where} has no {key!r} field{hint}")
 
 
 def cmd_selftest(args) -> int:
@@ -416,8 +421,8 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-8)
+    common.add_argument("--seed", type=int, default=0,
+                        help="splitting order of the modular eigenspace searches")
     common.add_argument("--max-order", type=int, default=SCHUR_DEFAULT_MAX_ORDER,
                         help="group-order guard for multiplier computations")
     parser = argparse.ArgumentParser(

@@ -8,13 +8,12 @@ operands to the lcm first.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import cos, lcm, pi, sin
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, check_invariant
 
 
 def totient(e: int) -> int:
@@ -55,12 +54,12 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
         c = num[i]
         if c == 0:
             continue
-        assert c % den[dd] == 0
+        check_invariant(c % den[dd] == 0, "polynomial division must be exact")
         q = c // den[dd]
         out[i - dd] = q
         for j, dc in enumerate(den):
             num[i - dd + j] -= q * dc
-    assert all(x == 0 for x in num)
+    check_invariant(all(x == 0 for x in num), "polynomial division leaves no remainder")
     return out
 
 
@@ -213,7 +212,7 @@ class Cyclotomic:
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         c = r1[_poly_degree(r1)] if any(r1) else Fraction(0)
-        assert c != 0, "cyclotomic polynomial must be coprime to nonzero elements"
+        check_invariant(c != 0, "cyclotomic polynomial must be coprime to nonzero elements")
         inv_poly = [x / c for x in s1]
         return Cyclotomic(e, tuple(_reduce_mod_phi(inv_poly, e)))
 
@@ -265,8 +264,9 @@ class Cyclotomic:
         return tuple((c.numerator, c.denominator) for c in p.coeffs)
 
     def to_complex(self) -> complex:
+        """The embedding zeta_e -> exp(2 pi i / e), for display and tests."""
         e = self.conductor
-        z = cmath.exp(2j * cmath.pi / e)
+        z = complex(cos(2 * pi / e), sin(2 * pi / e))
         return sum(complex(c) * z ** i for i, c in enumerate(self.coeffs))
 
     def __str__(self) -> str:

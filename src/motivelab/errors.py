@@ -11,6 +11,12 @@ class InvariantViolation(MotiveLabError):
     """An internal consistency check failed: a bug, not bad input."""
 
 
+def check_invariant(ok: bool, message: str) -> None:
+    """Raise InvariantViolation(message) unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise InvariantViolation(message)
+
+
 # -- group construction ------------------------------------------------------
 
 class NonAssociative(MotiveLabError):
@@ -86,16 +92,6 @@ class NonIntegralDecomposition(MotiveLabError):
 
 class NonIntegralCharacter(MotiveLabError):
     """Class-function data does not decompose integrally over irreducibles."""
-
-
-# -- twisted algebras (numeric path) ----------------------------------------
-
-class ClusterAmbiguity(MotiveLabError):
-    """Eigenvalue gaps fall inside the ambiguous (tol, 10*tol) band."""
-
-
-class NonSquareCluster(MotiveLabError):
-    """An eigenvalue cluster size is not a perfect square."""
 
 
 # -- motive skeletons --------------------------------------------------------

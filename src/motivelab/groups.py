@@ -24,6 +24,7 @@ from .errors import (
     NotClosed,
     OrderBound,
     SizeBound,
+    check_invariant,
 )
 from .intlinalg import crt_idempotent, crt_pair, prime_power_factors, smith_normal_form
 
@@ -224,8 +225,8 @@ class FiniteGroup:
         members = tuple(int(x) for x in np.nonzero(mask)[0])
         sub = Subgroup(self, members)
         cls = self.conjugacy_classes()[self.class_index_of(g)]
-        assert len(cls.members) * len(members) == self.order, \
-            "orbit-stabilizer consistency violated"
+        check_invariant(len(cls.members) * len(members) == self.order,
+                        "orbit-stabilizer consistency violated")
         return sub
 
     # -- misc -----------------------------------------------------------------
@@ -372,16 +373,17 @@ def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
 
 
 def _check_coset_space(G: FiniteGroup, H: Subgroup, space: CosetSpace) -> None:
-    assert space.size * H.order == G.order
+    check_invariant(space.size * H.order == G.order, "coset count times |H| must be |G|")
     stab0 = tuple(sorted(g for g in G.elements() if space.action[g][0] == 0))
-    assert stab0 == H.members, "stabilizer of the subgroup coset must be H"
+    check_invariant(stab0 == H.members, "stabilizer of the subgroup coset must be H")
     if G.order <= EXHAUSTIVE_ASSOC_BOUND:
         for a in G.elements():
             for b in G.elements():
                 ab = G.mul(a, b)
                 composed = tuple(space.action[a][space.action[b][i]]
                                  for i in range(space.size))
-                assert composed == space.action[ab], "coset action is not a homomorphism"
+                check_invariant(composed == space.action[ab],
+                                "coset action is not a homomorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +614,7 @@ def _abelian_structure(Q: FiniteGroup) -> tuple[list[int], list[tuple[int, ...]]
     n = Q.order
     if n == 1:
         return [], [()]
-    assert Q.is_abelian()
+    check_invariant(Q.is_abelian(), "abelian structure needs an abelian group")
     factor_data = []  # per prime: (factors desc, coords per element of Q)
     for p, a in prime_power_factors(n):
         e = crt_idempotent(n, p ** a)

@@ -156,7 +156,7 @@ def check_central_type() -> None:
         reg = alpha_regular(G, alpha)
         assert reg.count == 1, f"{G.label}: {reg.count} regular classes"
         assert len(center_basis(algebra)) == 1
-        profile = wedderburn_dims(algebra, seed=0, tol=1e-8)
+        profile = wedderburn_dims(algebra, seed=0)
         assert profile.dims == (expected_dim,)
         assert sum(d * d for d in profile.dims) == G.order
 

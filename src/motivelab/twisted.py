@@ -6,24 +6,29 @@ identity.  The center is computed exactly by transporting coefficients
 along conjugation; its dimension must agree with the count of regular
 conjugacy classes (classes whose cocycle values commute with the whole
 centralizer), which is also the number of simple blocks.  Block dimensions
-are recovered numerically from the spectrum of a random central element,
-cross-checked against the two exact constraints (sum of squares = |G| and
-block count = regular class count).
+are the alpha-projective character degrees, computed exactly: the structure
+constants of the twisted class sums are reduced mod a prime and split over
+F_p by the routine that builds Dixon's character tables, and each degree is
+read from the projective form of Dixon's degree formula (Conlon, Twisted
+group algebras and their representations, 1964).
 """
 
 from __future__ import annotations
 
-import cmath
+import random
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd, isqrt
 
 import numpy as np
 
+from .characters import _find_prime, _primitive_root, split_class_algebra
 from .cocycles import CohomClass, TwoCocycle, cocycle_validate
 from .cyclotomic import Cyclotomic
-from .errors import ClusterAmbiguity, NonSquareCluster, NotACocycle, SizeBound
+from .errors import NotACocycle, SizeBound, check_invariant
 from .groups import FiniteGroup
 
-SPECTRAL_ORDER_GUARD = 256
+BLOCK_ORDER_GUARD = 256
 EXHAUSTIVE_COCYCLE_BOUND = 64
 COCYCLE_SAMPLES = 10_000
 
@@ -67,6 +72,14 @@ class TwistedGroupAlgebra:
         """e_g e_h = zeta^expo e_k; returns (expo, k)."""
         return self.cocycle.table[g][h], self.group.mul(g, h)
 
+    @cached_property
+    def center_exponents(self) -> tuple[dict[int, int], ...]:
+        """Center basis in exponent form, computed once per algebra: per
+        regular class, x -> t(x), the twisted class sum having coefficient
+        zeta^t(x) at e_x.  Each support starts at its class representative,
+        where t = 0."""
+        return _center_exponents(self)
+
 
 def build_twisted(G: FiniteGroup, alpha: TwoCocycle) -> TwistedGroupAlgebra:
     if alpha.group is not G and alpha.group.order != G.order:
@@ -103,7 +116,7 @@ def alpha_regular(G: FiniteGroup, alpha: TwoCocycle) -> RegularityReport:
 
 def center_basis(algebra: TwistedGroupAlgebra) -> list[list[Cyclotomic]]:
     """Exact basis of the center, one twisted class sum per regular class."""
-    exps = _center_exponents(algebra)
+    exps = algebra.center_exponents
     n = algebra.cocycle.modulus
     G = algebra.group
     out = []
@@ -115,8 +128,8 @@ def center_basis(algebra: TwistedGroupAlgebra) -> list[list[Cyclotomic]]:
     return out
 
 
-def _center_exponents(algebra: TwistedGroupAlgebra) -> list[dict[int, int]]:
-    """Center basis in exponent form: per consistent class, x -> t(x) with
+def _center_exponents(algebra: TwistedGroupAlgebra) -> tuple[dict[int, int], ...]:
+    """Transport along conjugation: per consistent class, x -> t(x) with
     coefficient zeta^t(x).  Cross-checked against the regular-class test and
     against exact centrality."""
     G = algebra.group
@@ -148,14 +161,14 @@ def _center_exponents(algebra: TwistedGroupAlgebra) -> list[dict[int, int]]:
             consistent_classes.append(ci)
     reg = alpha_regular(G, algebra.cocycle)
     regular_classes = [i for i, f in enumerate(reg.flags) if f]
-    assert consistent_classes == regular_classes, \
-        "transport consistency must match the regular-class test"
+    check_invariant(consistent_classes == regular_classes,
+                    "transport consistency must match the regular-class test")
     for t in supports:
-        _assert_central(algebra, t)
-    return supports
+        _check_central(algebra, t)
+    return tuple(supports)
 
 
-def _assert_central(algebra: TwistedGroupAlgebra, t: dict[int, int]) -> None:
+def _check_central(algebra: TwistedGroupAlgebra, t: dict[int, int]) -> None:
     G = algebra.group
     E = algebra.cocycle.table
     n = algebra.cocycle.modulus
@@ -166,94 +179,53 @@ def _assert_central(algebra: TwistedGroupAlgebra, t: dict[int, int]) -> None:
             x1 = G.mul(y, ti)
             x2 = G.mul(ti, y)
             in1, in2 = x1 in support, x2 in support
-            assert in1 == in2
+            check_invariant(in1 == in2, "center candidate support is not conjugation-stable")
             if in1:
                 lhs = (t[x1] + E[x1][tau]) % n
                 rhs = (t[x2] + E[tau][x2]) % n
-                assert lhs == rhs, "center candidate fails exact centrality"
+                check_invariant(lhs == rhs, "center candidate fails exact centrality")
 
 
 @dataclass(frozen=True)
 class WedderburnProfile:
     dims: tuple[int, ...]
-    tol: float
 
 
-def wedderburn_dims(algebra: TwistedGroupAlgebra, seed: int = 0,
-                    tol: float = 1e-8) -> WedderburnProfile:
-    """Simple-block dimensions from the spectrum of a random central element."""
+def wedderburn_dims(algebra: TwistedGroupAlgebra, seed: int = 0) -> WedderburnProfile:
+    """Simple-block dimensions, exact: the degrees of the alpha-projective
+    characters.  The twisted class sums K_i multiply with structure
+    constants in Z[zeta_m'], m' the order of the cocycle's value group; they
+    are reduced mod the least prime p = 1 (mod m' exp(G)) above 2 sqrt|G|,
+    where every central character takes its values.  The seed only sets the
+    order in which the class algebra is split."""
     G = algebra.group
     n = G.order
-    if n > SPECTRAL_ORDER_GUARD:
-        raise SizeBound(f"spectral path limited to order {SPECTRAL_ORDER_GUARD}")
-    supports = _center_exponents(algebra)
+    if n > BLOCK_ORDER_GUARD:
+        raise SizeBound(f"block dimensions limited to order {BLOCK_ORDER_GUARD}")
+    E = algebra.cocycle.table
     m = algebra.cocycle.modulus
-    reg_count = len(supports)
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal(reg_count)
-    coeff = np.zeros(n, dtype=complex)
-    for w, support in zip(weights, supports):
-        for x, t in support.items():
-            coeff[x] += w * cmath.exp(2j * cmath.pi * t / m)
-    # left multiplication matrix of z on the basis {e_tau}
-    A = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        if coeff[x] == 0:
-            continue
-        for tau in range(n):
-            expo = algebra.cocycle.table[x][tau]
-            A[G.mul(x, tau), tau] += coeff[x] * cmath.exp(2j * cmath.pi * expo / m)
-    eigs = np.linalg.eigvals(A)
-    clusters = _cluster(eigs, tol)
-    gap = _min_intercluster_gap(eigs, clusters)
-    if gap < 10 * tol:
-        raise ClusterAmbiguity(
-            f"eigenvalue gap {gap:.3e} inside the ambiguous band for tol {tol:.1e}; "
-            "retry with a different seed")
-    dims = []
-    for members in clusters:
-        size = len(members)
-        d = int(round(size ** 0.5))
-        if d * d != size:
-            raise NonSquareCluster(f"cluster of size {size} is not a square")
-        dims.append(d)
-    dims.sort()
-    assert len(dims) == reg_count, "block count must equal the regular class count"
-    assert sum(d * d for d in dims) == n
-    return WedderburnProfile(tuple(dims), tol)
-
-
-def _cluster(eigs: np.ndarray, tol: float) -> list[list[int]]:
-    k = len(eigs)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(eigs[i] - eigs[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _min_intercluster_gap(eigs: np.ndarray, clusters: list[list[int]]) -> float:
-    if len(clusters) <= 1:
-        return float("inf")
-    reps = [np.mean([eigs[i] for i in members]) for members in clusters]
-    gap = float("inf")
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            gap = min(gap, abs(reps[i] - reps[j]))
-    return gap
+    # every exponent, transported ones included, is a multiple of g
+    g = gcd(m, int(np.gcd.reduce(algebra.cocycle.as_array().ravel())))
+    order = m // g  # of the value group
+    p = _find_prime(order * G.exponent(), 2 * isqrt(n) + 1)
+    z = pow(_primitive_root(p), (p - 1) // order, p)
+    zeta = [pow(z, v, p) for v in range(order)]  # zeta_m^(v g) -> z^v
+    supports = algebra.center_exponents
+    where = {x: (i, t) for i, support in enumerate(supports) for x, t in support.items()}
+    reps = [next(iter(support)) for support in supports]
+    k = len(supports)
+    # K_i K_j = sum_l a_ijl K_l, read off at e_r for the representative r of K_l
+    a = np.zeros((k, k, k), dtype=np.int64)
+    for l, r in enumerate(reps):
+        for x, (i, tx) in where.items():
+            y = G.mul(G.inv(x), r)
+            if y in where:
+                j, ty = where[y]
+                a[i, j, l] += zeta[(tx + ty + E[x][y]) % m // g]
+    partner = [where[G.inv(r)][0] for r in reps]
+    dims = sorted(d for _, d in split_class_algebra(a, partner, n, p, random.Random(seed)))
+    check_invariant(sum(d * d for d in dims) == n, "block dimensions must square-sum to |G|")
+    return WedderburnProfile(tuple(dims))
 
 
 def invariant_copies(cls: CohomClass) -> int:

@@ -1,7 +1,6 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
-Criteria 1-9 are the quantitative battery (exact equalities, stated
-tolerances); criterion 10 runs the property suites at >= 200 cases under a
+Criteria 1-9 are the quantitative battery (exact equalities); criterion 10 runs the property suites at >= 200 cases under a
 fixed seed with a five-minute budget.
 """
 
@@ -9,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from spectral_oracle import spectral_dims
 
 from motivelab import selftest
 from motivelab.cocycles import (
@@ -54,7 +54,7 @@ def test_criterion_3_unit_endomorphisms():
 
 def test_criterion_4_central_type():
     selftest.check_central_type()
-    _report("criterion 4: central-type pairings give one block, dims {2}/{3} at 1e-8")
+    _report("criterion 4: central-type pairings give one block, dims {2}/{3}, exact")
 
 
 def test_criterion_5_localization():
@@ -194,7 +194,8 @@ def test_criterion_10f_induced_hom_oracle(property_clock):
 
 
 def test_criterion_10g_wedderburn_consistency(property_clock):
-    """Numeric block data cross-validated by the two exact constraints."""
+    """Exact block dimensions against the two exact constraints and the
+    spectral oracle."""
     rng = np.random.default_rng(PROPERTY_SEED + 4)
     groups = [cyclic_group(4), elementary_abelian_group(2, 2), dihedral_group(8),
               symmetric_group(3)]
@@ -206,4 +207,5 @@ def test_criterion_10g_wedderburn_consistency(property_clock):
             reg = alpha_regular(G, alpha)
             assert len(profile.dims) == reg.count
             assert sum(d * d for d in profile.dims) == G.order
-    _report("criterion 10g: spectral block dims satisfy the exact constraints")
+            assert profile.dims == spectral_dims(G, alpha, seed=3)
+    _report("criterion 10g: block dims satisfy the exact constraints and match the spectrum")

@@ -162,6 +162,30 @@ def test_twisted_command(capsys):
     payload = json.loads(out)
     assert payload["dims"] == [1, 1, 1, 1]
     assert payload["center_dim"] == 4
+    assert "tol" not in payload
+
+
+def test_twisted_tol_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "twisted", "--group", "cyclic:4", "--tol", "1e-8")
+    assert code == 1
+    assert "--tol" in err and "Traceback" not in err
+
+
+def test_cocycle_check_missing_modulus(tmp_path, capsys):
+    f = tmp_path / "no_modulus.json"
+    f.write_text(json.dumps({"group": {"kind": "cyclic", "n": 2},
+                             "exponents": [[0, 0], [0, 0]]}))
+    code, _, err = run(capsys, "cocycle", "check", str(f))
+    assert code == 1
+    assert "has no 'modulus' field" in err and "Traceback" not in err
+
+
+def test_motive_hom_missing_atoms(tmp_path, capsys):
+    f = tmp_path / "no_atoms.json"
+    f.write_text(json.dumps({"group": {"kind": "cyclic", "n": 2}}))
+    code, _, err = run(capsys, "motive", "hom", "--a", str(f), "--b", str(f))
+    assert code == 1
+    assert "has no 'atoms' field" in err and "Traceback" not in err
 
 
 def test_exit_codes(tmp_path, capsys):

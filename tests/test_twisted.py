@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from spectral_oracle import _cluster, _min_intercluster_gap, commutation_matrix, spectral_dims
 
 from motivelab.cocycles import (
     TwoCocycle,
@@ -7,11 +8,12 @@ from motivelab.cocycles import (
     random_cocycle,
     schur_multiplier,
 )
-from motivelab.errors import NotACocycle, SizeBound
+from motivelab.errors import NotACocycle, PrimeSearchFailed, SizeBound
 from motivelab.groups import (
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
+    group_from_permutations,
     product_group,
     symmetric_group,
 )
@@ -113,23 +115,10 @@ def test_center_coboundary_shift_keeps_dimension():
 def test_center_matches_numeric_nullspace():
     """Independent oracle: numeric kernel of the commutation equations."""
     rng = np.random.default_rng(8)
-    import cmath
     for G in (cyclic_group(4), elementary_abelian_group(2, 2), symmetric_group(3)):
-        n_ord = G.order
-        n = G.order
-        alpha = random_cocycle(G, n, rng)
-        algebra = build_twisted(G, alpha)
-        exact_dim = len(center_basis(algebra))
-        rows = []
-        m = alpha.modulus
-        for tau in G.elements():
-            block = np.zeros((n_ord, n_ord), dtype=complex)
-            for x in G.elements():
-                block[G.mul(x, tau), x] += cmath.exp(2j * cmath.pi * alpha.table[x][tau] / m)
-                block[G.mul(tau, x), x] -= cmath.exp(2j * cmath.pi * alpha.table[tau][x] / m)
-            rows.append(block)
-        M = np.vstack(rows)
-        numeric_dim = n_ord - np.linalg.matrix_rank(M, tol=1e-9)
+        alpha = random_cocycle(G, G.order, rng)
+        exact_dim = len(center_basis(build_twisted(G, alpha)))
+        numeric_dim = G.order - np.linalg.matrix_rank(commutation_matrix(G, alpha), tol=1e-9)
         assert exact_dim == numeric_dim
 
 
@@ -154,6 +143,20 @@ def test_wedderburn_guard():
     G = dihedral_group(1024)
     with pytest.raises(SizeBound):
         wedderburn_dims(build_twisted(G, TwoCocycle.trivial(G, 2)))
+
+
+def test_wedderburn_prime_search_limit():
+    # a value group of order 221 on C221 asks for p = 1 (mod 221^2), and there
+    # is none below PRIME_SEARCH_LIMIT
+    G = cyclic_group(221)
+    n = G.order
+    d = [0] + [int(x) for x in np.random.default_rng(2).integers(0, n, size=n - 1)]
+    table = [[(d[r] + d[s] - d[G.mul(r, s)]) % n for s in G.elements()]
+             for r in G.elements()]
+    alpha = TwoCocycle.from_exponents(G, n, table)
+    assert np.gcd.reduce(alpha.as_array().ravel()) == 1
+    with pytest.raises(PrimeSearchFailed):
+        wedderburn_dims(build_twisted(G, alpha))
 
 
 def test_invariant_copies():
@@ -195,10 +198,39 @@ def test_center_equals_regular_equals_blocks_random():
             profile = wedderburn_dims(algebra, seed=1)
             assert dim == reg.count == len(profile.dims)
             assert sum(d * d for d in profile.dims) == G.order
+            assert profile.dims == spectral_dims(G, alpha, seed=1)
+
+
+def _class_rep(G, coords):
+    return schur_multiplier(G).class_from_coords(coords).representative
+
+
+def _c4xc4():
+    return product_group(cyclic_group(4), cyclic_group(4))
+
+
+KNOWN_DIMS = {
+    "A4": (lambda: _class_rep(group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]]), (1,)),
+           (2, 2, 2)),
+    "S4": (lambda: _class_rep(symmetric_group(4), (1,)), (2, 2, 4)),
+    "D16": (lambda: _class_rep(dihedral_group(16), (1,)), (2, 2, 2, 2)),
+    "C4xC4 class 1": (lambda: _class_rep(_c4xc4(), (1,)), (4,)),
+    "C4xC4 class 2": (lambda: _class_rep(_c4xc4(), (2,)), (2, 2, 2, 2)),
+    "C2xD8 class (1,1,0)": (lambda: _class_rep(product_group(cyclic_group(2), dihedral_group(8)),
+                                               (1, 1, 0)), (4,)),
+    "C4 central pairing": (lambda: central_pairing_cocycle(cyclic_group(4)), (4,)),
+}
+
+
+@pytest.mark.parametrize("name", list(KNOWN_DIMS))
+def test_wedderburn_known_values(name):
+    make, want = KNOWN_DIMS[name]
+    alpha = make()
+    assert wedderburn_dims(build_twisted(alpha.group, alpha)).dims == want
+    assert spectral_dims(alpha.group, alpha) == want
 
 
 def test_cluster_helpers_direct():
-    from motivelab.twisted import _cluster, _min_intercluster_gap
     eigs = np.array([1.0 + 0j, 1.0 + 1e-12j, 2.0 + 0j, 2.0 + 1e-12j])
     clusters = _cluster(eigs, 1e-8)
     assert sorted(len(c) for c in clusters) == [2, 2]
@@ -207,18 +239,14 @@ def test_cluster_helpers_direct():
 
 def test_cluster_ambiguity_band():
     """Eigenvalue gaps inside (tol, 10 tol) must raise, not silently cluster."""
-    from motivelab.errors import ClusterAmbiguity
-    from motivelab.twisted import _cluster, _min_intercluster_gap
     tol = 1e-8
     eigs = np.array([0.0 + 0j, 5 * tol + 0j])
     clusters = _cluster(eigs, tol)
     gap = _min_intercluster_gap(eigs, clusters)
-    assert tol < gap < 10 * tol  # this is exactly the band wedderburn_dims rejects
+    assert tol < gap < 10 * tol  # this is exactly the band spectral_dims rejects
 
 
 def test_non_square_cluster_detected():
-    from motivelab.errors import NonSquareCluster
-    from motivelab.twisted import _cluster
     # three coincident eigenvalues cannot be a matrix-block square
     eigs = np.array([1.0, 1.0, 1.0, 2.0])
     clusters = _cluster(eigs, 1e-8)
@@ -226,3 +254,15 @@ def test_non_square_cluster_detected():
     assert sizes == [1, 3]
     d = round(3 ** 0.5)
     assert d * d != 3
+
+
+def test_wedderburn_matches_oracle_on_battery_classes():
+    from itertools import product
+
+    from motivelab.selftest import _battery_groups
+    for G in _battery_groups():
+        M = schur_multiplier(G)
+        for coords in product(*(range(f) for f in M.invariant_factors)):
+            alpha = M.class_from_coords(coords).representative
+            algebra = build_twisted(G, alpha)
+            assert wedderburn_dims(algebra).dims == spectral_dims(G, alpha), (G.label, coords)
