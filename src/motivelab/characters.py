@@ -36,6 +36,9 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, abelianization, coset_space, same_group
 
 PRIME_SEARCH_LIMIT = 1_000_000
+# split_class_algebra multiplies k x k matrices of residues mod p with int64
+# matmuls; k <= 256 classes and p < 2^27 keep k p^2 below 2^63
+SPLIT_PRIME_LIMIT = 1 << 27
 _ORTHOGONALITY_CHECK_BOUND = 48
 
 
@@ -130,14 +133,14 @@ def _abelian_table(G: FiniteGroup) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-def _find_prime(e: int, lower: int) -> int:
-    """The least prime p = 1 (mod e) with p > lower."""
+def _find_prime(e: int, lower: int, limit: int = PRIME_SEARCH_LIMIT) -> int:
+    """The least prime p = 1 (mod e) with lower < p < limit."""
     p = e + 1
-    while p < PRIME_SEARCH_LIMIT:
+    while p < limit:
         if p > lower and _is_prime(p):
             return p
         p += e
-    raise PrimeSearchFailed(f"no prime = 1 mod {e} above {lower} below {PRIME_SEARCH_LIMIT}")
+    raise PrimeSearchFailed(f"no prime = 1 mod {e} above {lower} below {limit}")
 
 
 def _is_prime(n: int) -> bool:
@@ -248,6 +251,7 @@ def split_class_algebra(a: np.ndarray, partner: list[int], n: int, p: int,
     twisted one (Conlon).  Needs p > 2 sqrt(n) and p prime to n.  Returns one
     (omega, d) per character, in splitting order."""
     k = a.shape[0]
+    check_invariant(k * (p - 1) ** 2 < 1 << 63, "split_class_algebra would overflow int64")
     mats = [np.array(a[i], dtype=np.int64) % p for i in range(k)]  # A_i[j][l]
     spaces = [np.eye(k, dtype=np.int64)]
     rounds = 0
@@ -383,15 +387,15 @@ def _nullspace(M: np.ndarray, p: int) -> np.ndarray:
     for c in range(cols):
         if r == rows:
             break
-        cand = [i for i in range(r, rows) if M[i, c]]
-        if not cand:
+        cand = np.flatnonzero(M[r:, c])
+        if not cand.size:
             continue
-        i = cand[0]
+        i = r + int(cand[0])
         M[[r, i]] = M[[i, r]]
         M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
-        for i2 in range(rows):
-            if i2 != r and M[i2, c]:
-                M[i2] = (M[i2] - M[i2, c] * M[r]) % p
+        col = M[:, c].copy()
+        col[r] = 0
+        M = (M - np.outer(col, M[r])) % p  # entries < p^2 < 2^54
         pivots[c] = r
         r += 1
     free = [c for c in range(cols) if c not in pivots]

@@ -25,7 +25,7 @@ from .cocycles import (
     random_cocycle,
     schur_multiplier,
 )
-from .errors import MotiveLabError
+from .errors import MotiveLabError, check_invariant
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -88,10 +88,10 @@ def check_schur_table() -> None:
     for kind, params, expected in SCHUR_TABLE:
         G = _make(kind, params)
         M = schur_multiplier(G, max_group_order=120)
-        assert M.invariant_factors == tuple(expected), \
-            f"{G.label}: got {M.invariant_factors}, expected {expected}"
+        check_invariant(M.invariant_factors == tuple(expected),
+                        f"{G.label}: got {M.invariant_factors}, expected {expected}")
     elapsed = time.time() - t0
-    assert elapsed < 60, f"multiplier battery took {elapsed:.1f}s (budget 60s)"
+    check_invariant(elapsed < 60, f"multiplier battery took {elapsed:.1f}s (budget 60s)")
 
 
 def check_representation_rings() -> None:
@@ -99,7 +99,7 @@ def check_representation_rings() -> None:
         G = cyclic_group(n)
         table = character_table(G)
         k = table.num_irreducibles
-        assert k == n
+        check_invariant(k == n, f"C{n} has {k} irreducibles")
         found = False
         for i in range(k):
             chi = VirtualCharacter.irreducible(G, i)
@@ -112,7 +112,7 @@ def check_representation_rings() -> None:
             if coords == distinct_basis and powers[-1].mul(chi) == powers[0]:
                 found = True
                 break
-        assert found, f"R(C{n}) has no basis of powers of a single character"
+        check_invariant(found, f"R(C{n}) has no basis of powers of a single character")
     S3 = symmetric_group(3)
     table = character_table(S3)
     one = VirtualCharacter.trivial_character(S3)
@@ -121,9 +121,9 @@ def check_representation_rings() -> None:
                and VirtualCharacter.irreducible(S3, i) != one)
     psi = next(VirtualCharacter.irreducible(S3, i) for i in range(3)
                if table.degrees[i] == 2)
-    assert sgn.mul(sgn) == one
-    assert sgn.mul(psi) == psi.mul(sgn)
-    assert psi.mul(psi) == one.add(sgn).add(psi)
+    check_invariant(sgn.mul(sgn) == one, "S3: sgn^2 != 1")
+    check_invariant(sgn.mul(psi) == psi.mul(sgn), "S3: sgn psi != psi sgn")
+    check_invariant(psi.mul(psi) == one.add(sgn).add(psi), "S3: psi^2 != 1 + sgn + psi")
 
 
 def _battery_groups() -> list[FiniteGroup]:
@@ -142,10 +142,10 @@ def check_unit_endomorphisms() -> None:
     for G in _battery_groups():
         M = schur_multiplier(G)
         unit = twisted_unit(M.trivial_class())
-        assert hom_rank(unit, unit) == len(G.conjugacy_classes()), G.label
-        idem = idempotents(G)  # internal exact assertions
-        assert rank(idem.e_plus) == 1
-        assert rank(idem.e_minus) == 0
+        check_invariant(hom_rank(unit, unit) == len(G.conjugacy_classes()), G.label)
+        idem = idempotents(G)  # internal exact checks
+        check_invariant(rank(idem.e_plus) == 1, f"{G.label}: rank(e_plus) != 1")
+        check_invariant(rank(idem.e_minus) == 0, f"{G.label}: rank(e_minus) != 0")
 
 
 def check_central_type() -> None:
@@ -154,24 +154,24 @@ def check_central_type() -> None:
         G = alpha.group
         algebra = build_twisted(G, alpha)
         reg = alpha_regular(G, alpha)
-        assert reg.count == 1, f"{G.label}: {reg.count} regular classes"
-        assert len(center_basis(algebra)) == 1
+        check_invariant(reg.count == 1, f"{G.label}: {reg.count} regular classes")
+        check_invariant(len(center_basis(algebra)) == 1, f"{G.label}: center is not C")
         profile = wedderburn_dims(algebra, seed=0)
-        assert profile.dims == (expected_dim,)
-        assert sum(d * d for d in profile.dims) == G.order
+        check_invariant(profile.dims == (expected_dim,), f"{G.label}: blocks {profile.dims}")
+        check_invariant(sum(d * d for d in profile.dims) == G.order, f"{G.label}: sum d^2")
 
 
 def check_localization() -> None:
     for G in (elementary_abelian_group(2, 2), dihedral_group(8)):
         M = schur_multiplier(G)
-        assert M.invariant_factors == (2,)
+        check_invariant(M.invariant_factors == (2,), f"{G.label}: multiplier is not Z/2")
         alpha = M.class_from_coords((1,))
         A = MotiveSkeleton(G, (twisted_unit(M.trivial_class()),
                                twisted_unit(alpha),
                                twisted_unit(alpha.power(2))))
         B = MotiveSkeleton(G, tuple(twisted_unit(M.trivial_class()) for _ in range(3)))
-        assert localized_isomorphic(A, B)
-        assert A != B
+        check_invariant(localized_isomorphic(A, B), f"{G.label}: localizations differ")
+        check_invariant(A != B, f"{G.label}: skeletons equal before localization")
     # before localization the central-type unit differs from the trivial one
     alpha = central_pairing_cocycle(cyclic_group(2))
     G = alpha.group
@@ -179,9 +179,9 @@ def check_localization() -> None:
     cls = M.class_of(alpha.promote(G.order))
     simple = MotiveSkeleton(G, (twisted_unit(cls),))
     plain = MotiveSkeleton(G, (twisted_unit(M.trivial_class()),))
-    assert simple != plain
-    assert evaluate_invariant(simple, "K0rank") == 1
-    assert evaluate_invariant(plain, "K0rank") == len(G.conjugacy_classes())
+    check_invariant(simple != plain, "central-type unit equals the trivial unit")
+    check_invariant(evaluate_invariant(simple, "K0rank") == 1, "central-type K0 rank != 1")
+    check_invariant(evaluate_invariant(plain, "K0rank") == len(G.conjugacy_classes()), "K0 rank")
 
 
 def golden_decompositions() -> list[tuple[str, dict]]:
@@ -240,8 +240,7 @@ def golden_decompositions() -> list[tuple[str, dict]]:
 
 def check_decompositions() -> None:
     for label, pair in golden_decompositions():
-        assert pair["got"] == pair["want"], \
-            f"{label}: {pair['got']} != {pair['want']}"
+        check_invariant(pair["got"] == pair["want"], f"{label}: {pair['got']} != {pair['want']}")
 
 
 def check_chow() -> None:
@@ -253,19 +252,19 @@ def check_chow() -> None:
     entries += [catalog_lookup("grassmannian", (2, 4))]
     for entry in entries:
         via = check_via(entry)
-        assert via.ok, f"{entry.label()}: {via.problems}"
+        check_invariant(via.ok, f"{entry.label()}: {via.problems}")
         chow_skeleton(entry)
     p1 = chow_skeleton(catalog_lookup("projective_space", (1,)))
     pts = chow_skeleton(catalog_lookup("disjoint_points", (2,)))
-    assert p1.exponents == (0, 1) and pts.exponents == (0, 0)
-    assert p1 != pts
+    check_invariant(p1.exponents == (0, 1) and pts.exponents == (0, 0), "Lefschetz exponents")
+    check_invariant(p1 != pts, "P1 and two points share a Chow skeleton")
     # same group action, same skeletal motive:
     C1 = cyclic_group(1)
     a = symbol_skeleton(VarietySymbol(catalog_lookup("projective_space", (1,)),
                                       ActionSpec.trivial(C1)))
     b = symbol_skeleton(VarietySymbol(catalog_lookup("disjoint_points", (2,)),
                                       ActionSpec.trivial(C1)))
-    assert a == b
+    check_invariant(a == b, "P1 and two points differ as symbols of one action")
 
 
 def _blowup_data():
@@ -286,19 +285,19 @@ def check_blowups() -> None:
     _, pts, p1, p2, dp, pt = _blowup_data()
     bc = blowup_check(K0VarExpr.of(p2), K0VarExpr.of(pts), 2,
                       K0VarExpr.of(dp), K0VarExpr.of(ProductSymbol(pts, p1)))
-    assert bc.ok, bc.messages
+    check_invariant(bc.ok, f"{bc.messages}")
     bc2 = blowup_check(K0VarExpr.of(p2), K0VarExpr.of(pt), 2,
                        K0VarExpr.of(p2).add(K0VarExpr.of(pt)), K0VarExpr.of(p1))
-    assert bc2.ok, bc2.messages
+    check_invariant(bc2.ok, f"{bc2.messages}")
 
 
 def check_factorization() -> None:
     C2, pts, p1, p2, _, _ = _blowup_data()
     for symbol, fixed in ((pts, [2, 0]), (p1, [2, 2]), (p2, [3, 3])):
         fc = factorization_check(symbol, fixed)
-        assert fc.ok, (symbol.label(), fc.euler_side, fc.skeleton_side)
+        check_invariant(fc.ok, f"{symbol.label()}: {fc.euler_side} != {fc.skeleton_side}")
     hp = evaluate_invariant(symbol_skeleton(p1), "HP")
-    assert hp == orbifold_dims(C2, [(2, 0), (2, 0)])
+    check_invariant(hp == orbifold_dims(C2, [(2, 0), (2, 0)]), f"HP of P1 is {hp}")
 
 
 def property_suites(cases: int = 200, seed: int = 0) -> None:
@@ -322,15 +321,15 @@ def property_suites(cases: int = 200, seed: int = 0) -> None:
             from .cocycles import cocycle_validate
             if n > 1:
                 broken = TwoCocycle.from_exponents(G, n, table)
-                assert not cocycle_validate(broken).ok
+                check_invariant(not cocycle_validate(broken).ok, f"{G.label}: broken cocycle")
             # class_of respects coboundary equivalence
             beta = random_cocycle(G, n, rng)
             same_class = M.class_of(alpha) == M.class_of(beta)
             witness = is_cohomologous(alpha, beta)
-            assert same_class == (witness is not None), G.label
+            check_invariant(same_class == (witness is not None), f"{G.label}: class_of")
             # center dimension = regular class count (exact both sides)
             reg = alpha_regular(G, alpha)
-            assert len(center_basis(algebra)) == reg.count
+            check_invariant(len(center_basis(algebra)) == reg.count, f"{G.label}: center")
         character_table(G).verify_orthogonality()
 
     # induced/induced hom ranks against the orbit-stabilizer oracle
@@ -341,7 +340,8 @@ def property_suites(cases: int = 200, seed: int = 0) -> None:
                 if H1.is_whole_group() or H2.is_whole_group():
                     continue
                 got = hom_rank(induced_atom(H1), induced_atom(H2))
-                assert got == _induced_oracle(G, H1, H2), (G.label, H1.members, H2.members)
+                check_invariant(got == _induced_oracle(G, H1, H2),
+                                f"{G.label}: hom rank of {H1.members}, {H2.members}")
 
 
 def _induced_oracle(G, H1, H2) -> int:
@@ -392,7 +392,7 @@ def run(fast: bool = False, verbose: bool = True) -> list[str]:
             fn()
             if verbose:
                 print(f"PASS {name} ({time.time() - t0:.1f}s)")
-        except (AssertionError, MotiveLabError) as exc:
+        except MotiveLabError as exc:
             failures.append(name)
             if verbose:
                 print(f"FAIL {name}: {exc}")

@@ -18,11 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
-from .characters import _find_prime, _primitive_root, split_class_algebra
+from .characters import SPLIT_PRIME_LIMIT, _find_prime, _primitive_root, split_class_algebra
 from .cocycles import CohomClass, TwoCocycle, cocycle_validate
 from .cyclotomic import Cyclotomic
 from .errors import NotACocycle, SizeBound, check_invariant
@@ -74,11 +74,45 @@ class TwistedGroupAlgebra:
 
     @cached_property
     def center_exponents(self) -> tuple[dict[int, int], ...]:
-        """Center basis in exponent form, computed once per algebra: per
-        regular class, x -> t(x), the twisted class sum having coefficient
-        zeta^t(x) at e_x.  Each support starts at its class representative,
-        where t = 0."""
-        return _center_exponents(self)
+        """Center basis in exponent form, computed once per algebra by
+        transport along conjugation: per regular class, x -> t(x), the
+        twisted class sum having coefficient zeta^t(x) at e_x.  Each support
+        starts at its class representative, where t = 0.  Cross-checked
+        against the regular-class test and against exact centrality."""
+        G = self.group
+        E = self.cocycle.table
+        n = self.cocycle.modulus
+        supports: list[dict[int, int]] = []
+        consistent_classes = []
+        for ci, cls in enumerate(G.conjugacy_classes()):
+            g0 = cls.representative
+            t = {g0: 0}
+            queue = [g0]
+            ok = True
+            while queue and ok:
+                x = queue.pop()
+                for h in G.elements():
+                    y = G.conjugate(h, x)
+                    hi = G.inv(h)
+                    gamma = (E[h][x] + E[G.mul(h, x)][hi] - E[h][hi]) % n
+                    ty = (t[x] + gamma) % n
+                    if y in t:
+                        if t[y] != ty:
+                            ok = False
+                            break
+                    else:
+                        t[y] = ty
+                        queue.append(y)
+            if ok:
+                supports.append(t)
+                consistent_classes.append(ci)
+        reg = alpha_regular(G, self.cocycle)
+        regular_classes = [i for i, f in enumerate(reg.flags) if f]
+        check_invariant(consistent_classes == regular_classes,
+                        "transport consistency must match the regular-class test")
+        for t in supports:
+            _check_central(self, t)
+        return tuple(supports)
 
 
 def build_twisted(G: FiniteGroup, alpha: TwoCocycle) -> TwistedGroupAlgebra:
@@ -128,46 +162,6 @@ def center_basis(algebra: TwistedGroupAlgebra) -> list[list[Cyclotomic]]:
     return out
 
 
-def _center_exponents(algebra: TwistedGroupAlgebra) -> tuple[dict[int, int], ...]:
-    """Transport along conjugation: per consistent class, x -> t(x) with
-    coefficient zeta^t(x).  Cross-checked against the regular-class test and
-    against exact centrality."""
-    G = algebra.group
-    E = algebra.cocycle.table
-    n = algebra.cocycle.modulus
-    supports: list[dict[int, int]] = []
-    consistent_classes = []
-    for ci, cls in enumerate(G.conjugacy_classes()):
-        g0 = cls.representative
-        t = {g0: 0}
-        queue = [g0]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            for h in G.elements():
-                y = G.conjugate(h, x)
-                hi = G.inv(h)
-                gamma = (E[h][x] + E[G.mul(h, x)][hi] - E[h][hi]) % n
-                ty = (t[x] + gamma) % n
-                if y in t:
-                    if t[y] != ty:
-                        ok = False
-                        break
-                else:
-                    t[y] = ty
-                    queue.append(y)
-        if ok:
-            supports.append(t)
-            consistent_classes.append(ci)
-    reg = alpha_regular(G, algebra.cocycle)
-    regular_classes = [i for i, f in enumerate(reg.flags) if f]
-    check_invariant(consistent_classes == regular_classes,
-                    "transport consistency must match the regular-class test")
-    for t in supports:
-        _check_central(algebra, t)
-    return tuple(supports)
-
-
 def _check_central(algebra: TwistedGroupAlgebra, t: dict[int, int]) -> None:
     G = algebra.group
     E = algebra.cocycle.table
@@ -192,36 +186,43 @@ class WedderburnProfile:
 
 
 def wedderburn_dims(algebra: TwistedGroupAlgebra, seed: int = 0) -> WedderburnProfile:
-    """Simple-block dimensions, exact: the degrees of the alpha-projective
-    characters.  The twisted class sums K_i multiply with structure
-    constants in Z[zeta_m'], m' the order of the cocycle's value group; they
-    are reduced mod the least prime p = 1 (mod m' exp(G)) above 2 sqrt|G|,
-    where every central character takes its values.  The seed only sets the
-    order in which the class algebra is split."""
+    """Simple-block dimensions, exact: the alpha-projective character degrees.
+    Summing the cocycle identity gives n alpha(g, h) = c(g) + c(h) - c(gh)
+    (mod m) for n = |G|, c(g) = sum_h alpha(g, h); so e_g -> zeta_mn^c(g) u_g
+    carries C^alpha G onto C^beta G, beta = (n alpha - dc) / m with values in
+    mu_n whatever m is.  The structure constants of beta's twisted class sums
+    lie in Z[zeta_n] and are split over F_p, p = 1 (mod n exp(G)) the least
+    prime above 2 sqrt|G|.  The seed only sets the splitting order."""
     G = algebra.group
     n = G.order
     if n > BLOCK_ORDER_GUARD:
         raise SizeBound(f"block dimensions limited to order {BLOCK_ORDER_GUARD}")
     E = algebra.cocycle.table
     m = algebra.cocycle.modulus
-    # every exponent, transported ones included, is a multiple of g
-    g = gcd(m, int(np.gcd.reduce(algebra.cocycle.as_array().ravel())))
-    order = m // g  # of the value group
-    p = _find_prime(order * G.exponent(), 2 * isqrt(n) + 1)
-    z = pow(_primitive_root(p), (p - 1) // order, p)
-    zeta = [pow(z, v, p) for v in range(order)]  # zeta_m^(v g) -> z^v
-    supports = algebra.center_exponents
-    where = {x: (i, t) for i, support in enumerate(supports) for x, t in support.items()}
-    reps = [next(iter(support)) for support in supports]
-    k = len(supports)
-    # K_i K_j = sum_l a_ijl K_l, read off at e_r for the representative r of K_l
+    c = [sum(row) % (m * n) for row in E]
+    p = _find_prime(n * G.exponent(), 2 * isqrt(n) + 1, SPLIT_PRIME_LIMIT)
+    z = pow(_primitive_root(p), (p - 1) // n, p)
+    zeta = [pow(z, v, p) for v in range(n)]  # zeta_n^v -> z^v
+    # K_i at u_x is zeta_mn^(n t(x) + c(x) - c(r_i)), 1 at its representative r_i;
+    # where[x] = (i, s(x)) with s(x) = n t(x) - c(r_i)
+    where, reps = {}, []
+    for i, support in enumerate(algebra.center_exponents):
+        reps.append(next(iter(support)))
+        where.update((x, (i, n * t - c[reps[-1]])) for x, t in support.items())
+    k = len(reps)
+    # K_i K_j = sum_l a_ijl K_l, read off at u_r for the representative r of K_l;
+    # the term at u_x u_y is zeta_mn^(s(x) + s(y) + n alpha(x, y) + c(r)), an n-th root
     a = np.zeros((k, k, k), dtype=np.int64)
+    rem = 0
     for l, r in enumerate(reps):
-        for x, (i, tx) in where.items():
+        for x, (i, sx) in where.items():
             y = G.mul(G.inv(x), r)
             if y in where:
-                j, ty = where[y]
-                a[i, j, l] += zeta[(tx + ty + E[x][y]) % m // g]
+                j, sy = where[y]
+                v, rv = divmod(sx + sy + n * E[x][y] + c[r], m)
+                a[i, j, l] += zeta[v % n]
+                rem |= rv
+    check_invariant(rem == 0, "twisted class sums must rescale into mu_|G|")
     partner = [where[G.inv(r)][0] for r in reps]
     dims = sorted(d for _, d in split_class_algebra(a, partner, n, p, random.Random(seed)))
     check_invariant(sum(d * d for d in dims) == n, "block dimensions must square-sum to |G|")

@@ -231,6 +231,18 @@ def test_selftest_reports_invariant_violation(monkeypatch, capsys):
     assert "FAIL 1 broken row: degree sum check failed" in out
 
 
+def test_selftest_rows_raise_typed_errors(monkeypatch):
+    # the rows check with check_invariant, which python -O keeps
+    from motivelab import selftest
+    from motivelab.errors import InvariantViolation
+    from motivelab.twisted import WedderburnProfile
+
+    monkeypatch.setattr(selftest, "wedderburn_dims",
+                        lambda algebra, seed=0: WedderburnProfile((1, 1, 1, 1)))
+    with pytest.raises(InvariantViolation, match="blocks"):
+        selftest.check_central_type()
+
+
 def test_measure_collection_symbol(capsys):
     code, out, _ = run(capsys, "measure", "check",
                        dataset_path("p1xp1_swap_c2.json"), "--json")

@@ -1,14 +1,17 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from spectral_oracle import _cluster, _min_intercluster_gap, commutation_matrix, spectral_dims
 
+from motivelab.characters import SPLIT_PRIME_LIMIT, _find_prime
 from motivelab.cocycles import (
     TwoCocycle,
     central_pairing_cocycle,
     random_cocycle,
     schur_multiplier,
 )
-from motivelab.errors import NotACocycle, PrimeSearchFailed, SizeBound
+from motivelab.errors import NotACocycle, SizeBound
 from motivelab.groups import (
     cyclic_group,
     dihedral_group,
@@ -18,6 +21,7 @@ from motivelab.groups import (
     symmetric_group,
 )
 from motivelab.twisted import (
+    BLOCK_ORDER_GUARD,
     alpha_regular,
     build_twisted,
     center_basis,
@@ -145,18 +149,41 @@ def test_wedderburn_guard():
         wedderburn_dims(build_twisted(G, TwoCocycle.trivial(G, 2)))
 
 
-def test_wedderburn_prime_search_limit():
-    # a value group of order 221 on C221 asks for p = 1 (mod 221^2), and there
-    # is none below PRIME_SEARCH_LIMIT
-    G = cyclic_group(221)
-    n = G.order
-    d = [0] + [int(x) for x in np.random.default_rng(2).integers(0, n, size=n - 1)]
-    table = [[(d[r] + d[s] - d[G.mul(r, s)]) % n for s in G.elements()]
-             for r in G.elements()]
-    alpha = TwoCocycle.from_exponents(G, n, table)
-    assert np.gcd.reduce(alpha.as_array().ravel()) == 1
-    with pytest.raises(PrimeSearchFailed):
-        wedderburn_dims(build_twisted(G, alpha))
+def _shift_to_modulus(alpha, m, rng):
+    """alpha promoted to modulus m, plus a random coboundary mod m."""
+    G = alpha.group
+    s = m // alpha.modulus
+    d = [0] + [int(x) for x in rng.integers(0, m, size=G.order - 1)]
+    table = [[(s * alpha.table[r][t] + d[r] + d[t] - d[G.mul(r, t)]) % m
+              for t in G.elements()] for r in G.elements()]
+    return TwoCocycle.from_exponents(G, m, table)
+
+
+@pytest.mark.parametrize("m", [2**20, 3 * 2**20, 10**12])
+def test_wedderburn_modulus_above_group_order(m):
+    # the value group of alpha has order far above |G|; the dims only see the
+    # class, through a cohomologous cocycle with values in mu_|G|
+    rng = np.random.default_rng(5)
+    for G in (cyclic_group(2), symmetric_group(3), dihedral_group(8),
+              elementary_abelian_group(2, 2)):
+        M = schur_multiplier(G)
+        k = len(M.invariant_factors)
+        classes = [M.trivial_class()] + [M.class_from_coords((1,) * k)] * bool(k)
+        for cls in classes:
+            alpha = _shift_to_modulus(cls.representative, m, rng)
+            E = alpha.as_array().ravel()
+            assert m // np.gcd.reduce(np.append(E, m)) > G.order
+            dims = wedderburn_dims(build_twisted(G, alpha)).dims
+            assert dims == spectral_dims(G, alpha)
+
+
+def test_block_primes_exist_below_guard():
+    # every conductor |G| exp(G) that wedderburn_dims can meet (exp(G) divides
+    # |G| <= BLOCK_ORDER_GUARD) has its prime below the int64 limit
+    for n in range(1, BLOCK_ORDER_GUARD + 1):
+        for exponent in (d for d in range(1, n + 1) if n % d == 0):
+            p = _find_prime(n * exponent, 2 * isqrt(n) + 1, SPLIT_PRIME_LIMIT)
+            assert (p - 1) % (n * exponent) == 0
 
 
 def test_invariant_copies():
