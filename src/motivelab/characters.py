@@ -7,6 +7,12 @@ logarithm of a fixed primitive root of unity mod p.  Abelian groups take a
 direct dual-group path.  The table is canonicalized by sorting rows, so the
 splitting seed never shows in the output.
 
+Each table keeps its values as an int64 array V[i, c, u], the multiplicity
+of the eigenvalue zeta_e^u of the i-th irreducible on the class c, so that
+chi_i(c) = sum_u V[i, c, u] zeta_e^u.  The exact `Cyclotomic` rows are built
+from V in one place, and the row orthogonality check is one integer pass
+over V (conjugation is the index map u -> -u).
+
 Virtual characters store integer (or rational) coordinates over the
 irreducible basis; class-function values are derived on demand, which makes
 integrality checks trivial.  Products in R(G) contract the coordinates with the
@@ -16,15 +22,17 @@ computes once, on first use, in F_p as Dixon's method does: no field arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, power_reduction_matrix
 from .errors import (
     GroupMismatch,
     InvariantViolation,
@@ -44,10 +52,24 @@ _ORTHOGONALITY_CHECK_BOUND = 48
 
 @dataclass(frozen=True)
 class CharacterTable:
-    group: FiniteGroup
+    # The group caches its table, so the table refers to the group weakly: a
+    # strong reference back would put every group with a table in a reference
+    # cycle, which only the cyclic garbage collector frees, late.
+    group_ref: weakref.ref = field(repr=False)
     exponent: int
     irreducibles: tuple[tuple[Cyclotomic, ...], ...]  # [irrep][class]
     degrees: tuple[int, ...]
+    # read-only int64 V[irrep, class, u], 0 <= V <= d_irrep: the multiplicity
+    # of the eigenvalue zeta_e^u, so chi_i(c) = sum_u V[i, c, u] zeta_e^u
+    multiplicities: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def group(self) -> FiniteGroup:
+        G = self.group_ref()
+        if G is None:
+            raise ReferenceError("the group of this character table no longer exists; "
+                                 "keep a reference to the group while using its table")
+        return G
 
     @property
     def num_irreducibles(self) -> int:
@@ -60,19 +82,32 @@ class CharacterTable:
         return self.irreducibles[irrep][class_index]
 
     def verify_orthogonality(self) -> None:
-        """Exact first orthogonality of rows; raises InvariantViolation on failure."""
-        sizes = self.class_sizes()
+        """Exact first orthogonality of rows, as one integer pass over V;
+        raises InvariantViolation on failure.
+
+        S[i, j, w] = sum_{c,u} |c| V[i, c, u] V[j, c, u - w] is the coefficient
+        of zeta_e^w in sum_c |c| chi_i(c) conj(chi_j(c)), a cyclic convolution
+        over Z[C_e] done as e matmuls.  Reducing it once by x^w mod Phi_e
+        (monic, so exact over Z) must leave |G| delta_ij."""
+        V = self.multiplicities
+        k, _, e = V.shape
         n = self.group.order
-        k = self.num_irreducibles
-        for i in range(k):
-            for j in range(i, k):
-                acc = Cyclotomic.zero()
-                for c in range(k):
-                    acc = acc + sizes[c] * self.irreducibles[i][c] * \
-                        self.irreducibles[j][c].conjugate()
-                expected = Fraction(n) if i == j else Fraction(0)
-                if acc != Cyclotomic.from_rational(expected):
-                    raise InvariantViolation(f"row orthogonality fails at ({i},{j})")
+        d = np.array(self.degrees, dtype=np.int64)
+        # with 0 <= V <= d_i every entry of S is below e |G| d_i d_j < 2^63
+        check_invariant(bool((V >= 0).all() and (V <= d[:, None, None]).all()),
+                        "eigenvalue multiplicities must lie in [0, d_i]")
+        A = (V * np.array(self.class_sizes(), dtype=np.int64)[:, None]).reshape(k, -1)
+        S = np.empty((k, k, e), dtype=np.int64)
+        for w in range(e):
+            S[:, :, w] = A @ np.roll(V, w, axis=2).reshape(k, -1).T
+        check_invariant(bool((S <= n * np.outer(d, d)[:, :, None]).all()),
+                        "orthogonality sums must be at most |G| d_i d_j")
+        R = S @ power_reduction_matrix(e)                  # [i, j, power basis]
+        R[:, :, 0] -= n * np.eye(k, dtype=np.int64)
+        bad = np.argwhere(R.any(axis=2))
+        if bad.size:
+            i, j = bad[0]
+            raise InvariantViolation(f"row orthogonality fails at ({i},{j})")
 
     @cached_property
     def structure_constants(self) -> np.ndarray:
@@ -98,34 +133,40 @@ def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
     return table
 
 
-def _canonical_rows(G: FiniteGroup, e: int, rows: list[list[Cyclotomic]],
-                    degrees: list[int]) -> CharacterTable:
+def _canonical_table(G: FiniteGroup, e: int, V: np.ndarray,
+                     degrees: list[int]) -> CharacterTable:
+    """The table with values chi_i(c) = sum_u V[i, c, u] zeta_e^u, its rows
+    sorted by degree and values so the splitting order never shows."""
+    R = power_reduction_matrix(e)
+    rows = [[Cyclotomic(e, tuple(v)) for v in (row @ R).tolist()] for row in V]
     order = sorted(range(len(rows)),
                    key=lambda i: (degrees[i],
                                   tuple(v.sort_key(e) for v in rows[i])))
+    V = V[order]
+    V.setflags(write=False)
     return CharacterTable(
-        G, e,
+        weakref.ref(G), e,
         tuple(tuple(rows[i]) for i in order),
-        tuple(degrees[i] for i in order))
+        tuple(degrees[i] for i in order),
+        V)
 
 
 def _abelian_table(G: FiniteGroup) -> CharacterTable:
+    """chi(g) = zeta_e^(sum_t x_t y_t e / d_t) for g with coordinates x in the
+    invariant factors d_t, the character having dual coordinates y."""
     e = G.exponent()
     ab = abelianization(G)
     factors = ab.invariant_factors
-    reps = [c.representative for c in G.conjugacy_classes()]
-    rows = []
-    # characters indexed by dual coordinates in the same invariant factors
-    import itertools
-    for dual in itertools.product(*(range(d) for d in factors)) if factors else [()]:
-        row = []
-        for g in reps:
-            coords = ab.projection[g]
-            expo = sum(x * y * (e // d) for x, y, d in zip(coords, dual, factors)) % e
-            row.append(Cyclotomic.root_of_unity(e, expo) if e > 1
-                       else Cyclotomic.one())
-        rows.append(row)
-    return _canonical_rows(G, e, rows, [1] * len(rows))
+    coords = np.array([ab.projection[c.representative] for c in G.conjugacy_classes()],
+                      dtype=np.int64)
+    duals = np.array(list(itertools.product(*(range(d) for d in factors))),
+                     dtype=np.int64)
+    scale = np.array([e // d for d in factors], dtype=np.int64)
+    expo = (duals * scale) @ coords.T % e                      # [i, c]
+    k = len(duals)
+    V = np.zeros((k, G.order, e), dtype=np.int64)
+    V[np.arange(k)[:, None], np.arange(G.order)[None, :], expo] = 1
+    return _canonical_table(G, e, V, [1] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -205,34 +246,32 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
     # the stdlib generator spares the table build the import of numpy.random
     # (about 6 MB of resident memory)
     rng = random.Random(seed)
-    rows: list[list[Cyclotomic]] = []
-    degrees: list[int] = []
+    chars = split_class_algebra(a, inv_class, n, p, rng)
+    degrees = [d for _, d in chars]
+    d = np.array(degrees, dtype=np.int64)
+    # chi_i(c) = d_i omega_i(c) / |c| in F_p; p < 2^20 keeps products below 2^60
+    inv_sizes = np.array([pow(s, -1, p) for s in sizes], dtype=np.int64)
+    omega = np.array([w for w, _ in chars], dtype=np.int64)
+    chi = omega * d[:, None] % p * inv_sizes % p                  # [i, c]
+    # mu_u = o^-1 sum_t chi(g^t) z_o^(-u t) (mod p) is the multiplicity of the
+    # eigenvalue zeta_o^u = zeta_e^(u e/o) on an element g of order o: one DFT
+    # mod p for all characters and all classes of that order
+    z_e = pow(_primitive_root(p), (p - 1) // e, p)
     z_ord = [G.element_order(r) for r in reps]
-    pow_class = [[G.class_index_of(G.power(reps[i], t)) for t in range(z_ord[i])]
-                 for i in range(k)]
-    g0 = _primitive_root(p)
-    z_e = pow(g0, (p - 1) // e, p)
-    inv_sizes = [pow(s % p, p - 2, p) for s in sizes]
-    for omega, d in split_class_algebra(a, inv_class, n, p, rng):
-        chi_p = [d * omega[i] * inv_sizes[i] % p for i in range(k)]
-        row = []
-        for i in range(k):
-            o = z_ord[i]
-            z_o = pow(z_e, e // o, p)
-            inv_o = pow(o % p, p - 2, p)
-            val = Cyclotomic.zero(e)
-            for u in range(o):
-                mu = 0
-                for t in range(o):
-                    mu = (mu + chi_p[pow_class[i][t]] * pow(z_o, (-u * t) % o, p)) % p
-                mu = mu * inv_o % p
-                check_invariant(mu <= d, "eigenvalue multiplicity exceeds the degree")
-                if mu:
-                    val = val + mu * Cyclotomic.root_of_unity(e, (u * e) // o)
-            row.append(val)
-        rows.append(row)
-        degrees.append(d)
-    return _canonical_rows(G, e, rows, degrees)
+    V = np.zeros((k, k, e), dtype=np.int64)
+    for o in sorted(set(z_ord)):
+        cls = [c for c in range(k) if z_ord[c] == o]
+        powers = np.array([[G.class_index_of(G.power(reps[c], t)) for t in range(o)]
+                           for c in cls], dtype=np.int64)          # [class, t]
+        z_o = pow(z_e, e // o, p)
+        t = np.arange(o)
+        z_pows = np.array([pow(z_o, x, p) for x in range(o)], dtype=np.int64)
+        F = z_pows[-np.outer(t, t) % o] * pow(o, -1, p) % p        # [t, u]
+        mu = chi[:, powers] @ F % p                               # [i, class, u]
+        check_invariant(bool((mu <= d[:, None, None]).all()),
+                        "eigenvalue multiplicity exceeds the degree")
+        V[:, np.array(cls)[:, None], t * (e // o)] = mu
+    return _canonical_table(G, e, V, degrees)
 
 
 def split_class_algebra(a: np.ndarray, partner: list[int], n: int, p: int,
@@ -300,40 +339,32 @@ def _tensor_constants(table: CharacterTable) -> np.ndarray:
     n, e, k = G.order, table.exponent, table.num_irreducibles
     p = _find_prime(e, n)
     z_e = pow(_primitive_root(p), (p - 1) // e, p)
-    X = np.array([[_residue(v, e, z_e, p) for v in row] for row in table.irreducibles],
-                 dtype=np.int64)
-    # conj(chi)(c) = chi(c^-1)
-    inv_class = [G.class_index_of(G.inv(c.representative)) for c in G.conjugacy_classes()]
+    z_pow = np.array([pow(z_e, u, p) for u in range(e)], dtype=np.int64)
+    V = table.multiplicities
+    conj = V[:, :, -np.arange(e) % e]                       # conj(zeta^u) = zeta^-u
+    X, X_conj = V @ z_pow % p, conj @ z_pow % p             # [i, c]
     n_inv = pow(n, -1, p)
     weights = np.array([s * n_inv % p for s in table.class_sizes()], dtype=np.int64)
     # p < PRIME_SEARCH_LIMIT < 2^20: a product of two residues is below 2^40
     # and the matmul sums k <= |G| < 2^20 of them, below 2^60.
     W = X * weights % p                                     # [j, c]
-    T = W[:, None, :] * X[None, :, inv_class] % p           # [j, k, c]
+    T = W[:, None, :] * X_conj[None, :, :] % p              # [j, k, c]
     N = (X @ T.reshape(k * k, k).T % p).reshape(k, k, k)    # [i, j, k]
 
     degrees = np.array(table.degrees, dtype=np.int64)
     check_invariant(np.array_equal(N @ degrees, np.outer(degrees, degrees)),
            "structure constants fail sum_k N_ij^k d_k = d_i d_j")
-    rows = table.irreducibles
+    # eigenvalue multiplicities determine the character, so the dual row is
+    # the one whose V is conj's
+    row_of = {V[j].tobytes(): j for j in range(k)}
     dual = np.zeros((k, k), dtype=np.int64)
-    for i, row in enumerate(rows):
-        conj = tuple(row[c] for c in inv_class)
-        j = next((j for j, other in enumerate(rows) if other == conj), None)
+    for i in range(k):
+        j = row_of.get(conj[i].tobytes())
         check_invariant(j is not None, f"conjugate of chi_{i} missing from the table")
         dual[i, j] = 1
     check_invariant(np.array_equal(N[:, :, _trivial_index(table)], dual),
            "structure constants fail N_ij^triv = [chi_j = conj(chi_i)]")
     return N
-
-
-def _residue(v: Cyclotomic, e: int, z_e: int, p: int) -> int:
-    """Image of v (conductor dividing e) in F_p under zeta_e -> z_e."""
-    z = pow(z_e, e // v.conductor, p)
-    acc = 0
-    for c in reversed(v.coeffs):
-        acc = (acc * z + c.numerator * pow(c.denominator, -1, p)) % p
-    return acc
 
 
 def _split_space(B: np.ndarray, S: np.ndarray, p: int, rng) -> list[np.ndarray]:

@@ -23,7 +23,7 @@ from .cocycles import (
     schur_multiplier,
     SCHUR_DEFAULT_MAX_ORDER,
 )
-from .errors import MissingField, MotiveLabError
+from .errors import MissingField, MotiveLabError, NotAnObject
 from .groups import FiniteGroup, Subgroup, construct_group
 from .measures import (
     K0VarExpr,
@@ -73,6 +73,7 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
             raw = json.loads(raw)
         else:
             raise ValueError(f"unknown action {raw!r}")
+    raw = _object(raw, "action")
     return ActionSpec(
         G,
         line_class=tuple(raw.get("line_class", ())),
@@ -101,7 +102,7 @@ def collection_spec_from_json(G: FiniteGroup, data,
     M = schur_multiplier(G, max_group_order)
     blocks = []
     for b in _field(data, "blocks", "collection"):
-        members = b.get("stabilizer")
+        members = _object(b, "collection block").get("stabilizer")
         H = Subgroup(G, tuple(members)) if members is not None else G.full_subgroup()
         cls = None
         if H.is_whole_group():
@@ -112,7 +113,7 @@ def collection_spec_from_json(G: FiniteGroup, data,
 
 
 def load_symbol(G: FiniteGroup, data):
-    if "product" in data:
+    if "product" in _object(data, "symbol"):
         a, b = data["product"]
         return ProductSymbol(load_symbol(G, a), load_symbol(G, b))
     if "collection" in data:
@@ -401,9 +402,16 @@ def cmd_measure(args) -> int:
     raise ValueError(f"unknown measure action {args.action!r}")
 
 
+def _object(data, where: str) -> dict:
+    """data if the JSON input is an object, or NotAnObject naming the input."""
+    if not isinstance(data, dict):
+        raise NotAnObject(f"{where} must be a JSON object, not {json.dumps(data)[:40]}")
+    return data
+
+
 def _field(data, key: str, where: str, hint: str = ""):
-    """data[key] from a JSON input, or MissingField naming the field and the input."""
-    if isinstance(data, dict) and key in data:
+    """data[key] from a JSON object, or MissingField naming the field and the input."""
+    if key in _object(data, where):
         return data[key]
     raise MissingField(f"{where} has no {key!r} field{hint}")
 

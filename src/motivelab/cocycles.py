@@ -587,9 +587,14 @@ def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_OR
     if n == 1:
         return SchurMultiplier(G, 1, [], None)
     recon = _Reconstruction(G)
+    orders = G.element_orders()
     components = []
     for p, a in prime_power_factors(n):
         q = p ** a
+        if (orders % q == 0).any():
+            # a cyclic Sylow p-subgroup P has M(P) = 0, and restriction embeds
+            # the p-part of M(G) into M(P): nothing to solve for
+            continue
         basis, piv = _solution_basis(recon, p, a)
         r = len(piv)
         if r == 0:

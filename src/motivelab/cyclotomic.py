@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import cos, lcm, pi, sin
 
+import numpy as np
+
 from .errors import DivisionByZero, check_invariant
 
 
@@ -60,6 +62,24 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
         for j, dc in enumerate(den):
             num[i - dd + j] -= q * dc
     check_invariant(all(x == 0 for x in num), "polynomial division leaves no remainder")
+    return out
+
+
+@lru_cache(maxsize=None)
+def power_reduction_matrix(e: int) -> np.ndarray:
+    """Read-only int64 array whose row u is x^u mod Phi_e on the power basis,
+    0 <= u < e.  Phi_e is monic, so every row is integral."""
+    phi_poly = cyclotomic_polynomial(e)
+    phi = len(phi_poly) - 1
+    row = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(e):
+        rows.append(row)
+        top = row[-1]  # x * row overflows into top x^phi = top (x^phi - Phi_e)
+        row = [0] + row[:-1]
+        row = [c - top * pc for c, pc in zip(row, phi_poly)]
+    out = np.array(rows, dtype=np.int64)
+    out.setflags(write=False)
     return out
 
 

@@ -146,3 +146,7 @@ class ClassCountMismatch(MotiveLabError):
 
 class MissingField(MotiveLabError):
     """A dataset file lacks a field the requested action needs."""
+
+
+class NotAnObject(MotiveLabError):
+    """A JSON input holds a list, number or string where an object is expected."""

@@ -115,10 +115,15 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, g: int) -> int:
+    def element_orders(self) -> np.ndarray:
+        """Read-only array of the order of every element, computed once."""
         if self._orders is None:
             self._orders = self._compute_orders()
-        return int(self._orders[g])
+            self._orders.setflags(write=False)
+        return self._orders
+
+    def element_order(self, g: int) -> int:
+        return int(self.element_orders()[g])
 
     def _compute_orders(self) -> np.ndarray:
         n = self.order
@@ -132,9 +137,7 @@ class FiniteGroup:
         return orders
 
     def exponent(self) -> int:
-        if self._orders is None:
-            self._orders = self._compute_orders()
-        return lcm(*(int(o) for o in self._orders)) if self.order > 1 else 1
+        return lcm(*(int(o) for o in self.element_orders())) if self.order > 1 else 1
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.cayley, self.cayley.T)
@@ -406,11 +409,13 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise OrderBound("symmetric groups supported for 1 <= n <= 6")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    table = np.zeros((order, order), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[x]] for x in range(n))]
+    P = np.array(perms, dtype=np.int32)
+    # p q is x -> p[q[x]]; its base-n code, digit x being p[q[x]], is found
+    # by bisection among the codes of the sorted permutations, which increase
+    codes = np.zeros((len(perms), len(perms)), dtype=np.int32)
+    for x in range(n):
+        codes = codes * n + P[:, P[:, x]]
+    table = np.searchsorted(P @ n ** np.arange(n - 1, -1, -1), codes).astype(np.int32)
     gens = []
     if n >= 2:
         gens.append(index[tuple([1, 0] + list(range(2, n)))])

@@ -1,10 +1,16 @@
+import dataclasses
+import gc
+import hashlib
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from orthogonality_oracle import cyclotomic_orthogonality
 
 from motivelab.characters import (
     VirtualCharacter,
+    _canonical_table,
     character_table,
     decompose_class_function,
     idempotents,
@@ -15,7 +21,7 @@ from motivelab.characters import (
     rr_arith,
 )
 from motivelab.cyclotomic import Cyclotomic
-from motivelab.errors import GroupMismatch, NonIntegralCharacter
+from motivelab.errors import GroupMismatch, InvariantViolation, NonIntegralCharacter
 from motivelab.groups import (
     cyclic_group,
     dihedral_group,
@@ -358,3 +364,140 @@ def test_mul_rejects_other_group():
     b = VirtualCharacter.trivial_character(cyclic_group(6))
     with pytest.raises(GroupMismatch):
         a.mul(b)
+
+
+# ---------------------------------------------------------------------------
+# The multiplicity array V and the integer orthogonality check
+# ---------------------------------------------------------------------------
+
+# sha256 prefixes of the rows (as strings) and of the structure constants N,
+# recorded from the tables built before V was kept: the rows built from V and
+# the N built from V's residues must not move
+GOLDEN = {
+    "C1": ("214b712f4983cc1c", "7c9fa136d4413fa6"),
+    "C2": ("eb57eeb75b446abb", "570d9df4d176b54b"),
+    "C3": ("0b7dcc272c760c51", "cb37f4ba02812e0f"),
+    "C4": ("9a09a0e39ac6fa35", "320afa61886ef862"),
+    "C6": ("5de2682c7dd3db83", "be2eb782eae5d4fd"),
+    "C12": ("7cd300bf0bf43cc3", "4ab498d0951ab6f7"),
+    "S3": ("561c0a68b9117a17", "97bfb3378b2e8449"),
+    "S4": ("7cfb9316683117be", "45ed3cff8ca00c02"),
+    "D6": ("561c0a68b9117a17", "97bfb3378b2e8449"),
+    "D8": ("31a5b2c3a78af23e", "1aa4483a2ad4f605"),
+    "D12": ("fef670e78dab0a17", "1f4d292e9d842326"),
+    "E4": ("6f998e51ed3ad90e", "431c6eae27476646"),
+    "E8": ("8563dcc1f3470c48", "abeeea2bd608d186"),
+    "E9": ("107405b8a4d4638f", "6b52ed4ec8e6a7da"),
+    "E4xS3": ("e325d299e2d2623d", "3c3eee34953a1c8e"),
+    "P12": ("a47fe5c8feed8ddd", "cb04930648a7873c"),        # A4
+    "P8": ("31a5b2c3a78af23e", "1aa4483a2ad4f605"),         # Q8
+    "P60": ("76fa3bae1d38109e", "666a974869d4ba47"),        # A5
+    "S5": ("ee3e3d94f581c483", "70973cefe5fb160f"),
+    "D16": ("a9361445c5093091", "bf6bb41712ef01d6"),
+    "D16xC2": ("fb2cafd5f883d56b", "8d82d65aefb73bce"),
+    "C4xC4": ("37d4925f861569b8", "d89438b77a7e9941"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _golden_groups():
+    return BATTERY + [cyclic_group(1), _a4(), _q8(), _a5(), symmetric_group(5),
+                      dihedral_group(16), product_group(dihedral_group(16), cyclic_group(2)),
+                      product_group(cyclic_group(4), cyclic_group(4))]
+
+
+@pytest.mark.parametrize("G", _golden_groups(), ids=lambda G: G.label)
+def test_rows_and_structure_constants_unchanged(G):
+    table = character_table(G)
+    rows, N = GOLDEN[G.label]
+    assert _sha(repr([[str(v) for v in r] for r in table.irreducibles]).encode()) == rows
+    assert _sha(table.structure_constants.tobytes()) == N
+
+
+@pytest.mark.parametrize("G", _golden_groups(), ids=lambda G: G.label)
+def test_rows_are_the_multiplicity_sums(G):
+    """chi_i(c) = sum_u V[i, c, u] zeta_e^u, the eigenvalue count being d_i."""
+    table = character_table(G)
+    V = table.multiplicities
+    k, e = table.num_irreducibles, table.exponent
+    assert V.shape == (k, k, e) and V.dtype == np.int64 and not V.flags.writeable
+    assert np.array_equal(V.sum(axis=2), np.repeat([table.degrees], k, axis=0).T)
+    for i in range(k):
+        for c in range(k):
+            value = Cyclotomic.zero(e)
+            for u in np.flatnonzero(V[i, c]):
+                value = value + int(V[i, c, u]) * Cyclotomic.root_of_unity(e, int(u))
+            assert value == table.irreducibles[i][c]
+
+
+def test_multiplicities_are_not_compared():
+    G = symmetric_group(3)
+    table = character_table(G)
+    assert dataclasses.replace(table, multiplicities=np.zeros(1)) == table
+
+
+@pytest.mark.parametrize("G", BATTERY + [_a5(), symmetric_group(5),
+                                         product_group(dihedral_group(16), cyclic_group(2))],
+                         ids=lambda G: G.label)
+def test_orthogonality_agrees_with_cyclotomic_oracle(G):
+    table = character_table(G)
+    table.verify_orthogonality()
+    assert cyclotomic_orthogonality(table) is None
+
+
+def _corruptions(V, degrees, count, seed):
+    """Seeded copies of V with one entry moved by +1 or -1 inside [0, d_i]."""
+    rng = np.random.default_rng(seed)
+    d = np.array(degrees)[:, None, None]
+    for _ in range(count):
+        delta = int(rng.choice([-1, 1]))
+        spots = np.argwhere(V > 0 if delta < 0 else V < d)
+        i, c, u = spots[rng.integers(len(spots))]
+        W = V.copy()
+        W[i, c, u] += delta
+        yield W
+
+
+@pytest.mark.parametrize("G", [symmetric_group(4), dihedral_group(16), _a5(),
+                               product_group(cyclic_group(4), cyclic_group(4))],
+                         ids=lambda G: G.label)
+def test_corrupted_multiplicities_fail(G):
+    table = character_table(G)
+    for W in _corruptions(table.multiplicities, table.degrees, 12, seed=G.order):
+        with pytest.raises(InvariantViolation, match="orthogonality"):
+            dataclasses.replace(table, multiplicities=W).verify_orthogonality()
+        # the same corruption, rows rebuilt from it, fails the oracle as well
+        broken = _canonical_table(G, table.exponent, W, list(table.degrees))
+        assert cyclotomic_orthogonality(broken) is not None
+        with pytest.raises(InvariantViolation):
+            broken.verify_orthogonality()
+
+
+def test_multiplicities_out_of_range_fail():
+    G = symmetric_group(4)
+    table = character_table(G)
+    for i, c, u, value in ((0, 1, 0, -1), (3, 0, 0, 4)):
+        W = table.multiplicities.copy()
+        W[i, c, u] = value
+        with pytest.raises(InvariantViolation, match=r"\[0, d_i\]"):
+            dataclasses.replace(table, multiplicities=W).verify_orthogonality()
+
+
+def test_group_with_a_table_is_freed_without_the_cycle_collector():
+    """The group caches its table and the table refers back weakly, so no
+    reference cycle keeps a dropped group (and its Cayley table) alive."""
+    G = symmetric_group(4)
+    table = character_table(G)
+    assert table.group is G
+    alive = weakref.ref(G)
+    gc.disable()
+    try:
+        del G
+        assert alive() is None
+    finally:
+        gc.enable()
+    with pytest.raises(ReferenceError):
+        table.group

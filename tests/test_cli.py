@@ -276,3 +276,21 @@ def test_dataset_fixed_locus_dict_form(tmp_path, capsys):
     code, out, _ = run(capsys, "measure", "check", str(ds), "--json")
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+def test_action_of_the_wrong_shape(tmp_path, capsys):
+    act = tmp_path / "act.json"
+    act.write_text(json.dumps([1, 2]))
+    code, _, err = run(capsys, "measure", "nc", "--group", "cyclic:2",
+                       "--catalog", "disjoint_points:2", "--action", f"@{act}")
+    assert code == 1
+    assert "action must be a JSON object" in err and "Traceback" not in err
+
+
+def test_collection_block_of_the_wrong_shape(tmp_path, capsys):
+    coll = tmp_path / "coll.json"
+    coll.write_text(json.dumps({"blocks": [5]}))
+    code, _, err = run(capsys, "motive", "decompose", "--group", "cyclic:2",
+                       "--collection", str(coll))
+    assert code == 1
+    assert "collection block must be a JSON object" in err and "Traceback" not in err

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -373,3 +375,75 @@ def test_cocycle_space_composite_modulus():
     assert len(space) == 1
     nontrivial = TwoCocycle.from_exponents(cyclic_group(2), 6, [[0, 0], [0, 5]])
     assert cocycle_in_space(space, nontrivial)
+
+
+def _a4():
+    from motivelab.groups import group_from_permutations
+    return group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
+
+
+def _a5():
+    from motivelab.groups import group_from_permutations
+    return group_from_permutations(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+
+
+# (group, Schur multiplier) from the literature (Karpilovsky, The Schur
+# Multiplier, 1987); D12 x S3 by the Kunneth formula M(D12) x M(S3) x
+# (C2 x C2) (x) C2.  A4, S4, A5, S5, D48, S3 and C12 have cyclic Sylow
+# subgroups for some primes, which contribute nothing and are not solved for.
+_LITERATURE = {
+    "A4": (_a4, (2,)),
+    "S4": (lambda: symmetric_group(4), (2,)),
+    "A5": (_a5, (2,)),
+    "S5": (lambda: symmetric_group(5), (2,)),
+    "D48": (lambda: dihedral_group(48), (2,)),
+    "S3": (lambda: symmetric_group(3), ()),
+    "C12": (lambda: cyclic_group(12), ()),
+    "D12xS3": (lambda: product_group(dihedral_group(12), symmetric_group(3)), (2, 2, 2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _literature_multiplier(name):
+    return schur_multiplier(_LITERATURE[name][0](), max_group_order=120)
+
+
+@pytest.mark.parametrize("name", list(_LITERATURE))
+def test_multiplier_literature_values(name):
+    assert _literature_multiplier(name).invariant_factors == _LITERATURE[name][1]
+
+
+def test_cyclic_sylow_primes_are_not_solved():
+    M = _literature_multiplier("S5")
+    assert [c.p for c in M._components] == [2]     # Sylow 3 and 5 are cyclic
+    assert _literature_multiplier("C12")._components == []
+    assert [c.p for c in _literature_multiplier("D12xS3")._components] == [2, 3]
+
+
+def _coboundary(G, n, rng):
+    f = [0] + [int(x) for x in rng.integers(0, n, G.order - 1)]
+    return TwoCocycle.from_exponents(
+        G, n, [[(f[r] + f[s] - f[G.mul(r, s)]) % n for s in G.elements()]
+               for r in G.elements()])
+
+
+@pytest.mark.parametrize("name", list(_LITERATURE))
+def test_project_round_trips(name):
+    """class_from_coords(project(alpha)) is the class of alpha, on random
+    cocycles: drawn from the whole cocycle space up to order 48, and above
+    that a random class times a random coboundary."""
+    M = _literature_multiplier(name)
+    G, n = M.group, M.modulus
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        if n <= 48:
+            alpha = random_cocycle(G, n, rng)
+        else:
+            coords = tuple(int(rng.integers(0, d)) for d in M.invariant_factors)
+            alpha = M.class_from_coords(coords).representative.mul(_coboundary(G, n, rng))
+            assert M.project(alpha) == coords
+        coords = M.project(alpha)
+        rep = M.class_from_coords(coords).representative
+        assert M.project(rep) == coords
+        if n <= 24:
+            assert is_cohomologous(alpha, rep) is not None

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motivelab.cyclotomic import Cyclotomic, cyclo_arith, cyclotomic_polynomial, totient
+from motivelab.cyclotomic import (
+    Cyclotomic,
+    cyclo_arith,
+    cyclotomic_polynomial,
+    power_reduction_matrix,
+    totient,
+)
 from motivelab.errors import DivisionByZero
 
 
@@ -18,6 +24,16 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_power_reduction_matrix_rows_are_the_powers():
+    """Row u of the integer matrix is zeta_e^u on the power basis; e = 105 is
+    the first conductor whose Phi_e has a coefficient other than 0 and +-1."""
+    for e in list(range(1, 37)) + [60, 105]:
+        R = power_reduction_matrix(e)
+        assert R.shape == (e, totient(e)) and not R.flags.writeable
+        for u in range(e):
+            assert Cyclotomic(e, tuple(R[u].tolist())) == zeta(e, u)
 
 
 def test_vanishing_sum():

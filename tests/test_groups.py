@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,28 @@ def test_cyclic_trivial():
     G = cyclic_group(1)
     assert G.order == 1
     assert len(G.conjugacy_classes()) == 1
+
+
+def _symmetric_table_by_loops(n):
+    """The Cayley table of S_n on lexicographically sorted permutations,
+    composed one pair at a time: (p q)(x) = p[q[x]]."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[q[x]] for x in range(n))] for q in perms]
+                     for p in perms], dtype=np.int32)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_table_matches_loops(n):
+    assert np.array_equal(symmetric_group(n).cayley, _symmetric_table_by_loops(n))
+
+
+def test_symmetric_6_table_hash():
+    G = symmetric_group(6)
+    assert G.cayley.dtype == np.int32
+    assert hashlib.sha256(G.cayley.tobytes()).hexdigest() == \
+        "9a5043d70bf02b9fa8f2fbf31246b273b5d4a3703fc625cf8cf6b94536a8b9c6"
+    assert G.generating_set() == (120, 153)
 
 
 def test_symmetric_3():
