@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -52,10 +51,11 @@ _ORTHOGONALITY_CHECK_BOUND = 48
 
 @dataclass(frozen=True)
 class CharacterTable:
-    # The group caches its table, so the table refers to the group weakly: a
-    # strong reference back would put every group with a table in a reference
-    # cycle, which only the cyclic garbage collector frees, late.
-    group_ref: weakref.ref = field(repr=False)
+    # The group caches its table, so the table keeps only the group's order and
+    # class sizes: a reference back would put every group with a table in a
+    # reference cycle, which only the cyclic garbage collector frees, late.
+    order: int
+    sizes: tuple[int, ...] = field(repr=False)  # [class]
     exponent: int
     irreducibles: tuple[tuple[Cyclotomic, ...], ...]  # [irrep][class]
     degrees: tuple[int, ...]
@@ -64,19 +64,11 @@ class CharacterTable:
     multiplicities: np.ndarray = field(compare=False, repr=False)
 
     @property
-    def group(self) -> FiniteGroup:
-        G = self.group_ref()
-        if G is None:
-            raise ReferenceError("the group of this character table no longer exists; "
-                                 "keep a reference to the group while using its table")
-        return G
-
-    @property
     def num_irreducibles(self) -> int:
         return len(self.irreducibles)
 
     def class_sizes(self) -> list[int]:
-        return [c.size for c in self.group.conjugacy_classes()]
+        return list(self.sizes)
 
     def value(self, irrep: int, class_index: int) -> Cyclotomic:
         return self.irreducibles[irrep][class_index]
@@ -91,12 +83,12 @@ class CharacterTable:
         (monic, so exact over Z) must leave |G| delta_ij."""
         V = self.multiplicities
         k, _, e = V.shape
-        n = self.group.order
+        n = self.order
         d = np.array(self.degrees, dtype=np.int64)
         # with 0 <= V <= d_i every entry of S is below e |G| d_i d_j < 2^63
         check_invariant(bool((V >= 0).all() and (V <= d[:, None, None]).all()),
                         "eigenvalue multiplicities must lie in [0, d_i]")
-        A = (V * np.array(self.class_sizes(), dtype=np.int64)[:, None]).reshape(k, -1)
+        A = (V * np.array(self.sizes, dtype=np.int64)[:, None]).reshape(k, -1)
         S = np.empty((k, k, e), dtype=np.int64)
         for w in range(e):
             S[:, :, w] = A @ np.roll(V, w, axis=2).reshape(k, -1).T
@@ -145,7 +137,7 @@ def _canonical_table(G: FiniteGroup, e: int, V: np.ndarray,
     V = V[order]
     V.setflags(write=False)
     return CharacterTable(
-        weakref.ref(G), e,
+        G.order, tuple(c.size for c in G.conjugacy_classes()), e,
         tuple(tuple(rows[i]) for i in order),
         tuple(degrees[i] for i in order),
         V)
@@ -335,8 +327,7 @@ def _tensor_constants(table: CharacterTable) -> np.ndarray:
 
     Exact: 0 <= N_ij^k <= d_i d_j <= |G| < p, so each residue is the integer
     itself.  Two exact identities are checked before the array is returned."""
-    G = table.group
-    n, e, k = G.order, table.exponent, table.num_irreducibles
+    n, e, k = table.order, table.exponent, table.num_irreducibles
     p = _find_prime(e, n)
     z_e = pow(_primitive_root(p), (p - 1) // e, p)
     z_pow = np.array([pow(z_e, u, p) for u in range(e)], dtype=np.int64)
@@ -344,7 +335,7 @@ def _tensor_constants(table: CharacterTable) -> np.ndarray:
     conj = V[:, :, -np.arange(e) % e]                       # conj(zeta^u) = zeta^-u
     X, X_conj = V @ z_pow % p, conj @ z_pow % p             # [i, c]
     n_inv = pow(n, -1, p)
-    weights = np.array([s * n_inv % p for s in table.class_sizes()], dtype=np.int64)
+    weights = np.array([s * n_inv % p for s in table.sizes], dtype=np.int64)
     # p < PRIME_SEARCH_LIMIT < 2^20: a product of two residues is below 2^40
     # and the matmul sums k <= |G| < 2^20 of them, below 2^60.
     W = X * weights % p                                     # [j, c]

@@ -84,16 +84,9 @@ def power_reduction_matrix(e: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction(e: int, k: int) -> tuple[Fraction, ...]:
-    """x^k reduced mod Phi_e as a vector of length phi(e); 0 <= k < e."""
-    phi = totient(e)
-    if k < phi:
-        vec = [Fraction(0)] * phi
-        vec[k] = Fraction(1)
-        return tuple(vec)
-    poly = [Fraction(0)] * (k + 1)
-    poly[k] = Fraction(1)
-    return tuple(_reduce_mod_phi(poly, e))
+def _power_reduction(e: int, k: int) -> tuple[int, ...]:
+    """x^k reduced mod Phi_e as an integer vector of length phi(e); 0 <= k < e."""
+    return tuple(power_reduction_matrix(e)[k].tolist())
 
 
 def _reduce_mod_phi(poly: list[Fraction], e: int) -> list[Fraction]:

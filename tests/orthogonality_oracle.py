@@ -15,7 +15,7 @@ def cyclotomic_orthogonality(table):
     """The first pair (i, j), i <= j, whose inner product is not
     |G| delta_ij, or None when the rows are orthogonal."""
     sizes = table.class_sizes()
-    n = table.group.order
+    n = table.order
     k = table.num_irreducibles
     rows = table.irreducibles
     for i in range(k):
