@@ -23,7 +23,7 @@ from .cocycles import (
     schur_multiplier,
     SCHUR_DEFAULT_MAX_ORDER,
 )
-from .errors import MissingField, MotiveLabError, NotAnObject
+from .errors import MissingField, MotiveLabError, NotAnObject, NotASubgroup, WrongShape
 from .groups import FiniteGroup, Subgroup, construct_group
 from .measures import (
     K0VarExpr,
@@ -66,6 +66,10 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
             return ActionSpec.trivial(G)
         if raw.startswith("swap:"):
             members = tuple(int(x) for x in raw[5:].split(","))
+            try:
+                Subgroup(G, members)
+            except NotASubgroup as exc:
+                raise NotASubgroup(f"action field {raw!r}: {exc}") from None
             return ActionSpec.swap_pair(G, members)
         if raw.startswith("@"):
             raw = json.loads(Path(raw[1:]).read_text())
@@ -88,12 +92,16 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
     )
 
 
-def load_cocycle(path: str, G: FiniteGroup | None = None) -> TwoCocycle:
+def cocycle_fields(path: str, G: FiniteGroup | None = None) -> tuple:
+    """(group, modulus, exponents) of a cocycle file, unchecked."""
     data = json.loads(Path(path).read_text())
     where = f"cocycle file {path}"
     group = G if G is not None else construct_group(_field(data, "group", where))
-    return TwoCocycle.from_exponents(group, int(_field(data, "modulus", where)),
-                                     _field(data, "exponents", where))
+    return group, int(_field(data, "modulus", where)), _field(data, "exponents", where)
+
+
+def load_cocycle(path: str, G: FiniteGroup | None = None) -> TwoCocycle:
+    return TwoCocycle.from_exponents(*cocycle_fields(path, G))
 
 
 def collection_spec_from_json(G: FiniteGroup, data,
@@ -128,6 +136,9 @@ def load_symbol(G: FiniteGroup, data):
 def load_expr(G: FiniteGroup, data) -> K0VarExpr:
     if isinstance(data, dict):
         return K0VarExpr.of(load_symbol(G, data))
+    if not isinstance(data, list):
+        raise WrongShape("variety expression must be a JSON object or a list of terms, "
+                         f"not {json.dumps(data)[:40]}")
     expr = None
     for term in data:
         symbol = load_symbol(G, _field(term, "symbol", "expression term"))
@@ -167,9 +178,13 @@ def per_class_values(G: FiniteGroup, raw, pairs: bool = False) -> list:
                 raise ValueError(f"missing value for class representative {key}")
             out.append(raw[key])
         raw = out
-    if pairs:
-        return [(int(a), int(b)) for a, b in raw]
-    return [int(v) for v in raw]
+    try:
+        if pairs:
+            return [(int(a), int(b)) for a, b in raw]
+        return [int(v) for v in raw]
+    except TypeError:
+        raise WrongShape(f"per-class values must be {'integer pairs' if pairs else 'integers'}, "
+                         f"not {json.dumps(raw)[:40]}") from None
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -238,8 +253,7 @@ def _cyclo_json(v):
 def cmd_cocycle(args) -> int:
     G = parse_group_arg(args.group) if args.group else None
     if args.action == "check":
-        alpha = load_cocycle(args.files[0], G)
-        report = cocycle_validate(alpha)
+        report = cocycle_validate(*cocycle_fields(args.files[0], G))
         payload = {"ok": report.ok, "message": report.message,
                    "triple": report.triple}
         _emit(payload, args.json, "ok" if report.ok else f"FAIL: {report.message}")

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadModulus,
     GroupMismatch,
     InvariantViolation,
     ModulusMismatch,
@@ -51,35 +52,44 @@ from .intlinalg import (
 COCYCLE_SPACE_GUARD = 4096          # |G|^2 bound for full-table bases
 SCHUR_DEFAULT_MAX_ORDER = 48
 _RECONSTRUCTION_GUARD = 1 << 27     # entries in the reconstruction tensor
+MODULUS_BOUND = 1 << 62             # int64 sums of two reduced exponents stay exact
 
 
 @dataclass(frozen=True)
 class TwoCocycle:
-    """Normalized 2-cocycle with values in mu_modulus, stored as exponents."""
+    """Normalized 2-cocycle with values in mu_modulus, stored as exponents.
+    Construction checks the table exactly; identity-preserving operations
+    build through _trusted."""
 
     group: FiniteGroup
     modulus: int
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        require_modulus(self.modulus)
-        n = self.group.order
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise NotACocycle("table dimensions must match the group order")
-        reduced = tuple(tuple(int(x) % self.modulus for x in row) for row in self.table)
-        object.__setattr__(self, "table", reduced)
+        report = cocycle_validate(self.group, self.modulus, self.table)
+        if not report.ok:
+            raise NotACocycle(report.message)
+        m = self.modulus
+        object.__setattr__(self, "table", tuple(tuple(int(x) % m for x in row)
+                                                for row in self.table))
+
+    @classmethod
+    def _trusted(cls, G: FiniteGroup, modulus: int, table) -> "TwoCocycle":
+        """A cocycle from a table already reduced mod modulus and known to
+        satisfy the identity: no check, no reduction."""
+        alpha = object.__new__(cls)
+        alpha.__dict__.update(group=G, modulus=modulus, table=table)
+        return alpha
 
     @staticmethod
     def trivial(G: FiniteGroup, modulus: int) -> "TwoCocycle":
+        require_modulus(modulus)
         row = (0,) * G.order
-        return TwoCocycle(G, modulus, (row,) * G.order)
+        return TwoCocycle._trusted(G, modulus, (row,) * G.order)
 
     @staticmethod
     def from_exponents(G: FiniteGroup, modulus: int, table) -> "TwoCocycle":
-        return TwoCocycle(G, modulus, tuple(tuple(int(x) for x in row) for row in table))
-
-    def exponent(self, r: int, s: int) -> int:
-        return self.table[r][s]
+        return TwoCocycle(G, modulus, table)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.table, dtype=np.int64)
@@ -91,8 +101,8 @@ class TwoCocycle:
         if m % self.modulus:
             raise ModulusMismatch("can only promote to a multiple of the modulus")
         f = m // self.modulus
-        return TwoCocycle(self.group, m,
-                          tuple(tuple(x * f % m for x in row) for row in self.table))
+        return TwoCocycle._trusted(self.group, m,
+                                   tuple(tuple(x * f for x in row) for row in self.table))
 
     def mul(self, other: "TwoCocycle") -> "TwoCocycle":
         if not same_group(self.group, other.group):
@@ -100,28 +110,25 @@ class TwoCocycle:
         if self.modulus != other.modulus:
             raise ModulusMismatch("cocycle moduli differ")
         n = self.modulus
-        return TwoCocycle(self.group, n, tuple(
+        return TwoCocycle._trusted(self.group, n, tuple(
             tuple((a + b) % n for a, b in zip(ra, rb))
             for ra, rb in zip(self.table, other.table)))
 
     def inverse_cocycle(self) -> "TwoCocycle":
         n = self.modulus
-        return TwoCocycle(self.group, n,
-                          tuple(tuple(-x % n for x in row) for row in self.table))
+        return TwoCocycle._trusted(self.group, n,
+                                   tuple(tuple(-x % n for x in row) for row in self.table))
 
     def power(self, k: int) -> "TwoCocycle":
         n = self.modulus
-        return TwoCocycle(self.group, n,
-                          tuple(tuple(x * k % n for x in row) for row in self.table))
+        return TwoCocycle._trusted(self.group, n,
+                                   tuple(tuple(x * k % n for x in row) for row in self.table))
 
     def restrict(self, H: Subgroup) -> "TwoCocycle":
         """Restriction along a subgroup, on the subgroup's own numbering."""
         grp, members = H.as_group()
         tab = tuple(tuple(self.table[a][b] for b in members) for a in members)
-        return TwoCocycle(grp, self.modulus, tab)
-
-    def is_symmetric_on(self, g: int, h: int) -> bool:
-        return self.table[g][h] == self.table[h][g]
+        return TwoCocycle._trusted(grp, self.modulus, tab)
 
 
 @dataclass(frozen=True)
@@ -131,33 +138,39 @@ class ValidationReport:
     triple: tuple[int, int, int] | None = None
 
 
-def cocycle_validate(alpha: TwoCocycle) -> ValidationReport:
-    """Check normalization and the cocycle identity on every triple."""
-    G = alpha.group
-    n = G.order
-    E = alpha.as_array()
-    m = alpha.modulus
-    if any(E[0, s] for s in range(n)) or any(E[s, 0] for s in range(n)):
-        s = next(i for i in range(n) if E[0, i] or E[i, 0])
+def cocycle_validate(G: FiniteGroup, modulus: int, table) -> ValidationReport:
+    """Check normalization and the cocycle identity mod modulus on every
+    triple of a raw exponent table; BadModulus for a modulus outside
+    [1, 2^62), NotACocycle for a table that is not |G| x |G| integers."""
+    require_modulus(modulus)
+    if modulus >= MODULUS_BOUND:
+        raise BadModulus(f"cocycle modulus must be below 2^62, got {modulus}")
+    n, m = G.order, modulus
+    try:
+        if len(table) != n or any(len(r) != n for r in table):
+            raise NotACocycle("table dimensions must match the group order")
+        E = np.array([[int(x) % m for x in row] for row in table], dtype=np.int64)
+    except (TypeError, ValueError):
+        raise NotACocycle("table must be a list of integer rows") from None
+    if E[0].any() or E[:, 0].any():
+        s = int(np.flatnonzero(E[0] | E[:, 0])[0])
         return ValidationReport(False, f"normalization fails at element {s}", (0, s, 0))
     t = G.cayley
-    # e(rho,sigma) + e(tau,rho sigma) == e(tau,rho) + e(tau rho,sigma), batched over tau
+    # e(rho,sigma) + e(tau,rho sigma) - e(tau,rho) - e(tau rho,sigma), batched over
+    # tau, lies in (-2m, 2m): it is 0 mod m exactly when its absolute value is 0 or m
     for tau in range(n):
-        lhs = E + E[tau, t]                           # [rho, sigma]
-        rhs = E[tau, :, None] + E[t[tau], :]          # [rho, sigma]
-        bad = np.argwhere((lhs - rhs) % m != 0)
-        if bad.size:
-            rho, sigma = (int(x) for x in bad[0])
+        d = E[tau, t]                                 # [rho, sigma]
+        d += E
+        d -= E[t[tau]]
+        d -= E[tau, :, None]
+        np.abs(d, out=d)
+        bad = (d != 0) & (d != m)
+        if bad.any():
+            rho, sigma = (int(x) for x in np.argwhere(bad)[0])
             return ValidationReport(
                 False, f"cocycle identity fails at ({tau}, {rho}, {sigma})",
                 (tau, rho, sigma))
     return ValidationReport(True)
-
-
-def require_cocycle(alpha: TwoCocycle) -> None:
-    report = cocycle_validate(alpha)
-    if not report.ok:
-        raise NotACocycle(report.message)
 
 
 def central_pairing_cocycle(H: FiniteGroup) -> TwoCocycle:
@@ -184,7 +197,7 @@ def central_pairing_cocycle(H: FiniteGroup) -> TwoCocycle:
             pairing = sum(x * y * (e // d) for x, y, d in zip(a2, b1, factors)) % e
             row.append(pairing)
         table.append(tuple(row))
-    return TwoCocycle(G, e, tuple(table))
+    return TwoCocycle._trusted(G, e, tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +397,7 @@ def random_cocycle(G: FiniteGroup, n: int, rng: np.random.Generator) -> TwoCocyc
     acc = np.zeros(size * size, dtype=np.int64)
     for row in space:
         acc = (acc + int(rng.integers(0, n)) * np.asarray(row, dtype=np.int64)) % n
-    table = acc.reshape(size, size)
-    return TwoCocycle.from_exponents(G, n, table)
+    return TwoCocycle._trusted(G, n, tuple(map(tuple, acc.reshape(size, size).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +532,7 @@ class SchurMultiplier:
             x = combo @ comp.basis % q
             table = self._recon.expand(x.astype(np.int64), q)
             acc = (acc + crt_idempotent(n, q) * table) % n
-        return TwoCocycle.from_exponents(G, n, acc)
+        return TwoCocycle._trusted(G, n, tuple(map(tuple, acc.tolist())))
 
     def project(self, alpha: TwoCocycle) -> tuple[int, ...]:
         """Canonical coordinates of [alpha] in the invariant-factor basis."""
@@ -530,7 +542,6 @@ class SchurMultiplier:
         if self.modulus % alpha.modulus:
             raise ModulusMismatch(
                 f"modulus {alpha.modulus} does not divide {self.modulus}")
-        require_cocycle(alpha)
         alpha = alpha.promote(self.modulus)
         table = alpha.as_array()
         comp_coords: list[list[int]] = []

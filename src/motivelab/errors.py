@@ -150,3 +150,7 @@ class MissingField(MotiveLabError):
 
 class NotAnObject(MotiveLabError):
     """A JSON input holds a list, number or string where an object is expected."""
+
+
+class WrongShape(MotiveLabError):
+    """A JSON input holds a number where a list is expected, or an object for an integer."""

@@ -21,11 +21,12 @@ from .characters import (
 from .cocycles import (
     TwoCocycle,
     central_pairing_cocycle,
+    cocycle_validate,
     is_cohomologous,
     random_cocycle,
     schur_multiplier,
 )
-from .errors import MotiveLabError, check_invariant
+from .errors import InvariantViolation, MotiveLabError, NotACocycle, check_invariant
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -318,10 +319,13 @@ def property_suites(cases: int = 200, seed: int = 0) -> None:
             table = [list(r) for r in alpha.table]
             i, j = (int(rng.integers(1, n)) for _ in range(2))
             table[i][j] = (table[i][j] + 1 + int(rng.integers(0, n - 1))) % n
-            from .cocycles import cocycle_validate
             if n > 1:
-                broken = TwoCocycle.from_exponents(G, n, table)
-                check_invariant(not cocycle_validate(broken).ok, f"{G.label}: broken cocycle")
+                check_invariant(not cocycle_validate(G, n, table).ok, f"{G.label}: broken cocycle")
+                try:
+                    TwoCocycle.from_exponents(G, n, table)
+                    raise InvariantViolation(f"{G.label}: broken cocycle constructed")
+                except NotACocycle:
+                    pass
             # class_of respects coboundary equivalence
             beta = random_cocycle(G, n, rng)
             same_class = M.class_of(alpha) == M.class_of(beta)

@@ -23,40 +23,12 @@ from math import isqrt
 import numpy as np
 
 from .characters import SPLIT_PRIME_LIMIT, _find_prime, _primitive_root, split_class_algebra
-from .cocycles import CohomClass, TwoCocycle, cocycle_validate
+from .cocycles import CohomClass, TwoCocycle
 from .cyclotomic import Cyclotomic
 from .errors import NotACocycle, SizeBound, check_invariant
 from .groups import FiniteGroup
 
 BLOCK_ORDER_GUARD = 256
-EXHAUSTIVE_COCYCLE_BOUND = 64
-COCYCLE_SAMPLES = 10_000
-
-
-def _check_cocycle(alpha: TwoCocycle) -> None:
-    """Associativity check: all triples up to order 64, sampled above."""
-    G = alpha.group
-    if G.order <= EXHAUSTIVE_COCYCLE_BOUND:
-        report = cocycle_validate(alpha)
-        if not report.ok:
-            raise NotACocycle(report.message)
-        return
-    E = alpha.as_array()
-    m = alpha.modulus
-    n = G.order
-    if (E[0, :] % m).any() or (E[:, 0] % m).any():
-        raise NotACocycle("normalization fails")
-    rng = np.random.default_rng(0)
-    t = G.cayley
-    trip = rng.integers(0, n, size=(COCYCLE_SAMPLES, 3))
-    tau, rho, sigma = trip[:, 0], trip[:, 1], trip[:, 2]
-    lhs = E[rho, sigma] + E[tau, t[rho, sigma]]
-    rhs = E[tau, rho] + E[t[tau, rho], sigma]
-    bad = np.nonzero((lhs - rhs) % m)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NotACocycle(
-            f"cocycle identity fails at ({int(tau[i])}, {int(rho[i])}, {int(sigma[i])})")
 
 
 @dataclass(frozen=True)
@@ -76,49 +48,39 @@ class TwistedGroupAlgebra:
     def center_exponents(self) -> tuple[dict[int, int], ...]:
         """Center basis in exponent form, computed once per algebra by
         transport along conjugation: per regular class, x -> t(x), the
-        twisted class sum having coefficient zeta^t(x) at e_x.  Each support
-        starts at its class representative, where t = 0.  Cross-checked
-        against the regular-class test and against exact centrality."""
+        twisted class sum having coefficient zeta^t(x) at e_x.  Conjugating
+        by u_h carries u_r to zeta^gamma(h) u_(h r h^-1), gamma(h) =
+        alpha(h, r) + alpha(h r, h^-1) - alpha(h, h^-1), for the class
+        representative r; the class is regular exactly when gamma is a
+        function of h r h^-1, and that function is t.  Each support starts
+        at r, where t = 0.  Cross-checked against the regular-class test and
+        against exact centrality."""
         G = self.group
-        E = self.cocycle.table
-        n = self.cocycle.modulus
+        E = self.cocycle.as_array()
+        cay, h, hi = G.cayley, np.arange(G.order), G.inverses
         supports: list[dict[int, int]] = []
         consistent_classes = []
         for ci, cls in enumerate(G.conjugacy_classes()):
-            g0 = cls.representative
-            t = {g0: 0}
-            queue = [g0]
-            ok = True
-            while queue and ok:
-                x = queue.pop()
-                for h in G.elements():
-                    y = G.conjugate(h, x)
-                    hi = G.inv(h)
-                    gamma = (E[h][x] + E[G.mul(h, x)][hi] - E[h][hi]) % n
-                    ty = (t[x] + gamma) % n
-                    if y in t:
-                        if t[y] != ty:
-                            ok = False
-                            break
-                    else:
-                        t[y] = ty
-                        queue.append(y)
-            if ok:
-                supports.append(t)
+            r = cls.representative
+            hr = cay[h, r]
+            y = cay[hr, hi]
+            gamma = (E[h, r] + E[hr, hi] - E[h, hi]) % self.cocycle.modulus
+            ty = np.zeros(G.order, dtype=np.int64)
+            ty[y] = gamma
+            if np.array_equal(ty[y], gamma):
+                supports.append({x: int(ty[x]) for x in cls.members})
                 consistent_classes.append(ci)
         reg = alpha_regular(G, self.cocycle)
         regular_classes = [i for i, f in enumerate(reg.flags) if f]
         check_invariant(consistent_classes == regular_classes,
                         "transport consistency must match the regular-class test")
-        for t in supports:
-            _check_central(self, t)
+        _check_central(G, self.cocycle, supports)
         return tuple(supports)
 
 
 def build_twisted(G: FiniteGroup, alpha: TwoCocycle) -> TwistedGroupAlgebra:
     if alpha.group is not G and alpha.group.order != G.order:
         raise NotACocycle("cocycle attached to a different group")
-    _check_cocycle(alpha)
     return TwistedGroupAlgebra(G, alpha)
 
 
@@ -129,21 +91,14 @@ class RegularityReport:
 
 
 def alpha_regular(G: FiniteGroup, alpha: TwoCocycle) -> RegularityReport:
-    """Classes whose elements commute with their centralizer under alpha."""
-    _check_cocycle(alpha)
-    table = alpha.table
-
-    def regular(g: int) -> bool:
-        cent = G.centralizer(g)
-        return all(table[g][h] == table[h][g] for h in cent.members)
-
+    """Classes whose elements commute with their centralizer under alpha:
+    g is regular when alpha(g, h) == alpha(h, g) for every h with gh == hg."""
+    E = alpha.as_array()
+    regular = ((G.cayley != G.cayley.T) | (E == E.T)).all(axis=1)
     flags = []
     for cls in G.conjugacy_classes():
-        values = {regular(x) for x in cls.members}
-        if len(values) != 1:
-            raise NotACocycle(
-                "regularity is not constant on a conjugacy class; "
-                "the table violates the cocycle identity")
+        values = set(regular[list(cls.members)].tolist())
+        check_invariant(len(values) == 1, "regularity must be constant on a conjugacy class")
         flags.append(values.pop())
     return RegularityReport(tuple(flags), sum(flags))
 
@@ -162,22 +117,25 @@ def center_basis(algebra: TwistedGroupAlgebra) -> list[list[Cyclotomic]]:
     return out
 
 
-def _check_central(algebra: TwistedGroupAlgebra, t: dict[int, int]) -> None:
-    G = algebra.group
-    E = algebra.cocycle.table
-    n = algebra.cocycle.modulus
-    support = set(t)
-    for tau in G.elements():
-        ti = G.inv(tau)
-        for y in G.elements():
-            x1 = G.mul(y, ti)
-            x2 = G.mul(ti, y)
-            in1, in2 = x1 in support, x2 in support
-            check_invariant(in1 == in2, "center candidate support is not conjugation-stable")
-            if in1:
-                lhs = (t[x1] + E[x1][tau]) % n
-                rhs = (t[x2] + E[tau][x2]) % n
-                check_invariant(lhs == rhs, "center candidate fails exact centrality")
+def _check_central(G: FiniteGroup, alpha: TwoCocycle, supports: list[dict[int, int]]) -> None:
+    """Exact centrality of every twisted class sum at once: with x1 = y tau^-1
+    and x2 = tau^-1 y, x1 and x2 lie in the same support (or in none), and
+    there t(x1) + alpha(x1, tau) == t(x2) + alpha(tau, x2) mod the modulus."""
+    n = G.order
+    E = alpha.as_array()
+    label = np.full(n, -1)
+    t = np.zeros(n, dtype=np.int64)
+    for i, support in enumerate(supports):
+        label[list(support)] = i
+        t[list(support)] = list(support.values())
+    inv = G.inverses
+    tau = np.arange(n)[:, None]
+    x1 = G.cayley[:, inv].T                          # [tau, y] -> y tau^-1
+    x2 = G.cayley[inv]                               # [tau, y] -> tau^-1 y
+    check_invariant(np.array_equal(label[x1], label[x2]),
+                    "center candidate support is not conjugation-stable")
+    diff = (t[x1] + E[x1, tau] - t[x2] - E[tau, x2]) % alpha.modulus
+    check_invariant(not diff[label[x1] >= 0].any(), "center candidate fails exact centrality")
 
 
 @dataclass(frozen=True)

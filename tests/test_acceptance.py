@@ -19,6 +19,7 @@ from motivelab.cocycles import (
     schur_multiplier,
 )
 from motivelab.characters import character_table
+from motivelab.errors import NotACocycle
 from motivelab.groups import (
     all_subgroups,
     cyclic_group,
@@ -113,7 +114,9 @@ def test_criterion_10a_cocycle_identity_is_associativity(property_clock):
         table = [list(r) for r in alpha.table]
         i, j = int(rng.integers(1, n)), int(rng.integers(1, n))
         table[i][j] = (table[i][j] + 1 + int(rng.integers(0, n - 1))) % n
-        assert not cocycle_validate(TwoCocycle.from_exponents(G, n, table)).ok
+        assert not cocycle_validate(G, n, table).ok
+        with pytest.raises(NotACocycle):
+            TwoCocycle.from_exponents(G, n, table)
         checked += 1
     assert checked >= PROPERTY_CASES
     _report("criterion 10a: cocycle identity <-> twisted associativity")

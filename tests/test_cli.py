@@ -124,14 +124,26 @@ def test_cocycle_roundtrip(tmp_path, capsys):
     assert json.loads(out)["coordinates"] == [0]
 
 
-@pytest.mark.parametrize("modulus", [0, -2])
+@pytest.mark.parametrize("modulus", [0, -2, 2**62, 10**20])
 def test_cocycle_check_bad_modulus(tmp_path, capsys, modulus):
+    # from 2^62 on, int64 sums in the identity check could wrap
     f = tmp_path / "bad_modulus.json"
     f.write_text(json.dumps({"group": {"kind": "cyclic", "n": 2}, "modulus": modulus,
                              "exponents": [[0, 0], [0, 0]]}))
-    code, _, err = run(capsys, "cocycle", "check", str(f))
-    assert code == 1
-    assert "modulus" in err and "Traceback" not in err
+    for argv in (("cocycle", "check", str(f)),
+                 ("twisted", "--group", "cyclic:2", "--cocycle", str(f))):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "modulus" in err and "Traceback" not in err
+
+
+def test_cocycle_check_modulus_just_below_bound(tmp_path, capsys):
+    m = 2**62 - 1
+    f = tmp_path / "big_modulus.json"
+    f.write_text(json.dumps({"group": "cyclic:2", "modulus": m,
+                             "exponents": [[0, 0], [0, m - 1]]}))
+    code, out, _ = run(capsys, "cocycle", "check", str(f), "--json")
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_cocycle_file_group_shorthand(tmp_path, capsys):
@@ -294,3 +306,39 @@ def test_collection_block_of_the_wrong_shape(tmp_path, capsys):
                        "--collection", str(coll))
     assert code == 1
     assert "collection block must be a JSON object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("action,data,message", [
+    ("blowup-check", {"group": "cyclic:2", "X": 5, "Y": 5, "c": 1, "Bl": 5, "E": 5},
+     "variety expression must be a JSON object or a list of terms"),
+    ("euler", {"group": "cyclic:2", "fixed_locus": [{"a": 1}, 2]},
+     "per-class values must be integers"),
+])
+def test_dataset_values_of_the_wrong_shape(tmp_path, capsys, action, data, message):
+    ds = tmp_path / "ds.json"
+    ds.write_text(json.dumps(data))
+    code, _, err = run(capsys, "measure", action, str(ds))
+    assert code == 1
+    assert message in err and "Traceback" not in err
+
+
+def test_wrong_shape_loaders_raise_typed_errors():
+    from motivelab.cli import load_expr, per_class_values
+    from motivelab.errors import WrongShape
+    from motivelab.groups import cyclic_group
+    G = cyclic_group(2)
+    with pytest.raises(WrongShape):
+        load_expr(G, 5)
+    with pytest.raises(WrongShape):
+        per_class_values(G, [{"a": 1}, 2])
+    with pytest.raises(WrongShape):
+        per_class_values(G, [2, 0], pairs=True)
+    assert per_class_values(G, [2, "0"]) == [2, 0]
+    assert per_class_values(G, {"0": [2, 0], "1": [2, 0]}, pairs=True) == [(2, 0), (2, 0)]
+
+
+def test_swap_error_names_the_action_field(capsys):
+    code, _, err = run(capsys, "motive", "decompose", "--group", "cyclic:4",
+                       "--catalog", "del_pezzo_bl2", "--action", "swap:9")
+    assert code == 1
+    assert "swap:9" in err and "element 9 is outside the group of order 4" in err

@@ -24,17 +24,21 @@ from motivelab.groups import (
     product_group,
     symmetric_group,
 )
+from motivelab.intlinalg import in_span_mod
+
+
+def _valid(alpha):
+    return cocycle_validate(alpha.group, alpha.modulus, alpha.table).ok
 
 
 def test_validate_trivial():
     G = symmetric_group(3)
-    assert cocycle_validate(TwoCocycle.trivial(G, 6)).ok
+    assert _valid(TwoCocycle.trivial(G, 6))
 
 
 def test_validate_central_pairing():
     alpha = central_pairing_cocycle(cyclic_group(2))
-    report = cocycle_validate(alpha)
-    assert report.ok
+    assert _valid(alpha)
     assert alpha.modulus == 2
 
 
@@ -42,15 +46,124 @@ def test_validate_flags_perturbation():
     alpha = central_pairing_cocycle(cyclic_group(2))
     table = [list(r) for r in alpha.table]
     table[2][3] = (table[2][3] + 1) % 2
-    report = cocycle_validate(TwoCocycle.from_exponents(alpha.group, 2, table))
+    report = cocycle_validate(alpha.group, 2, table)
     assert not report.ok
     assert report.triple is not None
+    with pytest.raises(NotACocycle, match="cocycle identity"):
+        TwoCocycle.from_exponents(alpha.group, 2, table)
 
 
 def test_validate_normalization():
     G = cyclic_group(2)
-    report = cocycle_validate(TwoCocycle.from_exponents(G, 2, [[1, 0], [0, 0]]))
+    report = cocycle_validate(G, 2, [[1, 0], [0, 0]])
     assert not report.ok and "normalization" in report.message
+    with pytest.raises(NotACocycle, match="normalization"):
+        TwoCocycle.from_exponents(G, 2, [[1, 0], [0, 0]])
+
+
+def test_validate_typed_errors_on_raw_data():
+    G = cyclic_group(2)
+    for table in ([[0, 0]], [[0, 0], [0]], [[0, 0], 5], [[0, {}], [0, 0]]):
+        with pytest.raises(NotACocycle):
+            cocycle_validate(G, 2, table)
+        with pytest.raises(NotACocycle):
+            TwoCocycle.from_exponents(G, 2, table)
+    # exponents are reduced first: the identity is checked on residues
+    assert cocycle_validate(G, 2, [[4, -2], [10**30, 7]]).ok
+    assert TwoCocycle.from_exponents(G, 2, [[4, -2], [10**30, 7]]).table == ((0, 0), (0, 1))
+
+
+def _first_failure(G, m, table):
+    """Reference: the first failing triple, by a direct loop over all of them."""
+    n = G.order
+    e = [[x % m for x in row] for row in table]
+    for s in range(n):
+        if e[0][s] or e[s][0]:
+            return (0, s, 0)
+    for tau in range(n):
+        for rho in range(n):
+            for sigma in range(n):
+                if (e[rho][sigma] + e[tau][G.mul(rho, sigma)] - e[tau][rho]
+                        - e[G.mul(tau, rho)][sigma]) % m:
+                    return (tau, rho, sigma)
+    return None
+
+
+def test_validate_matches_triple_loop():
+    rng = np.random.default_rng(9)
+    for G in (cyclic_group(6), symmetric_group(3), dihedral_group(8)):
+        n = G.order
+        for m in (2, 12, (1 << 62) - 1):
+            for changes in range(3):
+                f = [0] + [int(x) for x in rng.integers(0, m, n - 1)]
+                table = [[(f[r] + f[s] - f[G.mul(r, s)]) % m for s in range(n)]
+                         for r in range(n)]
+                for _ in range(changes):
+                    i, j = (int(x) for x in rng.integers(0, n, 2))
+                    table[i][j] = int(rng.integers(-m, 2 * m))
+                report = cocycle_validate(G, m, table)
+                assert report.triple == _first_failure(G, m, table)
+                assert report.ok == (report.triple is None)
+
+
+def test_modulus_bound():
+    """int64 sums of two residues below 2^62 cannot wrap; larger moduli are refused."""
+    G = cyclic_group(4)
+    big = (1 << 62) - 1
+    f = [0, big - 1, big - 2, big - 3]
+    table = [[(f[r] + f[s] - f[G.mul(r, s)]) % big for s in range(4)] for r in range(4)]
+    assert TwoCocycle.from_exponents(G, big, table).power(3).table == \
+        tuple(tuple(3 * x % big for x in row) for row in table)
+    table[1][2] = (table[1][2] + big - 1) % big
+    assert not cocycle_validate(G, big, table).ok
+    for m in (1 << 62, 10**20):
+        with pytest.raises(BadModulus):
+            cocycle_validate(G, m, [[0] * 4] * 4)
+        with pytest.raises(BadModulus):
+            TwoCocycle.from_exponents(G, m, [[0] * 4] * 4)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_single_entry_corruptions_rejected_above_order_64(seed):
+    """A change of entry (i, j) off row and column 0 breaks the identity at the
+    triple (g, i, j) for every g other than 1 and i; the entry check finds it
+    at every order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(65, 257))
+    G = dihedral_group(n + n % 2) if seed % 2 else cyclic_group(n)
+    m = (2, 3, G.order, 10**12)[seed % 4]
+    f = [0] + [int(x) for x in rng.integers(0, m, size=G.order - 1)]
+    t = G.cayley
+    table = [[(f[r] + f[s] - f[int(t[r, s])]) % m for s in range(G.order)]
+             for r in range(G.order)]
+    base = TwoCocycle.from_exponents(G, m, table)
+    assert base.table == tuple(map(tuple, table))
+    broken = [list(r) for r in table]
+    i, j = (int(x) for x in rng.integers(1, G.order, size=2))
+    broken[i][j] = (broken[i][j] + int(rng.integers(1, m))) % m
+    assert not cocycle_validate(G, m, broken).ok
+    with pytest.raises(NotACocycle):
+        TwoCocycle.from_exponents(G, m, broken)
+
+
+def test_trusted_operations_yield_cocycles():
+    """The operations that skip the entry check all return tables the check accepts."""
+    from motivelab.groups import all_subgroups
+    rng = np.random.default_rng(11)
+    for G in (dihedral_group(8), symmetric_group(3), product_group(cyclic_group(2), cyclic_group(4))):
+        n = G.order
+        a, b = random_cocycle(G, n, rng), random_cocycle(G, n, rng)
+        out = [a, b, a.mul(b), a.power(3), a.power(-5), a.inverse_cocycle(),
+               a.promote(3 * n), TwoCocycle.trivial(G, n)]
+        out += [a.restrict(H) for H in all_subgroups(G)]
+        out += list(schur_multiplier(G).section)
+        for alpha in out:
+            assert _valid(alpha)
+            assert all(0 <= x < alpha.modulus for row in alpha.table for x in row)
+    for H in (cyclic_group(2), cyclic_group(6), elementary_abelian_group(2, 2)):
+        assert _valid(central_pairing_cocycle(H))
+    M = schur_multiplier(product_group(cyclic_group(6), cyclic_group(6)), max_group_order=36)
+    assert all(_valid(alpha) for alpha in M.section)
 
 
 def test_cocycle_space_trivial_group():
@@ -78,7 +191,7 @@ def test_cocycle_space_contains_random_members():
         space = cocycle_space(G, n)
         for _ in range(10):
             alpha = random_cocycle(G, n, rng)
-            assert cocycle_validate(alpha).ok
+            assert _valid(alpha)
             assert cocycle_in_space(space, alpha)
 
 
@@ -94,7 +207,9 @@ def test_cocycle_space_composite_modulus_spans_every_cocycle():
         assert cocycle_in_space(space, a2.mul(a3))
     broken = [list(r) for r in TwoCocycle.trivial(G, 6).table]
     broken[1][2] = 1
-    assert not cocycle_in_space(space, TwoCocycle.from_exponents(G, 6, broken))
+    assert not in_span_mod(space, [x for row in broken for x in row], 6)
+    with pytest.raises(NotACocycle):
+        TwoCocycle.from_exponents(G, 6, broken)
 
 
 def test_bad_modulus_is_typed():
@@ -264,7 +379,7 @@ def test_restrict_cocycle():
     H = G.subgroup([0, 1])
     res = alpha.restrict(H)
     assert res.group.order == 2
-    assert cocycle_validate(res).ok
+    assert _valid(res)
 
 
 def test_promote_values():
@@ -387,9 +502,23 @@ def _a5():
     return group_from_permutations(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
 
 
+def _permutation_group(degree, gens):
+    from motivelab.groups import group_from_permutations
+    return lambda: group_from_permutations(degree, gens)
+
+
+# Q8 by left multiplication on 1, -1, i, -i, j, -j, k, -k; SL(2,3) on the
+# nonzero vectors of F_3^2; the Heisenberg group of order 27 as the maps
+# (x, y) -> (x + u, y + v x + w) of F_3^2, generated by u = 1 and v = 1
+_Q8 = _permutation_group(8, [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]])
+_SL23 = _permutation_group(8, [[3, 7, 2, 6, 1, 5, 0, 4], [0, 1, 3, 4, 2, 7, 5, 6]])
+_C3XC3 = _permutation_group(6, [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]])
+_HEIS27 = _permutation_group(9, [[3, 4, 5, 6, 7, 8, 0, 1, 2], [0, 1, 2, 4, 5, 3, 8, 6, 7]])
+
+
 # (group, Schur multiplier) from the literature (Karpilovsky, The Schur
 # Multiplier, 1987); D12 x S3 by the Kunneth formula M(D12) x M(S3) x
-# (C2 x C2) (x) C2.  A4, S4, A5, S5, D48, S3 and C12 have cyclic Sylow
+# (C2 x C2) (x) C2.  A4, S4, A5, S5, D48, S3, C12 and SL(2,3) have cyclic Sylow
 # subgroups for some primes, which contribute nothing and are not solved for.
 _LITERATURE = {
     "A4": (_a4, (2,)),
@@ -400,6 +529,10 @@ _LITERATURE = {
     "S3": (lambda: symmetric_group(3), ()),
     "C12": (lambda: cyclic_group(12), ()),
     "D12xS3": (lambda: product_group(dihedral_group(12), symmetric_group(3)), (2, 2, 2)),
+    "Q8": (_Q8, ()),
+    "SL(2,3)": (_SL23, ()),
+    "C3xC3": (_C3XC3, (3,)),
+    "Heisenberg27": (_HEIS27, (3, 3)),
 }
 
 

@@ -11,7 +11,7 @@ from motivelab.cocycles import (
     random_cocycle,
     schur_multiplier,
 )
-from motivelab.errors import NotACocycle, SizeBound
+from motivelab.errors import InvariantViolation, NotACocycle, SizeBound
 from motivelab.groups import (
     cyclic_group,
     dihedral_group,
@@ -51,6 +51,51 @@ def test_build_rejects_corrupted_table():
     table[3][2] = (table[3][2] + 1) % 2
     with pytest.raises(NotACocycle):
         build_twisted(alpha.group, TwoCocycle.from_exponents(alpha.group, 2, table))
+
+
+@pytest.mark.parametrize("n,entry", [(256, (17, 40)), (256, (50, 60)), (256, (11, 13)),
+                                     (200, (17, 40))])
+def test_entry_check_refuses_large_single_flips(n, entry):
+    # single flips that a sample of 10,000 triples misses; the exact check
+    # refuses them before any algebra is built
+    G = cyclic_group(n)
+    table = [[0] * n for _ in range(n)]
+    table[entry[0]][entry[1]] = 1
+    with pytest.raises(NotACocycle, match="cocycle identity fails"):
+        TwoCocycle.from_exponents(G, 2, table)
+
+
+def _central_by_loop(G, alpha, t):
+    """Reference for _check_central: a direct loop over every (tau, y)."""
+    E, m = alpha.table, alpha.modulus
+    for tau in G.elements():
+        ti = G.inv(tau)
+        for y in G.elements():
+            x1, x2 = G.mul(y, ti), G.mul(ti, y)
+            if (x1 in t) != (x2 in t):
+                return "not conjugation-stable"
+            if x1 in t and (t[x1] + E[x1][tau] - t[x2] - E[tau][x2]) % m:
+                return "fails exact centrality"
+    return None
+
+
+def test_check_central_matches_loop_and_catches_corruptions():
+    from motivelab.twisted import _check_central
+    for G, alpha in ((symmetric_group(4), _class_rep(symmetric_group(4), (1,))),
+                     (dihedral_group(16), _class_rep(dihedral_group(16), (1,))),
+                     (symmetric_group(3), TwoCocycle.trivial(symmetric_group(3), 6))):
+        supports = list(build_twisted(G, alpha).center_exponents)
+        _check_central(G, alpha, supports)
+        assert all(_central_by_loop(G, alpha, t) is None for t in supports)
+        i = next(i for i, t in enumerate(supports) if len(t) > 1)
+        last = list(supports[i])[-1]
+        shifted = {**supports[i], last: (supports[i][last] + 1) % alpha.modulus}
+        dropped = {x: v for x, v in supports[i].items() if x != last}
+        for bad, message in ((shifted, "fails exact centrality"),
+                             (dropped, "not conjugation-stable")):
+            assert _central_by_loop(G, alpha, bad) == message
+            with pytest.raises(InvariantViolation, match=message):
+                _check_central(G, alpha, supports[:i] + [bad] + supports[i + 1:])
 
 
 def test_regular_trivial_cocycle():
