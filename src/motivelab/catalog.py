@@ -54,35 +54,13 @@ class CatalogEntry:
 
 
 def _gaussian_binomial(d: int, n: int) -> list[int]:
-    """Coefficients of the q-binomial [d choose n]_q."""
-    num = [1]
-    for i in range(1, n + 1):
-        # multiply by (1 - q^(d-n+i)) / (1 - q^i) = cyclotomic-free exact division
-        top = [0] * (d - n + i + 1)
-        top[0], top[-1] = 1, -1
-        num = _poly_mul(num, top)
-        num = _poly_div(num, i)
-    return num
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_div(a: list[int], i: int) -> list[int]:
-    """Exact division by (1 - q^i): out[k] = a[k] + out[k-i]."""
-    out = [0] * (len(a) - i)
-    for k in range(len(out)):
-        prev = out[k - i] if k >= i else 0
-        out[k] = a[k] + prev
-    for k in range(len(out), len(a)):
-        prev = out[k - i] if 0 <= k - i < len(out) else 0
-        check_invariant(a[k] == -prev, "gaussian binomial division must be exact")
-    return out
+    """Coefficients of the q-binomial [d choose n]_q, by the q-Pascal rule
+    [d, n]_q = [d-1, n-1]_q + q^n [d-1, n]_q."""
+    if n in (0, d):
+        return [1]
+    low = _gaussian_binomial(d - 1, n - 1)
+    high = [0] * n + _gaussian_binomial(d - 1, n)   # the longer: degree n(d-n)
+    return [c + (low[i] if i < len(low) else 0) for i, c in enumerate(high)]
 
 
 def catalog_lookup(name: str, params: tuple[int, ...] = ()) -> CatalogEntry:

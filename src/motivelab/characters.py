@@ -128,17 +128,16 @@ def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
 def _canonical_table(G: FiniteGroup, e: int, V: np.ndarray,
                      degrees: list[int]) -> CharacterTable:
     """The table with values chi_i(c) = sum_u V[i, c, u] zeta_e^u, its rows
-    sorted by degree and values so the splitting order never shows."""
-    R = power_reduction_matrix(e)
-    rows = [[Cyclotomic(e, tuple(v)) for v in (row @ R).tolist()] for row in V]
-    order = sorted(range(len(rows)),
-                   key=lambda i: (degrees[i],
-                                  tuple(v.sort_key(e) for v in rows[i])))
+    sorted by degree and values so the splitting order never shows.  Every
+    value is integral at conductor e, so the integer rows of V @ R are its
+    power-basis numerators and sort as the values do."""
+    W = (V @ power_reduction_matrix(e)).tolist()             # [i, c, power basis]
+    order = sorted(range(len(degrees)), key=lambda i: (degrees[i], W[i]))
     V = V[order]
     V.setflags(write=False)
     return CharacterTable(
         G.order, tuple(c.size for c in G.conjugacy_classes()), e,
-        tuple(tuple(rows[i]) for i in order),
+        tuple(tuple(Cyclotomic(e, v) for v in W[i]) for i in order),
         tuple(degrees[i] for i in order),
         V)
 
@@ -537,7 +536,11 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
 
 
 def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+    """a mod `mod` over F_p; zero leading coefficients of mod are dropped."""
     a = [c % p for c in a]
+    mod = list(mod)
+    while mod[-1] % p == 0:
+        mod.pop()
     dm = len(mod) - 1
     inv = pow(mod[-1], p - 2, p)
     for i in range(len(a) - 1, dm - 1, -1):
@@ -550,6 +553,7 @@ def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out or [0]
+
 
 def _poly_powmod(base: list[int], k: int, mod: list[int], p: int) -> list[int]:
     result = [1]
@@ -565,16 +569,8 @@ def _poly_powmod(base: list[int], k: int, mod: list[int], p: int) -> list[int]:
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = [c % p for c in a], [c % p for c in b]
     while any(b):
-        a, b = b, _poly_rem_strict(a, b, p)
+        a, b = b, _poly_rem(a, b, p)
     return _poly_monic(a, p)
-
-
-def _poly_rem_strict(a: list[int], b: list[int], p: int) -> list[int]:
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    r = _poly_rem(a, b, p)
-    return r
 
 
 def _poly_div_mod(a: list[int], b: list[int], p: int) -> list[int]:

@@ -85,9 +85,9 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
         special_orbit=(tuple(raw["special_orbit"])
                        if raw.get("special_orbit") is not None else None),
         point_orbits=tuple(tuple(o) for o in raw.get("point_orbits", ())),
-        fixed_locus=(tuple(int(x) for x in raw["fixed_locus"])
+        fixed_locus=(tuple(_integers(raw["fixed_locus"], "action field 'fixed_locus'"))
                      if raw.get("fixed_locus") is not None else None),
-        sectors=(tuple((int(a), int(b)) for a, b in raw["sectors"])
+        sectors=(tuple(_integers(raw["sectors"], "action field 'sectors'", pairs=True))
                  if raw.get("sectors") is not None else None),
     )
 
@@ -97,7 +97,8 @@ def cocycle_fields(path: str, G: FiniteGroup | None = None) -> tuple:
     data = json.loads(Path(path).read_text())
     where = f"cocycle file {path}"
     group = G if G is not None else construct_group(_field(data, "group", where))
-    return group, int(_field(data, "modulus", where)), _field(data, "exponents", where)
+    modulus = _integer(_field(data, "modulus", where), f"{where} field 'modulus'")
+    return group, modulus, _field(data, "exponents", where)
 
 
 def load_cocycle(path: str, G: FiniteGroup | None = None) -> TwoCocycle:
@@ -116,7 +117,8 @@ def collection_spec_from_json(G: FiniteGroup, data,
         if H.is_whole_group():
             coords = b.get("cocycle_class")
             cls = M.class_from_coords(tuple(coords)) if coords else M.trivial_class()
-        blocks.append(Block(int(_field(b, "length", "collection block")), H, cls))
+        length = _integer(_field(b, "length", "collection block"), "collection block 'length'")
+        blocks.append(Block(length, H, cls))
     return CollectionSpec(G, tuple(blocks))
 
 
@@ -142,7 +144,7 @@ def load_expr(G: FiniteGroup, data) -> K0VarExpr:
     expr = None
     for term in data:
         symbol = load_symbol(G, _field(term, "symbol", "expression term"))
-        part = K0VarExpr.of(symbol, int(term.get("coeff", 1)))
+        part = K0VarExpr.of(symbol, _integer(term.get("coeff", 1), "expression term 'coeff'"))
         expr = part if expr is None else expr.add(part)
     if expr is None:
         raise ValueError("empty variety expression")
@@ -408,7 +410,8 @@ def cmd_measure(args) -> int:
         return 0 if ok else CHECK_FAILURE
     if args.action == "blowup-check":
         bc = blowup_check(load_expr(G, field("X")), load_expr(G, field("Y")),
-                          int(field("c")), load_expr(G, field("Bl")),
+                          _integer(field("c"), "blow-up dataset field 'c'"),
+                          load_expr(G, field("Bl")),
                           load_expr(G, field("E")), max_order)
         payload = {"ok": bc.ok, "messages": list(bc.messages)}
         _emit(payload, args.json, "ok" if bc.ok else "violation: " + "; ".join(bc.messages))
@@ -421,6 +424,25 @@ def _object(data, where: str) -> dict:
     if not isinstance(data, dict):
         raise NotAnObject(f"{where} must be a JSON object, not {json.dumps(data)[:40]}")
     return data
+
+
+def _integer(value, where: str) -> int:
+    """value if it is a JSON integer, or WrongShape naming the field: a
+    string, a bool, a float, a list or an object is not one."""
+    if type(value) is not int:
+        raise WrongShape(f"{where} must be an integer, not {json.dumps(value)[:40]}")
+    return value
+
+
+def _integers(raw, where: str, pairs: bool = False) -> list:
+    """A JSON list of integers, or of integer pairs, or WrongShape naming the field."""
+    if not isinstance(raw, list) or (
+            pairs and not all(isinstance(v, list) and len(v) == 2 for v in raw)):
+        raise WrongShape(f"{where} must be a list of {'integer pairs' if pairs else 'integers'}, "
+                         f"not {json.dumps(raw)[:40]}")
+    if pairs:
+        return [(_integer(a, where), _integer(b, where)) for a, b in raw]
+    return [_integer(v, where) for v in raw]
 
 
 def _field(data, key: str, where: str, hint: str = ""):

@@ -426,7 +426,7 @@ def is_cohomologous(alpha: TwoCocycle, beta: TwoCocycle) -> CoboundaryWitness | 
     if alpha.modulus != beta.modulus:
         raise ModulusMismatch("cocycle moduli differ")
     n = G.order
-    big = alpha.modulus * G.exponent()
+    big = _witness_modulus(alpha.modulus * G.exponent())
     ea = alpha.promote(big).as_array()
     eb = beta.promote(big).as_array()
     # one row per (rho, sigma): delta(rho sigma) - delta(rho) - delta(sigma)
@@ -445,9 +445,16 @@ def is_cohomologous(alpha: TwoCocycle, beta: TwoCocycle) -> CoboundaryWitness | 
     return CoboundaryWitness(big, sol.particular)
 
 
+def _witness_modulus(big: int) -> int:
+    """big, or BadModulus when the promoted exponents would leave int64."""
+    if big >= MODULUS_BOUND:
+        raise BadModulus(f"coboundary witness modulus must be below 2^62, got {big}")
+    return big
+
+
 def verify_witness(alpha: TwoCocycle, beta: TwoCocycle, w: CoboundaryWitness) -> bool:
     G = alpha.group
-    big = w.modulus
+    big = _witness_modulus(w.modulus)
     ea = alpha.promote(big).as_array()
     eb = beta.promote(big).as_array()
     d = w.values

@@ -1,23 +1,29 @@
 """Exact elements of cyclotomic fields Q(zeta_e).
 
-Values are stored on the power basis 1, zeta, ..., zeta^(phi(e)-1) modulo the
-e-th cyclotomic polynomial, with rational coefficients.  That representation
-is canonical for a fixed conductor; mixed-conductor arithmetic promotes both
-operands to the lcm first.
+A value is a tuple of Python-int numerators on the power basis 1, zeta, ...,
+zeta^(phi(e)-1) modulo the e-th cyclotomic polynomial, over one positive
+denominator, with gcd(den, *num) = 1.  That pair is canonical for a fixed
+conductor; mixed-conductor arithmetic promotes both operands to the lcm first.
+
+Every change of basis goes through one scatter-and-reduce step, `_scatter`:
+coefficient i goes to x^(i k mod m), and the result is reduced once by the
+integer rows of `power_reduction_matrix(m)`.  Promotion uses k = m/e,
+conjugation k = -1, the Galois automorphisms behind `inverse` the units k of
+Z/e, and a product is an integer convolution folded mod x^e - 1 with k = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, lcm, pi, sin
+from math import cos, gcd, lcm, pi, sin
 
 import numpy as np
 
 from .errors import DivisionByZero, check_invariant
 
 
+@lru_cache(maxsize=None)
 def totient(e: int) -> int:
     out = e
     m = e
@@ -84,51 +90,86 @@ def power_reduction_matrix(e: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction(e: int, k: int) -> tuple[int, ...]:
-    """x^k reduced mod Phi_e as an integer vector of length phi(e); 0 <= k < e."""
-    return tuple(power_reduction_matrix(e)[k].tolist())
+def _reduction_tail(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (j, c) of rows phi(m) .. m-1 of power_reduction_matrix(m),
+    as Python ints; the rows below phi(m) are the unit vectors."""
+    R = power_reduction_matrix(m)
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                 for row in R[R.shape[1]:].tolist())
 
 
-def _reduce_mod_phi(poly: list[Fraction], e: int) -> list[Fraction]:
-    phi_poly = cyclotomic_polynomial(e)
-    dd = len(phi_poly) - 1
-    poly = list(poly)
-    for i in range(len(poly) - 1, dd - 1, -1):
-        c = poly[i]
-        if c == 0:
-            continue
-        for j, pc in enumerate(phi_poly):
-            poly[i - dd + j] -= c * pc
-    out = poly[:dd]
-    out += [Fraction(0)] * (dd - len(out))
+def _scatter(coeffs, k: int, m: int) -> list[int]:
+    """Numerators of sum_i coeffs[i] zeta_m^(i k) on the power basis of
+    Q(zeta_m): each coefficient goes to x^(i k mod m), then one reduction."""
+    tail = _reduction_tail(m)
+    phi = m - len(tail)
+    acc = [0] * m
+    for i, c in enumerate(coeffs):
+        if c:
+            acc[i * k % m] += c
+    out = acc[:phi]
+    for c, row in zip(acc[phi:], tail):
+        if c:
+            for j, r in row:
+                out[j] += c * r
     return out
 
 
-@dataclass(frozen=True)
 class Cyclotomic:
-    """Exact element of Q(zeta_conductor)."""
+    """Exact element sum_i num[i] zeta^i / den of Q(zeta_conductor).
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    `Cyclotomic(e, coeffs)` takes the phi(e) power-basis coefficients as ints
+    or Fractions.  Values are immutable: tables share them."""
 
-    def __post_init__(self):
-        phi = totient(self.conductor)
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        if len(cs) != phi:
-            raise ValueError(f"need {phi} coefficients for conductor {self.conductor}")
-        object.__setattr__(self, "coeffs", cs)
+    __slots__ = ("conductor", "num", "den")
+
+    def __init__(self, conductor: int, coeffs):
+        cs = tuple(coeffs)
+        if len(cs) != totient(conductor):
+            raise ValueError(f"need {totient(conductor)} coefficients for conductor {conductor}")
+        if all(type(c) is int for c in cs):
+            self._set(conductor, cs, 1)
+            return
+        cs = [Fraction(c) for c in cs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set(conductor, [int(c.numerator) * (den // c.denominator) for c in cs], den)
+
+    def _set(self, conductor: int, num, den: int) -> None:
+        """Store num / den, den > 0, divided by gcd(den, *num)."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _make(conductor: int, num, den: int = 1) -> "Cyclotomic":
+        out = object.__new__(Cyclotomic)
+        out._set(conductor, num, den)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cyclotomic values are immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(q, conductor: int = 1) -> "Cyclotomic":
-        vec = [Fraction(0)] * totient(conductor)
-        vec[0] = Fraction(q)
-        return Cyclotomic(conductor, tuple(vec))
+        q = Fraction(q)
+        return Cyclotomic._make(conductor, [int(q.numerator)] + [0] * (totient(conductor) - 1),
+                                int(q.denominator))
 
     @staticmethod
     def zero(conductor: int = 1) -> "Cyclotomic":
-        return Cyclotomic.from_rational(0, conductor)
+        return Cyclotomic._make(conductor, [0] * totient(conductor))
 
     @staticmethod
     def one(conductor: int = 1) -> "Cyclotomic":
@@ -137,8 +178,7 @@ class Cyclotomic:
     @staticmethod
     def root_of_unity(e: int, k: int = 1) -> "Cyclotomic":
         """zeta_e^k."""
-        k %= e
-        return Cyclotomic(e, _power_reduction(e, k))
+        return Cyclotomic._make(e, _scatter((0, 1), k, e))
 
     # -- conductor management --------------------------------------------
 
@@ -149,46 +189,41 @@ class Cyclotomic:
             return self
         if m % e != 0:
             raise ValueError("can only promote to a multiple of the conductor")
-        step = m // e
-        phi_m = totient(m)
-        acc = [Fraction(0)] * phi_m
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            vec = _power_reduction(m, (i * step) % m)
-            for j in range(phi_m):
-                acc[j] += c * vec[j]
-        return Cyclotomic(m, tuple(acc))
+        return Cyclotomic._make(m, _scatter(self.num, m // e, m), self.den)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic", int]:
         m = lcm(a.conductor, b.conductor)
         return a.promote(m), b.promote(m), m
 
+    def _galois(self, k: int) -> "Cyclotomic":
+        """The automorphism zeta -> zeta^k, k a unit mod the conductor."""
+        return Cyclotomic._make(self.conductor, _scatter(self.num, k, self.conductor), self.den)
+
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Cyclotomic":
-        other = _coerce(other)
-        a, b, m = Cyclotomic._common(self, other)
-        return Cyclotomic(m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b, m = Cyclotomic._common(self, _coerce(other))
+        return Cyclotomic._make(m, [x * b.den + y * a.den for x, y in zip(a.num, b.num)],
+                                a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs))
+        return Cyclotomic._make(self.conductor, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -197,37 +232,34 @@ class Cyclotomic:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Cyclotomic":
-        other = _coerce(other)
-        a, b, m = Cyclotomic._common(self, other)
-        phi = totient(m)
-        prod = [Fraction(0)] * (2 * phi - 1 if phi else 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] += x * y
-        return Cyclotomic(m, tuple(_reduce_mod_phi(prod, m)))
+        a, b, m = Cyclotomic._common(self, _coerce(other))
+        prod = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    if y:
+                        prod[i + j] += x * y
+        return Cyclotomic._make(m, _scatter(prod, 1, m), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """a^-1 = prod_{k != 1} sigma_k(a) / N(a) over the units k of Z/e,
+        the norm N(a) = prod_k sigma_k(a) being a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         e = self.conductor
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(e)]
-        f = list(self.coeffs)
-        # extended Euclid in Q[x]: s*f + t*Phi = gcd = nonzero constant
-        r0, r1 = phi_poly, f
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _poly_degree(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        c = r1[_poly_degree(r1)] if any(r1) else Fraction(0)
-        check_invariant(c != 0, "cyclotomic polynomial must be coprime to nonzero elements")
-        inv_poly = [x / c for x in s1]
-        return Cyclotomic(e, tuple(_reduce_mod_phi(inv_poly, e)))
+        a = Cyclotomic._make(e, self.num)        # the numerator: self = a / den
+        rest = Cyclotomic.one(e)
+        for k in range(2, e):
+            if gcd(k, e) == 1:
+                rest = rest * a._galois(k)
+        norm = a * rest
+        check_invariant(norm.is_rational() and not norm.is_zero(),
+                        "the norm of a nonzero cyclotomic must be a nonzero rational")
+        n = norm.num[0]                          # self^-1 = den rest / n
+        sign = 1 if n > 0 else -1
+        return Cyclotomic._make(e, [sign * self.den * c for c in rest.num], abs(n))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -249,16 +281,7 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^(-1)."""
-        e = self.conductor
-        phi = totient(e)
-        acc = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            vec = _power_reduction(e, (-i) % e)
-            for j in range(phi):
-                acc[j] += c * vec[j]
-        return Cyclotomic(e, tuple(acc))
+        return self._galois(-1)
 
     # -- comparison / output ------------------------------------------------
 
@@ -268,13 +291,9 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b, _ = Cyclotomic._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # cross-conductor equality is not hash-compatible
-
-    def sort_key(self, conductor: int) -> tuple:
-        p = self.promote(conductor)
-        return tuple((c.numerator, c.denominator) for c in p.coeffs)
 
     def to_complex(self) -> complex:
         """The embedding zeta_e -> exp(2 pi i / e), for display and tests."""
@@ -284,7 +303,7 @@ class Cyclotomic:
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -308,7 +327,7 @@ def _coerce(x) -> Cyclotomic:
 
 
 def cyclo_arith(op: str, a: Cyclotomic, b: Cyclotomic | None = None) -> Cyclotomic:
-    """Dispatch for the four field operations used by the CLI layer."""
+    """Dispatch for the four field operations by name."""
     if op == "add":
         return a + b
     if op == "mul":
@@ -318,47 +337,3 @@ def cyclo_arith(op: str, a: Cyclotomic, b: Cyclotomic | None = None) -> Cyclotom
     if op == "conj":
         return a.conjugate()
     raise ValueError(f"unknown operation {op!r}")
-
-
-# -- small polynomial helpers over Fraction ----------------------------------
-
-
-def _poly_degree(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    db = _poly_degree(b)
-    lead = b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(_poly_degree(a), db - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        f = c / lead
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] -= f * b[j]
-    return q, a
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

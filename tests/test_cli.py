@@ -342,3 +342,35 @@ def test_swap_error_names_the_action_field(capsys):
                        "--catalog", "del_pezzo_bl2", "--action", "swap:9")
     assert code == 1
     assert "swap:9" in err and "element 9 is outside the group of order 4" in err
+
+
+def _integer_field_inputs(tmp_path, bad):
+    """(argv, field name) for each integer JSON field, holding the value bad."""
+    def write(name, data):
+        f = tmp_path / name
+        f.write_text(json.dumps(data))
+        return str(f)
+    blowup = json.loads(Path(dataset_path("blowup_fixed_point.json")).read_text())
+    return [
+        (("cocycle", "check", write("cocycle.json", {
+            "group": "cyclic:2", "modulus": bad, "exponents": [[0, 0], [0, 0]]})), "modulus"),
+        (("motive", "decompose", "--group", "cyclic:2", "--collection",
+          write("coll.json", {"blocks": [{"length": bad}]})), "length"),
+        (("measure", "blowup-check", write("coeff.json", {
+            **blowup, "X": [{"coeff": bad, "symbol": blowup["X"]}]})), "coeff"),
+        (("measure", "blowup-check", write("c.json", {**blowup, "c": bad})), "'c'"),
+        (("measure", "nc", "--group", "cyclic:2", "--catalog", "point", "--action",
+          json.dumps({"fixed_locus": [bad, 1]})), "fixed_locus"),
+        (("measure", "nc", "--group", "cyclic:2", "--catalog", "point", "--action",
+          json.dumps({"sectors": [[1, 0], [0, bad]]})), "sectors"),
+    ]
+
+
+@pytest.mark.parametrize("bad", [[2], {"a": 1}, "2", True, 1.5])
+def test_integer_json_fields_reject_other_values(tmp_path, capsys, bad):
+    """Every integer field of a JSON input takes only a JSON integer: a list,
+    an object, a number string, a bool or a float is WrongShape, exit 1."""
+    for argv, name in _integer_field_inputs(tmp_path, bad):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert name in err and "must be an integer" in err and "Traceback" not in err, err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motivelab.cocycles import (
+    CoboundaryWitness,
     TwoCocycle,
     central_pairing_cocycle,
     class_arith,
@@ -258,6 +259,16 @@ def test_modulus_mismatch():
     G = cyclic_group(2)
     with pytest.raises(ModulusMismatch):
         is_cohomologous(TwoCocycle.trivial(G, 2), TwoCocycle.trivial(G, 4))
+
+
+def test_witness_modulus_beyond_int64_is_bad_modulus():
+    # the cocycle modulus 2^61 is accepted, but the witness needs 2^61 * exp(C4)
+    G = cyclic_group(4)
+    alpha = TwoCocycle.trivial(G, 2**61)
+    with pytest.raises(BadModulus):
+        is_cohomologous(alpha, alpha)
+    with pytest.raises(BadModulus):
+        verify_witness(alpha, alpha, CoboundaryWitness(2**63, (0,) * 4))
 
 
 def test_schur_multiplier_table():

@@ -1,5 +1,6 @@
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,15 @@ def test_float_agreement(e, coeffs_a, coeffs_b):
     fb = sum(complex(c) * z ** i for i, c in enumerate(b.coeffs))
     assert abs((a + b).to_complex() - (fa + fb)) < 1e-10
     assert abs((a * b).to_complex() - fa * fb) < 1e-10
+    # the exact product differs from the integer polynomial product by a
+    # multiple of Phi_e
+    diff = [0] * (2 * phi - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            diff[i + j] += x * y
+    for i, c in enumerate((a * b).num):
+        diff[i] -= c
+    assert (a * b).den == 1 and _divides(cyclotomic_polynomial(e), diff)
     if not a.is_zero():
         assert abs(a.inverse().to_complex() - 1 / fa) < 1e-8
     assert abs(a.conjugate().to_complex() - fa.conjugate()) < 1e-10
@@ -124,13 +134,19 @@ def test_float_agreement(e, coeffs_a, coeffs_b):
 @given(st.integers(1, 10), st.lists(st.integers(-2, 2), min_size=1, max_size=3))
 def test_field_axioms(e, raw):
     phi = totient(e)
-    a = Cyclotomic(e, tuple(Fraction(c) for c in (raw * phi)[:phi]))
+    a = Cyclotomic(e, tuple(Fraction(c, 6) for c in (raw * phi)[:phi]))
     one = Cyclotomic.one(e)
     assert a * one == a
     assert a + Cyclotomic.zero(e) == a
     assert a - a == Cyclotomic.zero()
     if not a.is_zero():
         assert a * a.inverse() == Cyclotomic.one()
+    # the same value built at conductor 3e has the same normalized numerators
+    # and denominator as the promoted one
+    b = sum((c * zeta(3 * e, 3 * i) for i, c in enumerate(a.coeffs)), Cyclotomic.zero())
+    p = a.promote(3 * e)
+    assert (b.conductor, b.num, b.den) == (p.conductor, p.num, p.den)
+    assert p.den > 0 and gcd(p.den, *p.num) == 1
 
 
 def test_rational_detection():
@@ -138,3 +154,31 @@ def test_rational_detection():
     assert v.is_rational()
     assert v.rational_value() == Fraction(-1)
     assert not zeta(5).is_rational()
+
+
+def test_numerators_beyond_int64_stay_exact():
+    big = 2**70
+    z = zeta(7)
+    prod = (big + z) * (big - z)
+    assert prod == big * big - z * z
+    assert prod.num[0] == 2**140 and prod.den == 1
+    assert prod - 2**140 == -zeta(7, 2)
+    assert (Cyclotomic(7, (Fraction(1, 3**50),) + (0,) * 5) * 3**50) == 1
+
+
+def test_values_are_normalized():
+    a = Cyclotomic(4, (Fraction(2, 4), Fraction(-3, 6)))
+    assert (a.num, a.den) == ((1, -1), 2)
+    assert a.coeffs == (Fraction(1, 2), Fraction(-1, 2))
+    assert ((a - a).num, (a - a).den) == ((0, 0), 1)
+    with pytest.raises(AttributeError):
+        a.den = 3
+
+
+@pytest.mark.parametrize("e", list(range(1, 37)) + [60, 105])
+def test_inverse_through_the_galois_norm(e):
+    phi = totient(e)
+    a = Cyclotomic(e, tuple(Fraction((3 * i * i + 1) % 7 - 3, 1 + i % 2) for i in range(phi)))
+    assert not a.is_zero()
+    assert a * a.inverse() == 1
+    assert (a * zeta(e)).inverse() == a.inverse() * zeta(e, -1)
