@@ -23,7 +23,15 @@ from .cocycles import (
     schur_multiplier,
     SCHUR_DEFAULT_MAX_ORDER,
 )
-from .errors import MissingField, MotiveLabError, NotAnObject, NotASubgroup, WrongShape
+from .errors import (
+    MissingField,
+    MotiveLabError,
+    NotAnObject,
+    NotASubgroup,
+    WrongShape,
+    json_integer,
+    json_integers,
+)
 from .groups import FiniteGroup, Subgroup, construct_group
 from .measures import (
     K0VarExpr,
@@ -85,9 +93,9 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
         special_orbit=(tuple(raw["special_orbit"])
                        if raw.get("special_orbit") is not None else None),
         point_orbits=tuple(tuple(o) for o in raw.get("point_orbits", ())),
-        fixed_locus=(tuple(_integers(raw["fixed_locus"], "action field 'fixed_locus'"))
+        fixed_locus=(tuple(json_integers(raw["fixed_locus"], "action field 'fixed_locus'"))
                      if raw.get("fixed_locus") is not None else None),
-        sectors=(tuple(_integers(raw["sectors"], "action field 'sectors'", pairs=True))
+        sectors=(tuple(json_integers(raw["sectors"], "action field 'sectors'", pairs=True))
                  if raw.get("sectors") is not None else None),
     )
 
@@ -97,7 +105,7 @@ def cocycle_fields(path: str, G: FiniteGroup | None = None) -> tuple:
     data = json.loads(Path(path).read_text())
     where = f"cocycle file {path}"
     group = G if G is not None else construct_group(_field(data, "group", where))
-    modulus = _integer(_field(data, "modulus", where), f"{where} field 'modulus'")
+    modulus = json_integer(_field(data, "modulus", where), f"{where} field 'modulus'")
     return group, modulus, _field(data, "exponents", where)
 
 
@@ -112,12 +120,13 @@ def collection_spec_from_json(G: FiniteGroup, data,
     blocks = []
     for b in _field(data, "blocks", "collection"):
         members = _object(b, "collection block").get("stabilizer")
-        H = Subgroup(G, tuple(members)) if members is not None else G.full_subgroup()
+        H = (Subgroup(G, tuple(json_integers(members, "collection block 'stabilizer'")))
+             if members is not None else G.full_subgroup())
         cls = None
         if H.is_whole_group():
             coords = b.get("cocycle_class")
             cls = M.class_from_coords(tuple(coords)) if coords else M.trivial_class()
-        length = _integer(_field(b, "length", "collection block"), "collection block 'length'")
+        length = json_integer(_field(b, "length", "collection block"), "collection block 'length'")
         blocks.append(Block(length, H, cls))
     return CollectionSpec(G, tuple(blocks))
 
@@ -144,7 +153,7 @@ def load_expr(G: FiniteGroup, data) -> K0VarExpr:
     expr = None
     for term in data:
         symbol = load_symbol(G, _field(term, "symbol", "expression term"))
-        part = K0VarExpr.of(symbol, _integer(term.get("coeff", 1), "expression term 'coeff'"))
+        part = K0VarExpr.of(symbol, json_integer(term.get("coeff", 1), "expression term 'coeff'"))
         expr = part if expr is None else expr.add(part)
     if expr is None:
         raise ValueError("empty variety expression")
@@ -180,13 +189,7 @@ def per_class_values(G: FiniteGroup, raw, pairs: bool = False) -> list:
                 raise ValueError(f"missing value for class representative {key}")
             out.append(raw[key])
         raw = out
-    try:
-        if pairs:
-            return [(int(a), int(b)) for a, b in raw]
-        return [int(v) for v in raw]
-    except TypeError:
-        raise WrongShape(f"per-class values must be {'integer pairs' if pairs else 'integers'}, "
-                         f"not {json.dumps(raw)[:40]}") from None
+    return json_integers(raw, "per-class values", pairs)
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -410,7 +413,7 @@ def cmd_measure(args) -> int:
         return 0 if ok else CHECK_FAILURE
     if args.action == "blowup-check":
         bc = blowup_check(load_expr(G, field("X")), load_expr(G, field("Y")),
-                          _integer(field("c"), "blow-up dataset field 'c'"),
+                          json_integer(field("c"), "blow-up dataset field 'c'"),
                           load_expr(G, field("Bl")),
                           load_expr(G, field("E")), max_order)
         payload = {"ok": bc.ok, "messages": list(bc.messages)}
@@ -424,25 +427,6 @@ def _object(data, where: str) -> dict:
     if not isinstance(data, dict):
         raise NotAnObject(f"{where} must be a JSON object, not {json.dumps(data)[:40]}")
     return data
-
-
-def _integer(value, where: str) -> int:
-    """value if it is a JSON integer, or WrongShape naming the field: a
-    string, a bool, a float, a list or an object is not one."""
-    if type(value) is not int:
-        raise WrongShape(f"{where} must be an integer, not {json.dumps(value)[:40]}")
-    return value
-
-
-def _integers(raw, where: str, pairs: bool = False) -> list:
-    """A JSON list of integers, or of integer pairs, or WrongShape naming the field."""
-    if not isinstance(raw, list) or (
-            pairs and not all(isinstance(v, list) and len(v) == 2 for v in raw)):
-        raise WrongShape(f"{where} must be a list of {'integer pairs' if pairs else 'integers'}, "
-                         f"not {json.dumps(raw)[:40]}")
-    if pairs:
-        return [(_integer(a, where), _integer(b, where)) for a, b in raw]
-    return [_integer(v, where) for v in raw]
 
 
 def _field(data, key: str, where: str, hint: str = ""):

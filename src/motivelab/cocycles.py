@@ -11,8 +11,16 @@ The cocycle solution space is parametrized by restriction to generator rows:
 a normalized cocycle is determined by its values e(s, -) for s in a
 generating set, via e(s g', sigma) = e(g', sigma) + e(s, g' sigma) - e(s, g')
 along a word tree, and the full cocycle identity is equivalent to the
-identities with first argument a generator.  That reduction keeps the linear
-systems at |S|*|G| unknowns instead of |G|^2.
+identities with first argument a generator.  That reduction gives |S|*|G|
+coordinates instead of |G|^2.
+
+The solve fixes a gauge: adding the coboundary of a suitable f: G -> Z/q
+makes any cocycle vanish on the |G| - 1 tree edges (pos, g') of the word
+tree, and the identity block of a tree edge is identically zero.  So the
+unknowns are the (|S| - 1)|G| + 1 other coordinates, and the blocks come
+from the non-tree edges.  They enter a few at a time, each kernel is
+checked exactly against every identity, and the certified kernel plus the
+coboundaries is reduced to the same canonical basis the full system has.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .intlinalg import (
 COCYCLE_SPACE_GUARD = 4096          # |G|^2 bound for full-table bases
 SCHUR_DEFAULT_MAX_ORDER = 48
 _RECONSTRUCTION_GUARD = 1 << 27     # entries in the reconstruction tensor
+_FIRST_BATCH = 4                    # identity blocks before the first certificate
 MODULUS_BOUND = 1 << 62             # int64 sums of two reduced exponents stay exact
 
 
@@ -210,16 +219,18 @@ class _Reconstruction:
 
     def __init__(self, G: FiniteGroup):
         self.group = G
-        gens = list(G.generating_set())
+        gens = np.asarray(G.generating_set(), dtype=np.int64)
         n = G.order
-        if not gens and n > 1:
+        if not len(gens) and n > 1:
             raise SizeBound("no generating set available")
         self.gens = gens
         self.dim = len(gens) * n
         if n * n * self.dim > _RECONSTRUCTION_GUARD:
             raise SizeBound("cocycle parametrization too large for this group")
-        # BFS: parent[g] = (generator position, g') with g = gens[pos] * g'
+        # BFS: parent[g] = (generator position, g') with g = gens[pos] * g';
+        # tree_order lists every element after its tree parent
         parent: list[tuple[int, int] | None] = [None] * n
+        order = [0]
         seen = [False] * n
         seen[0] = True
         frontier = [0]
@@ -232,92 +243,83 @@ class _Reconstruction:
                         seen[g] = True
                         parent[g] = (pos, gp)
                         nxt.append(g)
+            order += nxt
             frontier = nxt
         if not all(seen):
             raise InvariantViolation("generating set does not generate the group")
         self.parent = parent
-        M = np.zeros((n, n, self.dim), dtype=np.int32)
-        order = self._bfs_order()
-        t = G.cayley
-        sigma = np.arange(n)
-        for g in order:
-            if g == 0:
-                continue
+        self.tree_order = order
+        self.M = self.tables(np.eye(self.dim, dtype=np.int32))
+        # the coordinates (pos, g') off the tree edges: the gauge-fixed unknowns
+        tree = np.zeros(self.dim, dtype=bool)
+        for g in order[1:]:
             pos, gp = parent[g]
-            M[g] = M[gp]
-            M[g][sigma, self._xidx(pos, t[gp])] += 1
-            M[g][:, self._xidx(pos, gp)] -= 1
-        self.M = M
+            tree[pos * n + gp] = True
+        self.free = np.flatnonzero(~tree)
 
-    def _bfs_order(self) -> list[int]:
-        """Elements ordered so every tree parent precedes its children."""
+    def tables(self, X: np.ndarray) -> np.ndarray:
+        """E[g, sigma, k] = e_k(g, sigma), unreduced, for the generator-row
+        vectors X[k], by e(s g', sigma) = e(g', sigma) + e(s, g' sigma) - e(s, g')
+        along the tree."""
         n = self.group.order
-        remaining = [g for g in range(n) if g != 0]
-        emitted = {0}
-        order = [0]
-        while remaining:
-            again = []
-            for g in remaining:
-                if self.parent[g][1] in emitted:
-                    emitted.add(g)
-                    order.append(g)
-                else:
-                    again.append(g)
-            remaining = again
-        return order
+        t = self.group.cayley
+        rows = X.reshape(len(X), len(self.gens), n)
+        E = np.zeros((n, n, len(X)), dtype=X.dtype)
+        for g in self.tree_order[1:]:
+            pos, gp = self.parent[g]
+            E[g] = E[gp] + rows[:, pos, t[gp]].T - rows[:, pos, gp]
+        return E
 
-    def _xidx(self, pos, h):
-        return pos * self.group.order + h
+    def blocks(self, edges: np.ndarray, q: int) -> np.ndarray:
+        """Rows, on the free coordinates, of the identities
+        e(rho, -) + e(s, rho -) - e(s, rho) - e(s rho, -) = 0 at the non-tree
+        edges (pos, rho) = divmod(free[k], |G|), k in edges."""
+        n = self.group.order
+        t = self.group.cayley
+        pos, rho = np.divmod(self.free[edges], n)
+        B = self.M[rho].astype(np.int64) - self.M[t[self.gens[pos], rho]]
+        k = np.arange(len(edges))[:, None]
+        sigma = np.arange(n)[None, :]
+        B[k, sigma, (pos * n)[:, None] + t[rho]] += 1
+        B[k, sigma, (pos * n + rho)[:, None]] -= 1
+        return B[:, :, self.free].reshape(-1, len(self.free)) % q
 
-    def constraint_rows(self, q: int) -> np.ndarray:
-        """All identities with generator first argument, plus normalization."""
-        G = self.group
-        n = G.order
-        t = G.cayley
-        sigma = np.arange(n)
-        blocks = []
+    def violated(self, X: np.ndarray, q: int) -> np.ndarray:
+        """bad[k, j]: row k of X, a cocycle candidate on the free coordinates,
+        violates mod q the identity at the non-tree edge free[j].  Together
+        with normalization these are all the identities with a generator
+        first: InvariantViolation when normalization fails."""
+        n = self.group.order
+        t = self.group.cayley
+        full = np.zeros((len(X), self.dim), dtype=np.int64)
+        full[:, self.free] = X
+        if (full[:, ::n] % q).any():
+            raise InvariantViolation("cocycle candidate is not normalized")
+        E = self.tables(full)
+        bad = np.zeros((self.dim, len(X)), dtype=bool)
         for pos, s in enumerate(self.gens):
-            for rho in range(n):
-                blk = self.M[rho].astype(np.int64) - self.M[G.mul(s, rho)]
-                blk[sigma, self._xidx(pos, t[rho])] += 1
-                blk[:, self._xidx(pos, rho)] -= 1
-                blocks.append(blk)
-        for pos in range(len(self.gens)):
-            row = np.zeros((1, self.dim), dtype=np.int64)
-            row[0, self._xidx(pos, 0)] = 1
-            blocks.append(row)
-        if not blocks:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.vstack(blocks) % q
+            xs = full[:, pos * n:(pos + 1) * n].T          # [h, k] = e_k(s, h)
+            R = E - E[t[s]] + xs[t] - xs[:, None, :]
+            bad[pos * n:(pos + 1) * n] = (R % q).any(axis=1)
+        return bad[self.free].T
 
     def restrict_table(self, table: np.ndarray, q: int) -> np.ndarray:
-        x = np.zeros(self.dim, dtype=np.int64)
-        for pos, s in enumerate(self.gens):
-            x[pos * self.group.order:(pos + 1) * self.group.order] = table[s] % q
-        return x
+        return table[self.gens].reshape(-1) % q
 
     def expand(self, x: np.ndarray, q: int) -> np.ndarray:
-        n = self.group.order
-        out = np.zeros((n, n), dtype=np.int64)
-        for g in range(n):
-            out[g] = self.M[g].astype(np.int64) @ x % q
-        return out
+        return self.tables(x[None].astype(np.int64))[:, :, 0] % q
 
-    def coboundary_xvecs(self, q: int) -> list[np.ndarray]:
-        """Generator-row restrictions of the coboundaries d_h, h != 1."""
-        G = self.group
-        n = G.order
-        out = []
-        for h in range(1, n):
-            x = np.zeros(self.dim, dtype=np.int64)
-            for pos, s in enumerate(self.gens):
-                base = pos * n
-                for hp in range(n):
-                    v = (1 if hp == h else 0) + (1 if s == h else 0) \
-                        - (1 if G.mul(s, hp) == h else 0)
-                    x[base + hp] = v % q
-            out.append(x)
-        return out
+    def coboundary_xvecs(self, q: int) -> np.ndarray:
+        """Generator-row restrictions of the coboundaries d_h, h != 1:
+        row h-1 at (pos, h') is [h' = h] + [s = h] - [s h' = h]."""
+        n = self.group.order
+        k = len(self.gens)
+        X = np.zeros((n, k, n), dtype=np.int64)
+        hp = np.arange(n)
+        X[hp, :, hp] += 1
+        X[self.gens, np.arange(k)] += 1
+        np.subtract.at(X, (self.group.cayley[self.gens], np.arange(k)[:, None], hp), 1)
+        return X[1:].reshape(n - 1, self.dim) % q
 
     def carry_xvecs(self, q: int) -> list[np.ndarray]:
         """Connecting-map classes of the characters G -> Z/q (carry cocycles)."""
@@ -352,14 +354,33 @@ def _characters_mod(G: FiniteGroup, q: int) -> list[list[int]]:
 
 
 def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Reduced basis of the normalized cocycle space in generator coordinates."""
+    """Reduced basis of the normalized cocycle space in generator coordinates.
+
+    The gauge-fixed cocycles are the kernel, on the free coordinates, of the
+    normalization rows and the identity blocks at the non-tree edges.  The
+    blocks join the system a few at a time: each round takes the kernel,
+    checks every generator against all identities, and adds the first
+    identity each violating generator breaks, which removes that generator
+    from the next kernel.  Once no generator violates anything, the kernel
+    plus the coboundaries span the whole space, and one elimination gives
+    its reduced basis, which depends only on the space.
+    """
     q = p ** a
-    C = recon.constraint_rows(q)
-    H, _ = eliminate_mod_q(C, p, a)
-    gens = kernel_mod_q(H if H.size else np.zeros((0, recon.dim), dtype=np.int64), p, a)
-    if not gens:
-        return np.zeros((0, recon.dim), dtype=np.int64), []
-    return eliminate_mod_q(np.array(gens, dtype=np.int64), p, a)
+    free = recon.free
+    normalization = np.eye(len(free), dtype=np.int64)[free % recon.group.order == 0]
+    system = np.vstack([normalization,
+                        recon.blocks(np.arange(min(_FIRST_BATCH, len(free))), q)])
+    while True:
+        H, _ = eliminate_mod_q(system, p, a)
+        K = kernel_mod_q(H, p, a)
+        bad = recon.violated(K, q)
+        if not bad.any():
+            break
+        first_broken = bad.argmax(axis=1)[bad.any(axis=1)]
+        system = np.vstack([H, recon.blocks(np.unique(first_broken), q)])
+    full = np.zeros((len(K), recon.dim), dtype=np.int64)
+    full[:, free] = K
+    return eliminate_mod_q(np.vstack([full, recon.coboundary_xvecs(q)]), p, a)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +650,7 @@ def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_OR
                 row = -coeff
                 row[i] += p ** (a - val)
                 relations.append(row % q)
-        for x in recon.coboundary_xvecs(q) + recon.carry_xvecs(q):
+        for x in [*recon.coboundary_xvecs(q), *recon.carry_xvecs(q)]:
             coeff = coeffs_in_basis(basis, piv, x, p, a)
             if coeff is None:
                 raise InvariantViolation("coboundary escaped the cocycle space")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 
 class MotiveLabError(Exception):
     """Base class for all errors raised by motivelab."""
@@ -154,3 +156,22 @@ class NotAnObject(MotiveLabError):
 
 class WrongShape(MotiveLabError):
     """A JSON input holds a number where a list is expected, or an object for an integer."""
+
+
+def json_integer(value, where: str) -> int:
+    """value if it is a JSON integer, or WrongShape naming the field: a
+    string, a bool, a float, a list or an object is not one."""
+    if type(value) is not int:
+        raise WrongShape(f"{where} must be an integer, not {json.dumps(value)[:40]}")
+    return value
+
+
+def json_integers(raw, where: str, pairs: bool = False) -> list:
+    """A JSON list of integers, or of integer pairs, or WrongShape naming the field."""
+    if not isinstance(raw, list) or (
+            pairs and not all(isinstance(v, list) and len(v) == 2 for v in raw)):
+        raise WrongShape(f"{where} must be a list of {'integer pairs' if pairs else 'integers'}, "
+                         f"not {json.dumps(raw)[:40]}")
+    if pairs:
+        return [(json_integer(a, where), json_integer(b, where)) for a, b in raw]
+    return [json_integer(v, where) for v in raw]

@@ -24,7 +24,10 @@ from .errors import (
     NotClosed,
     OrderBound,
     SizeBound,
+    WrongShape,
     check_invariant,
+    json_integer,
+    json_integers,
 )
 from .intlinalg import crt_idempotent, crt_pair, prime_power_factors, smith_normal_form
 
@@ -553,20 +556,30 @@ def construct_group(spec) -> FiniteGroup:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise BadGroupSpec(f"bad group spec: {spec!r}")
     kind = spec["kind"]
+
+    def param(key):
+        return json_integer(spec[key], f"group spec field '{key}'")
+
+    def rows(key):
+        where = f"group spec field '{key}'"
+        if not isinstance(spec[key], list):
+            raise WrongShape(f"{where} must be a list of integer lists, not {spec[key]!r:.40}")
+        return [json_integers(r, where) for r in spec[key]]
+
     if kind == "cyclic":
-        return cyclic_group(int(spec["n"]))
+        return cyclic_group(param("n"))
     if kind == "symmetric":
-        return symmetric_group(int(spec["n"]))
+        return symmetric_group(param("n"))
     if kind == "dihedral":
-        return dihedral_group(int(spec["order"]))
+        return dihedral_group(param("order"))
     if kind == "elem_abelian":
-        return elementary_abelian_group(int(spec["p"]), int(spec["k"]))
+        return elementary_abelian_group(param("p"), param("k"))
     if kind == "product":
         return product_group(construct_group(spec["a"]), construct_group(spec["b"]))
     if kind == "cayley":
-        return group_from_cayley(spec["table"])
+        return group_from_cayley(rows("table"))
     if kind == "perm_gens":
-        return group_from_permutations(int(spec["degree"]), spec["gens"])
+        return group_from_permutations(param("degree"), rows("gens"))
     raise BadGroupSpec(f"unknown group kind {kind!r}")
 
 

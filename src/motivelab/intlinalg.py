@@ -109,6 +109,19 @@ def _valuations(col: np.ndarray, p: int, a: int) -> np.ndarray:
     return val
 
 
+def _first_min_valuation(x: np.ndarray, p: int, a: int) -> tuple[int, int]:
+    """(index, valuation) of the first entry of least p-adic valuation, with
+    valuation a when x is zero mod p**a; one % p pass finds a unit."""
+    units = np.flatnonzero(x % p)
+    if units.size:
+        return int(units[0]), 0
+    if not x.any():
+        return 0, a
+    vals = _valuations(x, p, a)
+    i = int(np.argmin(vals))
+    return i, int(vals[i])
+
+
 def eliminate_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Howell-saturated row reduction of A mod q = p**a.
 
@@ -160,12 +173,7 @@ def _echelon_block(M: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tupl
     for c in range(ncols):
         if r == m:
             break
-        col = M[r:, c]
-        if not col.any():
-            continue
-        vals = _valuations(col, p, a)
-        i = int(np.argmin(vals))
-        v = int(vals[i])
+        i, v = _first_min_valuation(M[r:, c], p, a)
         if v >= a:
             continue
         if i != 0:
@@ -208,11 +216,7 @@ def diagonalize_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[i
     vals: list[int] = []
     for t in range(min(m, c)):
         sub = M[t:, t:]
-        if not sub.any():
-            break
-        vv = _valuations(sub.reshape(-1), p, a)
-        k = int(np.argmin(vv))
-        v = int(vv[k])
+        k, v = _first_min_valuation(sub.reshape(-1), p, a)
         if v >= a:
             break
         i, j = divmod(k, sub.shape[1])
@@ -247,19 +251,16 @@ def diagonalize_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[i
     return U % q, vals, V % q
 
 
-def kernel_mod_q(A: np.ndarray, p: int, a: int) -> list[np.ndarray]:
-    """Generators of {x : A x == 0 mod p**a}."""
-    q = p ** a
-    A = np.asarray(A, dtype=np.int64) % q
-    c = A.shape[1]
-    _, vals, V = diagonalize_mod_q(A, p, a)
-    gens = []
-    for t, v in enumerate(vals):
-        if v > 0:
-            gens.append((p ** (a - v)) * V[:, t] % q)
-    for t in range(len(vals), c):
-        gens.append(V[:, t] % q)
-    return gens
+def kernel_mod_q(A: np.ndarray, p: int, a: int) -> np.ndarray:
+    """Generators of {x : A x == 0 mod p**a}, one per row.
+
+    The rows of [A^T | I] span the pairs (A x, x); in their Howell form the
+    rows whose left part is zero span the pairs with A x = 0.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    r, c = A.shape
+    H, piv = eliminate_mod_q(np.hstack([A.T, np.eye(c, dtype=np.int64)]), p, a)
+    return H[[i for i, (col, _) in enumerate(piv) if col >= r], r:]
 
 
 def coeffs_in_basis(basis: np.ndarray, piv: Sequence[tuple[int, int]], v: np.ndarray,

@@ -34,6 +34,7 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
+    group_from_permutations,
     symmetric_group,
 )
 from .measures import (
@@ -70,6 +71,15 @@ SCHUR_TABLE = [
     ("elem_abelian", (2, 2), (2,)),
     ("elem_abelian", (2, 3), (2, 2, 2)),
     ("elem_abelian", (3, 2), (3,)),
+    # A4; Q8 by left multiplication on 1, -1, i, -i, j, -j, k, -k; SL(2,3) on
+    # the nonzero vectors of F_3^2; C3 x C3; the Heisenberg group of order 27
+    # as the maps (x, y) -> (x + u, y + v x + w) of F_3^2; A5
+    ("permutations", (4, [[1, 2, 0, 3], [1, 0, 3, 2]]), (2,)),
+    ("permutations", (8, [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]), ()),
+    ("permutations", (8, [[3, 7, 2, 6, 1, 5, 0, 4], [0, 1, 3, 4, 2, 7, 5, 6]]), ()),
+    ("permutations", (6, [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]), (3,)),
+    ("permutations", (9, [[3, 4, 5, 6, 7, 8, 0, 1, 2], [0, 1, 2, 4, 5, 3, 8, 6, 7]]), (3, 3)),
+    ("permutations", (5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]), (2,)),
 ]
 
 _CONSTRUCTORS = {
@@ -77,6 +87,7 @@ _CONSTRUCTORS = {
     "symmetric": symmetric_group,
     "dihedral": dihedral_group,
     "elem_abelian": elementary_abelian_group,
+    "permutations": group_from_permutations,
 }
 
 

@@ -312,7 +312,7 @@ def test_collection_block_of_the_wrong_shape(tmp_path, capsys):
     ("blowup-check", {"group": "cyclic:2", "X": 5, "Y": 5, "c": 1, "Bl": 5, "E": 5},
      "variety expression must be a JSON object or a list of terms"),
     ("euler", {"group": "cyclic:2", "fixed_locus": [{"a": 1}, 2]},
-     "per-class values must be integers"),
+     "per-class values must be an integer"),
 ])
 def test_dataset_values_of_the_wrong_shape(tmp_path, capsys, action, data, message):
     ds = tmp_path / "ds.json"
@@ -333,7 +333,10 @@ def test_wrong_shape_loaders_raise_typed_errors():
         per_class_values(G, [{"a": 1}, 2])
     with pytest.raises(WrongShape):
         per_class_values(G, [2, 0], pairs=True)
-    assert per_class_values(G, [2, "0"]) == [2, 0]
+    for bad in ([2, "0"], [2.7, 0], [True, 0], 5):
+        with pytest.raises(WrongShape):
+            per_class_values(G, bad)
+    assert per_class_values(G, [2, 0]) == [2, 0]
     assert per_class_values(G, {"0": [2, 0], "1": [2, 0]}, pairs=True) == [(2, 0), (2, 0)]
 
 
@@ -363,6 +366,14 @@ def _integer_field_inputs(tmp_path, bad):
           json.dumps({"fixed_locus": [bad, 1]})), "fixed_locus"),
         (("measure", "nc", "--group", "cyclic:2", "--catalog", "point", "--action",
           json.dumps({"sectors": [[1, 0], [0, bad]]})), "sectors"),
+        (("motive", "decompose", "--group", "cyclic:2", "--collection",
+          write("stab.json", {"blocks": [{"length": 1, "stabilizer": [0, bad]}]})),
+         "stabilizer"),
+        (("schur", "--group", json.dumps({"kind": "cyclic", "n": bad})), "'n'"),
+        (("schur", "--group", json.dumps({"kind": "product", "a": "cyclic:2",
+                                          "b": {"kind": "dihedral", "order": bad}})), "'order'"),
+        (("schur", "--group", json.dumps({"kind": "perm_gens", "degree": 2,
+                                          "gens": [[1, bad]]})), "'gens'"),
     ]
 
 
@@ -374,3 +385,22 @@ def test_integer_json_fields_reject_other_values(tmp_path, capsys, bad):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert name in err and "must be an integer" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("motive", "decompose", "--group", "cyclic:2", "--collection",
+      {"blocks": [{"length": 1, "stabilizer": 5}]}),
+     "collection block 'stabilizer' must be a list of integers"),
+    (("schur", "--group", {"kind": "perm_gens", "degree": 2, "gens": 5}),
+     "group spec field 'gens' must be a list of integer lists"),
+    (("schur", "--group", {"kind": "cayley", "table": [5]}),
+     "group spec field 'table' must be a list of integers"),
+])
+def test_integer_list_fields_reject_other_values(tmp_path, capsys, argv, message):
+    """A list-of-integers field holding a number is WrongShape, exit 1."""
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(argv[-1]))
+    last = str(f) if argv[-2] == "--collection" else json.dumps(argv[-1])
+    code, _, err = run(capsys, *argv[:-1], last)
+    assert code == 1
+    assert message in err and "Traceback" not in err, err

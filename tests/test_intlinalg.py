@@ -154,6 +154,19 @@ def test_kernel_mod_q_complete():
         assert spanned == brute
 
 
+def test_first_min_valuation_is_the_argmin_pivot():
+    """The % p shortcut picks the entry the full valuation scan picks."""
+    from motivelab.intlinalg import _first_min_valuation, _valuations
+    rng = np.random.default_rng(8)
+    for p, a in [(2, 1), (2, 4), (3, 2), (5, 1)]:
+        q = p ** a
+        for _ in range(50):
+            x = rng.integers(0, q, size=int(rng.integers(1, 9))) * p ** int(rng.integers(0, a + 1)) % q
+            vals = _valuations(x, p, a)
+            i, v = _first_min_valuation(x, p, a)
+            assert v == vals.min() and (v == a or i == int(np.argmin(vals)))
+
+
 def test_smith_examples():
     snf = smith_normal_form([[6, 0], [0, 4]])
     assert snf.invariant_factors == (2, 12)
