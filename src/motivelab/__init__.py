@@ -20,7 +20,7 @@ from .groups import (
     abelianization,
 )
 from .cyclotomic import Cyclotomic, cyclo_arith
-from .intlinalg import SmithDecomposition, smith_normal_form, solve_mod
+from .intlinalg import solve_mod
 from .cocycles import (
     TwoCocycle,
     CohomClass,

@@ -453,8 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="splitting order of the modular eigenspace searches")
     common.add_argument("--max-order", type=int, default=SCHUR_DEFAULT_MAX_ORDER,
                         help="group-order guard for multiplier computations")
+    # the shared flags follow the subcommand; before it they are a usage error
     parser = argparse.ArgumentParser(
-        prog="motivelab", parents=[common],
+        prog="motivelab",
         description="finite-group cohomology, twisted algebras, and motive skeletons")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -45,13 +45,14 @@ from .groups import FiniteGroup, Subgroup, abelianization, same_group
 from .intlinalg import (
     coeffs_in_basis,
     crt_idempotent,
-    crt_pair,
     crt_zip,
     diagonalize_mod_q,
     eliminate_mod_q,
     in_span_mod,
     invert_mod_q,
     kernel_mod_q,
+    merge_primary,
+    primary_slots,
     prime_power_factors,
     require_modulus,
     solve_mod,
@@ -221,39 +222,16 @@ class _Reconstruction:
         self.group = G
         gens = np.asarray(G.generating_set(), dtype=np.int64)
         n = G.order
-        if not len(gens) and n > 1:
-            raise SizeBound("no generating set available")
         self.gens = gens
         self.dim = len(gens) * n
         if n * n * self.dim > _RECONSTRUCTION_GUARD:
             raise SizeBound("cocycle parametrization too large for this group")
-        # BFS: parent[g] = (generator position, g') with g = gens[pos] * g';
-        # tree_order lists every element after its tree parent
-        parent: list[tuple[int, int] | None] = [None] * n
-        order = [0]
-        seen = [False] * n
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for gp in frontier:
-                for pos, s in enumerate(gens):
-                    g = G.mul(s, gp)
-                    if not seen[g]:
-                        seen[g] = True
-                        parent[g] = (pos, gp)
-                        nxt.append(g)
-            order += nxt
-            frontier = nxt
-        if not all(seen):
-            raise InvariantViolation("generating set does not generate the group")
-        self.parent = parent
-        self.tree_order = order
+        self.parent, self.tree_order = G.word_tree()
         self.M = self.tables(np.eye(self.dim, dtype=np.int32))
         # the coordinates (pos, g') off the tree edges: the gauge-fixed unknowns
         tree = np.zeros(self.dim, dtype=bool)
-        for g in order[1:]:
-            pos, gp = parent[g]
+        for g in self.tree_order[1:]:
+            pos, gp = self.parent[g]
             tree[pos * n + gp] = True
         self.free = np.flatnonzero(~tree)
 
@@ -517,26 +495,11 @@ class SchurMultiplier:
         self.modulus = n
         self._components = components
         self._recon = recon
-        merged: list[int] = []
-        layout: list[list[tuple[int, int, int]]] = []  # per merged slot: (comp idx, pos idx, factor)
-        per_comp = []
-        for ci, comp in enumerate(components):
-            # descending prime-power factors for largest-with-largest merging
-            idx = sorted(range(len(comp.factors)), key=lambda i: -comp.factors[i])
-            per_comp.append([(ci, i, comp.factors[i]) for i in idx])
-        depth = max((len(x) for x in per_comp), default=0)
-        for j in range(depth):
-            d = 1
-            slot = []
-            for lst in per_comp:
-                if j < len(lst):
-                    d *= lst[j][2]
-                    slot.append(lst[j])
-            merged.append(d)
-            layout.append(slot)
-        self.invariant_factors = tuple(reversed(merged))
-        self._layout = list(reversed(layout))
-        self.section = tuple(self._section_cocycle(slot) for slot in self._layout)
+        self.invariant_factors, slots, _ = merge_primary(
+            [(comp.factors, None) for comp in components], 0)
+        Vinv = [invert_mod_q(comp.V, comp.p, comp.a) if comp.factors else None
+                for comp in components]
+        self.section = tuple(self._section_cocycle(slot, Vinv) for slot in slots)
 
     @property
     def order(self) -> int:
@@ -548,16 +511,14 @@ class SchurMultiplier:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    def _section_cocycle(self, slot) -> TwoCocycle:
+    def _section_cocycle(self, slot, Vinv: list[np.ndarray | None]) -> TwoCocycle:
         n = self.modulus
         G = self.group
         acc = np.zeros((G.order, G.order), dtype=np.int64)
-        for ci, pos_idx, _ in slot:
+        for ci, t in slot:
             comp = self._components[ci]
             q = comp.q
-            Vinv = invert_mod_q(comp.V, comp.p, comp.a)
-            combo = Vinv[comp.positions[pos_idx]] % q
-            x = combo @ comp.basis % q
+            x = Vinv[ci][comp.positions[t]] @ comp.basis % q
             table = self._recon.expand(x.astype(np.int64), q)
             acc = (acc + crt_idempotent(n, q) * table) % n
         return TwoCocycle._trusted(G, n, tuple(map(tuple, acc.tolist())))
@@ -572,24 +533,14 @@ class SchurMultiplier:
                 f"modulus {alpha.modulus} does not divide {self.modulus}")
         alpha = alpha.promote(self.modulus)
         table = alpha.as_array()
-        comp_coords: list[list[int]] = []
+        parts = []
         for comp in self._components:
-            q = comp.q
-            x = self._recon.restrict_table(table, q)
+            x = self._recon.restrict_table(table, comp.q)
             c = coeffs_in_basis(comp.basis, comp.piv, x, comp.p, comp.a)
             if c is None:
                 raise NotACocycle("table is not in the cocycle space")
-            y = c @ comp.V % q
-            comp_coords.append([int(y[pos]) % f
-                                for pos, f in zip(comp.positions, comp.factors)])
-        coords = []
-        for slot in self._layout:
-            r, m = 0, 1
-            for ci, pos_idx, f in slot:
-                r = crt_pair(r, m, comp_coords[ci][pos_idx], f)
-                m *= f
-            coords.append(r)
-        return tuple(coords)
+            parts.append((comp.factors, (c @ comp.V)[None, list(comp.positions)]))
+        return tuple(merge_primary(parts, 1)[2][0].tolist())
 
     def class_of(self, alpha: TwoCocycle) -> "CohomClass":
         coords = self.project(alpha)
@@ -657,18 +608,8 @@ def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_OR
             relations.append(coeff % q)
         R = np.array(relations, dtype=np.int64) if relations else np.zeros((0, r), dtype=np.int64)
         _, vals, V = diagonalize_mod_q(R, p, a)
-        positions = []
-        factors = []
-        for t in range(r):
-            if t < len(vals):
-                if vals[t] >= 1:
-                    positions.append(t)
-                    factors.append(p ** vals[t])
-            else:
-                positions.append(t)
-                factors.append(q)
-        components.append(_PrimeComponent(p, a, basis, tuple(piv), V,
-                                          tuple(positions), tuple(factors)))
+        positions, factors = primary_slots(vals, r, p, a)
+        components.append(_PrimeComponent(p, a, basis, tuple(piv), V, positions, factors))
     return SchurMultiplier(G, n, components, recon)
 
 

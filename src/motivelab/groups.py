@@ -29,12 +29,17 @@ from .errors import (
     json_integer,
     json_integers,
 )
-from .intlinalg import crt_idempotent, crt_pair, prime_power_factors, smith_normal_form
+from .intlinalg import (
+    diagonalize_mod_q,
+    eliminate_mod_q,
+    merge_primary,
+    primary_slots,
+    prime_power_factors,
+)
 
 DEFAULT_MAX_ORDER = 2048
 EXHAUSTIVE_ASSOC_BOUND = 64
 ASSOC_SAMPLES = 10_000
-_RELATION_BOX_GUARD = 1 << 22
 
 
 def max_order() -> int:
@@ -68,6 +73,7 @@ class FiniteGroup:
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._word_tree = None
         self._abelianization = None
 
     # -- validation -----------------------------------------------------
@@ -177,6 +183,37 @@ class FiniteGroup:
                     break
         self._gens = tuple(gens)
         return self._gens
+
+    def word_tree(self) -> tuple[tuple[tuple[int, int] | None, ...], tuple[int, ...]]:
+        """The breadth-first word tree on generating_set(), computed once:
+        parent[g] = (generator position, g') with g = gens[pos] * g' (None
+        at the identity), and tree_order lists every element after its
+        parent.  A level visits its elements g' in order and, for each, the
+        generators in order."""
+        if self._word_tree is None:
+            n = self.order
+            gens = np.asarray(self.generating_set(), dtype=np.int64)
+            parent: list[tuple[int, int] | None] = [None] * n
+            order = [0]
+            seen = np.zeros(n, dtype=bool)
+            seen[0] = True
+            frontier = np.zeros(1, dtype=np.int64)
+            while frontier.size:
+                # s g' for g' in frontier and s in gens, g'-major: the first
+                # occurrence of each unseen element is its tree edge
+                found = self.cayley[np.ix_(gens, frontier)].T.reshape(-1)
+                new, first = np.unique(found, return_index=True)
+                first = np.sort(first[~seen[new]])
+                new = found[first]
+                seen[new] = True
+                at, pos = np.divmod(first, len(gens))
+                for g, s, gp in zip(new.tolist(), pos.tolist(), frontier[at].tolist()):
+                    parent[g] = (s, gp)
+                order += new.tolist()
+                frontier = new
+            check_invariant(bool(seen.all()), "generating set does not generate the group")
+            self._word_tree = (tuple(parent), tuple(order))
+        return self._word_tree
 
     def _closure(self, seed: set[int]) -> set[int]:
         out = set(seed) | {0}
@@ -347,12 +384,6 @@ class CosetSpace:
     @property
     def size(self) -> int:
         return len(self.cosets)
-
-    def coset_index(self, g: int) -> int:
-        for i, coset in enumerate(self.cosets):
-            if g in coset:
-                return i
-        raise ValueError("element not found in any coset")
 
 
 def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
@@ -594,144 +625,38 @@ class Abelianization:
 
     invariant_factors: tuple[int, ...]
     projection: tuple[tuple[int, ...], ...]  # element index -> coordinate tuple
-    quotient_order: int
-
-
-def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = {G.commutator(g, h) for g in G.elements() for h in G.elements()}
-    return G.generated_subgroup(comms)
 
 
 def abelianization(G: FiniteGroup) -> Abelianization:
-    if G._abelianization is not None:
-        return G._abelianization
-    K = commutator_subgroup(G)
-    quotient, coset_of = _quotient_group(G, K)
-    factors, coords = _abelian_structure(quotient)
-    projection = tuple(coords[coset_of[g]] for g in G.elements())
-    result = Abelianization(tuple(factors), projection, quotient.order)
-    G._abelianization = result
-    return result
+    """G^ab from the Schreier relations of the word tree, computed once.
 
-
-def _quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
-    """Quotient by a normal subgroup; returns (Q, element -> coset index)."""
-    space = coset_space(G, N)
-    reps = [c[0] for c in space.cosets]
-    coset_of = [space.coset_index(g) for g in G.elements()]
-    k = len(reps)
-    table = np.zeros((k, k), dtype=np.int32)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = coset_of[G.mul(a, b)]
-    return FiniteGroup(table, label=f"{G.label}^ab"), coset_of
-
-
-def _abelian_structure(Q: FiniteGroup) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Invariant factors (>1) and per-element coordinates of an abelian group."""
-    n = Q.order
-    if n == 1:
-        return [], [()]
-    check_invariant(Q.is_abelian(), "abelian structure needs an abelian group")
-    factor_data = []  # per prime: (factors desc, coords per element of Q)
-    for p, a in prime_power_factors(n):
-        e = crt_idempotent(n, p ** a)
-        part_of = [Q.power(g, e) for g in Q.elements()]
-        part_elems = sorted(set(part_of))
-        factors, coords = _primary_structure(Q, part_elems, p)
-        coord_of = {e: c for e, c in zip(part_elems, coords)}
-        factor_data.append((p, factors, [coord_of[part_of[g]] for g in Q.elements()]))
-
-    depth = max(len(factors) for _, factors, _ in factor_data) if factor_data else 0
-    merged: list[int] = []
-    for j in range(depth):
-        d = 1
-        for p, factors, _ in factor_data:
-            if j < len(factors):
-                d *= factors[j]
-        merged.append(d)
-    # merged is descending; report ascending divisibility d_1 | d_2 | ...
-    element_coords: list[tuple[int, ...]] = []
-    for g in Q.elements():
-        coord = []
-        for j in range(depth):
-            r, mmod = 0, 1
-            for p, factors, per_elem in factor_data:
-                if j < len(factors):
-                    r = crt_pair(r, mmod, per_elem[g][j], factors[j])
-                    mmod *= factors[j]
-            coord.append(r)
-        element_coords.append(tuple(reversed(coord)))
-    return list(reversed(merged)), element_coords
-
-
-def _primary_structure(Q: FiniteGroup, elems: list[int], p: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Structure of the p-part subgroup given by its element list.
-
-    Returns (cyclic orders descending, coordinates per element in elems order).
+    With w(g) in Z^S the generator counts of the tree word of g, G^ab is
+    Z^S modulo the rows w(g) + e_s - w(s g) over s in S and g in G
+    (Reidemeister-Schreier; a tree edge gives a zero row).  |G^ab| divides
+    |G|, so for p^a || |G| its p-part is (Z/p^a)^S modulo the same rows:
+    their diagonalization U R V = diag(p^v) gives the factors p^v and the
+    coordinates w(g) V.
     """
-    if len(elems) == 1:
-        return [], [()]
-    elem_set = set(elems)
-    by_order = sorted(elems[1:] if elems[0] == 0 else elems,
-                      key=lambda g: (-Q.element_order(g), g))
-    by_order = [g for g in by_order if g != 0]
-    gens: list[int] = []
-    dlog: dict[int, tuple[int, ...]] = {0: ()}
-    for g in by_order:
-        if g in dlog:
-            continue
-        gens.append(g)
-        o = Q.element_order(g)
-        new_dlog: dict[int, tuple[int, ...]] = {}
-        for x, vec in dlog.items():
-            acc = x
-            for e in range(o):
-                key = acc
-                if key not in dlog and key not in new_dlog:
-                    new_dlog[key] = vec + (e,)
-                acc = Q.mul(acc, g)
-        for x, vec in dlog.items():
-            dlog[x] = vec + (0,)
-        dlog.update(new_dlog)
-        if len(dlog) == len(elem_set):
-            break
-    k = len(gens)
-    orders = [Q.element_order(g) for g in gens]
-    # pad discrete logs of elements found before later generators existed
-    for x in list(dlog):
-        v = dlog[x]
-        if len(v) < k:
-            dlog[x] = v + (0,) * (k - len(v))
-    box = 1
-    for o in orders:
-        box *= o
-    if box > _RELATION_BOX_GUARD:
-        raise SizeBound("abelian relation search space too large")
-    rel_rows = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    for tup in itertools.product(*(range(o) for o in orders)):
-        if all(v == 0 for v in tup):
-            continue
-        acc = 0
-        for i, e in enumerate(tup):
-            acc = Q.mul(acc, Q.power(gens[i], e))
-        if acc == 0:
-            rel_rows.append(list(tup))
-    snf = smith_normal_form(rel_rows)
-    diag = list(snf.invariant_factors) + [0] * (k - len(snf.invariant_factors))
-    V = np.asarray(snf.V, dtype=object)
-    keep = [j for j in range(k) if diag[j] > 1]
-    factors = [diag[j] for j in keep]
-    coords = []
-    for x in elems:
-        vec = np.asarray(dlog[x], dtype=object)
-        y = vec @ V
-        coords.append(tuple(int(y[j]) % diag[j] for j in keep))
-    # descending order for merging
-    order_idx = sorted(range(len(factors)), key=lambda i: -factors[i])
-    factors_sorted = [factors[i] for i in order_idx]
-    coords_sorted = [tuple(c[i] for i in order_idx) for c in coords]
-    return factors_sorted, coords_sorted
+    if G._abelianization is None:
+        gens = list(G.generating_set())
+        n, k = G.order, len(gens)
+        parent, tree_order = G.word_tree()
+        W = np.zeros((n, k), dtype=np.int64)
+        for g in tree_order[1:]:
+            pos, gp = parent[g]
+            W[g] = W[gp]
+            W[g, pos] += 1
+        R = W[None] - W[G.cayley[gens]]                  # [s, g]: w(g) - w(s g)
+        R[np.arange(k), :, np.arange(k)] += 1
+        parts = []
+        for p, a in prime_power_factors(n):
+            reduced, _ = eliminate_mod_q(R.reshape(k * n, k), p, a)
+            _, vals, V = diagonalize_mod_q(reduced, p, a)
+            positions, factors = primary_slots(vals, k, p, a)
+            parts.append((factors, (W @ V)[:, positions]))
+        factors, _, coords = merge_primary(parts, n)
+        G._abelianization = Abelianization(factors, tuple(map(tuple, coords.tolist())))
+    return G._abelianization
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:

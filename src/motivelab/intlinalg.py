@@ -1,23 +1,24 @@
-"""Exact linear algebra over Z/n and Z.
+"""Exact linear algebra over Z/n.
 
 Z/n is not a field.  All work over Z/n happens modulo prime powers q = p^a,
 where a vectorized elimination keeps pivots of the form p^v and saturates
 the row span, so that membership and coordinates are decided by one pass
 over the pivots.  A composite modulus n is split into its prime-power parts
-and the per-prime results are joined with the CRT idempotents e_q.  Smith
-normal form works over Z.
+and the per-prime results are joined with the CRT idempotents e_q.  A
+finite abelian group given mod p^a by a relation matrix is read off the same
+way: its diagonalization gives the cyclic factors p^v, and the factors of
+the primes merge into invariant factors with CRT coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadModulus, InvariantViolation, SizeBound, Unsolvable
-
-SNF_DIM_GUARD = 5000
+from .errors import BadModulus, Unsolvable
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -83,14 +84,6 @@ def crt_zip(parts: Sequence[tuple[int, Sequence[np.ndarray]]], n: int,
         for j, g in enumerate(gens):
             rows[j] = (rows[j] + e * np.asarray(g, dtype=object)) % n
     return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """The residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime)."""
-    g, s, _ = xgcd(m1, m2)
-    if g != 1:
-        raise InvariantViolation(f"CRT moduli {m1} and {m2} are not coprime")
-    return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +287,43 @@ def invert_mod_q(M: np.ndarray, p: int, a: int) -> np.ndarray:
     return V @ U % q
 
 
+def primary_slots(vals: Sequence[int], rank: int, p: int,
+                  a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(positions, factors) of the nontrivial cyclic factors of (Z/p^a)^rank
+    modulo a relation matrix diagonalized with valuations vals: slot t has
+    order p^vals[t], and a slot past the last pivot has order p^a."""
+    kept = [(t, p ** (vals[t] if t < len(vals) else a)) for t in range(rank)
+            if t >= len(vals) or vals[t] > 0]
+    return tuple(t for t, _ in kept), tuple(f for _, f in kept)
+
+
+def merge_primary(parts: Sequence[tuple[Sequence[int], np.ndarray | None]], count: int
+                  ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...], np.ndarray]:
+    """Invariant factors of a finite abelian group from its p-primary parts.
+
+    parts[i] = (factors, coords): the cyclic factors of one prime and the
+    coordinates, an int array [count, len(factors)], of count elements in
+    them (None when count is 0).  The largest factor of every prime merges
+    with the largest of the others, the next with the next, and so on.
+    Returns the merged factors d_1 | d_2 | ..., slots[j] = the (part, factor
+    index) pairs merged into d_j, and the coordinates [count, len(slots)]
+    joined by CRT.
+    """
+    desc = [sorted(range(len(f)), key=lambda t: -f[t]) for f, _ in parts]
+    depth = max(map(len, desc), default=0)
+    slots = tuple(tuple((i, d[j]) for i, d in enumerate(desc) if j < len(d))
+                  for j in reversed(range(depth)))
+    factors = tuple(prod(parts[i][0][t] for i, t in slot) for slot in slots)
+    coords = np.zeros((count, depth), dtype=np.int64)
+    if count:
+        for j, (slot, d) in enumerate(zip(slots, factors)):
+            for i, t in slot:
+                f = parts[i][0][t]
+                coords[:, j] += crt_idempotent(d, f) * (parts[i][1][:, t] % f)
+            coords[:, j] %= d
+    return factors, slots, coords
+
+
 @dataclass(frozen=True)
 class ModSolution:
     """Solution set of A x = b over Z/n: one particular solution plus kernel
@@ -359,103 +389,3 @@ def in_span_mod(rows, v: Sequence[int], n: int) -> bool:
         if coeffs_in_basis(basis, piv, v, p, a) is None:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Integer Smith normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U A V = diag(invariant_factors) with U, V unimodular."""
-
-    invariant_factors: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows > SNF_DIM_GUARD or cols > SNF_DIM_GUARD:
-        raise SizeBound(f"matrix exceeds {SNF_DIM_GUARD}x{SNF_DIM_GUARD}")
-    M = [[int(x) for x in row] for row in A]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            M[r][i] -= q * M[r][j]
-        for r in range(cols):
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            M[r][i], M[r][j] = M[r][j], M[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate a minimal nonzero pivot in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if M[i][j] != 0 and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
-            U[t] = [-x for x in U[t]]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    row_op(i, t, q)
-                    if M[i][t]:
-                        swap_rows(t, i)
-                        if M[t][t] < 0:
-                            M[t] = [-x for x in M[t]]
-                            U[t] = [-x for x in U[t]]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    col_op(j, t, q)
-                    if M[t][j]:
-                        swap_cols(t, j)
-                        if M[t][t] < 0:
-                            M[t] = [-x for x in M[t]]
-                            U[t] = [-x for x in U[t]]
-                        dirty = True
-            if not dirty:
-                # enforce divisibility of the trailing block by the pivot
-                for i in range(t + 1, rows):
-                    bad = next((j for j in range(t + 1, cols) if M[i][j] % M[t][t]), None)
-                    if bad is not None:
-                        row_op(t, i, -1)  # add row i to row t
-                        dirty = True
-                        break
-        t += 1
-
-    diag = [M[i][i] for i in range(min(rows, cols))]
-    while diag and diag[-1] == 0:
-        diag.pop()
-    return SmithDecomposition(tuple(abs(d) for d in diag),
-                              tuple(tuple(r) for r in U),
-                              tuple(tuple(r) for r in V))
-

@@ -224,6 +224,20 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("before, after", [
+    (["--json"], ["schur", "--group", "dihedral:8", "--json"]),
+    (["--max-order", "120"], ["schur", "--group", "symmetric:5", "--max-order", "120"]),
+    (["--seed", "3"], ["chartable", "--group", "symmetric:3", "--seed", "3"]),
+])
+def test_shared_flags_follow_the_subcommand(capsys, before, after):
+    """A shared flag before the subcommand is a usage error, not silently
+    overwritten by the subcommand's default; after it, it takes effect."""
+    code, out, err = run(capsys, *before, *after[:-len(before)])
+    assert code == 1 and out == "" and "usage: motivelab" in err
+    code, out, _ = run(capsys, *after)
+    assert code == 0 and out
+
+
 def test_selftest_fast(capsys):
     code, out, _ = run(capsys, "selftest", "--fast")
     assert code == 0

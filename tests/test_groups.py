@@ -16,7 +16,6 @@ from motivelab.groups import (
     Subgroup,
     abelianization,
     all_subgroups,
-    commutator_subgroup,
     construct_group,
     coset_space,
     cyclic_group,
@@ -27,6 +26,7 @@ from motivelab.groups import (
     product_group,
     symmetric_group,
 )
+from test_cocycles import _LITERATURE
 
 
 def brute_classes(G):
@@ -199,11 +199,6 @@ def test_abelianization_kills_commutators():
                 assert ab.projection[G.commutator(g, h)] == zero
 
 
-def test_commutator_subgroup_s3():
-    K = commutator_subgroup(symmetric_group(3))
-    assert K.order == 3
-
-
 def test_construct_group_specs():
     assert construct_group({"kind": "cyclic", "n": 4}).order == 4
     assert construct_group({"kind": "symmetric", "n": 3}).order == 6
@@ -298,3 +293,95 @@ def test_abelianization_mixed_primes():
                              zip(ab.projection[g], ab.projection[h],
                                  ab.invariant_factors))
             assert combined == ab.projection[G.mul(g, h)]
+
+
+def _a4():
+    return group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
+
+
+def _c(*ns):
+    G = cyclic_group(ns[0])
+    for n in ns[1:]:
+        G = product_group(G, cyclic_group(n))
+    return G
+
+
+# invariant factors of G^ab: every literature group, the benchmark
+# workloads' groups and a few abelian groups with mixed or deep primes
+_LITERATURE_ABELIANIZATIONS = {
+    "A4": (3,), "S4": (2,), "A5": (), "S5": (2,), "D48": (2, 2), "S3": (2,),
+    "C12": (12,), "D12xS3": (2, 2, 2), "Q8": (2, 2), "SL(2,3)": (3,),
+    "C3xC3": (3, 3), "Heisenberg27": (3, 3),
+}
+_ABELIANIZATION_BATTERY = {
+    **{name: (_LITERATURE[name][0], factors)
+       for name, factors in _LITERATURE_ABELIANIZATIONS.items()},
+    "D16": (lambda: dihedral_group(16), (2, 2)),
+    "C4xC4": (lambda: _c(4, 4), (4, 4)),
+    "D8xC2": (lambda: product_group(dihedral_group(8), cyclic_group(2)), (2, 2, 2)),
+    "D64": (lambda: dihedral_group(64), (2, 2)),
+    "E32": (lambda: elementary_abelian_group(2, 5), (2, 2, 2, 2, 2)),
+    "S4xC2": (lambda: product_group(symmetric_group(4), cyclic_group(2)), (2, 2)),
+    "E4xA4": (lambda: product_group(elementary_abelian_group(2, 2), _a4()), (2, 6)),
+    "S6": (lambda: symmetric_group(6), (2,)),
+    "S3xS4": (lambda: product_group(symmetric_group(3), symmetric_group(4)), (2, 2)),
+    "E4": (lambda: elementary_abelian_group(2, 2), (2, 2)),
+    "D8": (lambda: dihedral_group(8), (2, 2)),
+    "E8": (lambda: elementary_abelian_group(2, 3), (2, 2, 2)),
+    "D12": (lambda: dihedral_group(12), (2, 2)),
+    "C6xC2": (lambda: _c(6, 2), (2, 6)),
+    "D24": (lambda: dihedral_group(24), (2, 2)),
+    "C6xC6": (lambda: _c(6, 6), (6, 6)),
+    "C10xC6": (lambda: _c(10, 6), (2, 30)),
+    "C9xC3": (lambda: _c(9, 3), (3, 9)),
+    "C8xC4": (lambda: _c(8, 4), (4, 8)),
+    "C2xC4": (lambda: _c(2, 4), (2, 4)),
+    "C128": (lambda: cyclic_group(128), (128,)),
+}
+
+
+def _commutator_closure(G):
+    """The subgroup generated by all commutators, by brute force."""
+    t, inv = G.cayley, G.inverses
+    members = np.unique(t[t[inv][:, inv], t])           # g^-1 h^-1 g h
+    while True:
+        closed = np.unique(t[np.ix_(members, members)])
+        if closed.size == members.size:
+            return members
+        members = closed
+
+
+@pytest.mark.parametrize("name", list(_ABELIANIZATION_BATTERY))
+def test_abelianization_certificate(name):
+    """The projection is a homomorphism onto the sum of Z/d_i, d_i | d_i+1,
+    whose kernel is exactly the commutator subgroup."""
+    make, expected = _ABELIANIZATION_BATTERY[name]
+    G = make()
+    ab = abelianization(G)
+    d = np.array(ab.invariant_factors, dtype=np.int64)
+    assert ab.invariant_factors == expected
+    assert all(x > 1 for x in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
+    P = np.array(ab.projection, dtype=np.int64).reshape(G.order, len(d))
+    assert ((0 <= P) & (P < d)).all()
+    assert np.array_equal(P[G.cayley], (P[:, None] + P[None, :]) % d)
+    kernel = np.flatnonzero(~P.any(axis=1))
+    assert np.array_equal(kernel, _commutator_closure(G))
+    assert G.order // kernel.size == int(np.prod(d))
+
+
+def test_reconstruction_and_abelianization_share_the_word_tree():
+    from motivelab.cocycles import _Reconstruction
+    G = product_group(dihedral_group(8), cyclic_group(2))
+    abelianization(G)
+    parent, tree_order = G.word_tree()
+    recon = _Reconstruction(G)
+    assert recon.parent is parent and recon.tree_order is tree_order
+    # every element follows its parent, g = gens[pos] * g'
+    gens = G.generating_set()
+    seen = {0}
+    for g in tree_order[1:]:
+        pos, gp = parent[g]
+        assert gp in seen and G.mul(gens[pos], gp) == g
+        seen.add(g)
+    assert len(seen) == G.order
+

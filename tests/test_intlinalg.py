@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from motivelab.errors import BadModulus, Unsolvable
 from motivelab.intlinalg import (
@@ -11,8 +10,9 @@ from motivelab.intlinalg import (
     eliminate_mod_q,
     in_span_mod,
     kernel_mod_q,
+    merge_primary,
+    primary_slots,
     prime_power_factors,
-    smith_normal_form,
     solve_mod,
     xgcd,
 )
@@ -167,52 +167,6 @@ def test_first_min_valuation_is_the_argmin_pivot():
             assert v == vals.min() and (v == a or i == int(np.argmin(vals)))
 
 
-def test_smith_examples():
-    snf = smith_normal_form([[6, 0], [0, 4]])
-    assert snf.invariant_factors == (2, 12)
-    assert smith_normal_form([[1, 0], [0, 1]]).invariant_factors == (1, 1)
-    assert smith_normal_form([[0]]).invariant_factors == ()
-
-
-def test_smith_transform_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        A = rng.integers(-5, 6, size=(3, 4))
-        snf = smith_normal_form(A.tolist())
-        U = np.array(snf.U, dtype=object)
-        V = np.array(snf.V, dtype=object)
-        D = U @ A @ V
-        for i in range(3):
-            for j in range(4):
-                expected = snf.invariant_factors[i] if (
-                    i == j and i < len(snf.invariant_factors)) else 0
-                assert D[i, j] == expected
-        assert abs(round(float(np.linalg.det(U.astype(float))))) == 1
-        assert abs(round(float(np.linalg.det(V.astype(float))))) == 1
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1))
-def test_smith_unimodular_invariance(seed):
-    rng = np.random.default_rng(seed)
-    A = rng.integers(-4, 5, size=(3, 3))
-    base = smith_normal_form(A.tolist()).invariant_factors
-    # random unimodular transforms: products of elementary matrices
-    L = np.eye(3, dtype=np.int64)
-    R = np.eye(3, dtype=np.int64)
-    for _ in range(4):
-        i, j = rng.integers(0, 3, size=2)
-        if i != j:
-            E = np.eye(3, dtype=np.int64)
-            E[i, j] = rng.integers(-3, 4)
-            L = L @ E
-            E2 = np.eye(3, dtype=np.int64)
-            E2[j, i] = rng.integers(-3, 4)
-            R = E2 @ R
-    twisted = smith_normal_form((L @ A @ R).tolist()).invariant_factors
-    assert twisted == base
-
-
 def test_eliminate_mod_q_spans():
     rng = np.random.default_rng(2)
     for (p, a) in [(2, 3), (3, 2)]:
@@ -225,7 +179,21 @@ def test_eliminate_mod_q_spans():
         assert not residual.any()
 
 
-def test_snf_size_guard():
-    from motivelab.errors import SizeBound
-    with pytest.raises(SizeBound):
-        smith_normal_form([[0] * 5001])
+def test_primary_slots():
+    # valuations (0, 1) on rank 4 mod 2^3: slot 0 trivial, slot 1 of order 2,
+    # slots 2 and 3 past the last pivot of order 8
+    assert primary_slots([0, 1], 4, 2, 3) == ((1, 2, 3), (2, 8, 8))
+    assert primary_slots([], 0, 3, 1) == ((), ())
+
+
+def test_merge_primary_largest_with_largest():
+    # Z/2 + Z/4 (p = 2) and Z/3 (p = 3): Z/2 + Z/12
+    two = np.array([[1, 3], [0, 2]])
+    three = np.array([[2], [1]])
+    factors, slots, coords = merge_primary([((2, 4), two), ((3,), three)], 2)
+    assert factors == (2, 12)
+    assert slots == (((0, 0),), ((0, 1), (1, 0)))
+    assert coords.tolist() == [[1, 11], [0, 10]]   # 11 = 3 mod 4 = 2 mod 3
+    assert merge_primary([((2,), None)], 0)[:2] == ((2,), (((0, 0),),))
+    assert merge_primary([], 1)[0] == () and merge_primary([], 1)[2].shape == (1, 0)
+
