@@ -18,15 +18,16 @@ The solve fixes a gauge: adding the coboundary of a suitable f: G -> Z/q
 makes any cocycle vanish on the |G| - 1 tree edges (pos, g') of the word
 tree, and the identity block of a tree edge is identically zero.  So the
 unknowns are the (|S| - 1)|G| + 1 other coordinates, and the blocks come
-from the non-tree edges.  They enter a few at a time, each kernel is
-checked exactly against every identity, and the certified kernel plus the
-coboundaries is reduced to the same canonical basis the full system has.
+from the non-tree edges.  They enter a few at a time, and each kernel is
+checked exactly against every identity.  The multiplier is that kernel K
+modulo the |S| gauge-fixed coboundaries d(w.c), w(g) the generator counts
+of the tree word of g (Reidemeister-Schreier), and the gauge-fixed carries,
+diagonalized at the size of K.  cocycle_space adds every coboundary to K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -186,7 +187,12 @@ def cocycle_validate(G: FiniteGroup, modulus: int, table) -> ValidationReport:
 def central_pairing_cocycle(H: FiniteGroup) -> TwoCocycle:
     """The pairing cocycle on H x H^ for abelian H: alpha((a,b),(c,d)) = chi_b(c).
 
-    Returned with modulus exp(H); the twisted algebra it defines is simple.
+    H is identified with its dual H^ through the coordinates abelianization(H)
+    picks: b with coordinates (b_i) in the sum of the Z/d_i is the character
+    chi_b(c) = sum_i b_i c_i / d_i.  H and H^ have no canonical isomorphism,
+    so the class of the cocycle follows those coordinates and is not a
+    function of H alone; it is always of central type.  Returned with
+    modulus exp(H); the twisted algebra it defines is simple.
     """
     from .groups import product_group
 
@@ -194,20 +200,12 @@ def central_pairing_cocycle(H: FiniteGroup) -> TwoCocycle:
         raise NotAbelian("central pairing needs an abelian base group")
     e = H.exponent()
     ab = abelianization(H)
-    coords = ab.projection
-    factors = ab.invariant_factors
-    G = product_group(H, H)
-    nH = H.order
-    table = []
-    for g1 in range(G.order):
-        b1 = coords[g1 % nH]
-        row = []
-        for g2 in range(G.order):
-            a2 = coords[g2 // nH]
-            pairing = sum(x * y * (e // d) for x, y, d in zip(a2, b1, factors)) % e
-            row.append(pairing)
-        table.append(tuple(row))
-    return TwoCocycle._trusted(G, e, tuple(table))
+    d = np.array(ab.invariant_factors, dtype=np.int64)
+    P = np.array(ab.projection, dtype=np.int64).reshape(H.order, len(d))
+    pairing = (P * (e // d)) @ P.T % e                       # [b, c] = chi_b(c)
+    g = np.arange(H.order * H.order)
+    table = pairing[np.ix_(g % H.order, g // H.order)]
+    return TwoCocycle._trusted(product_group(H, H), e, tuple(map(tuple, table.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +279,6 @@ class _Reconstruction:
             bad[pos * n:(pos + 1) * n] = (R % q).any(axis=1)
         return bad[self.free].T
 
-    def restrict_table(self, table: np.ndarray, q: int) -> np.ndarray:
-        return table[self.gens].reshape(-1) % q
-
     def expand(self, x: np.ndarray, q: int) -> np.ndarray:
         return self.tables(x[None].astype(np.int64))[:, :, 0] % q
 
@@ -299,49 +294,49 @@ class _Reconstruction:
         np.subtract.at(X, (self.group.cayley[self.gens], np.arange(k)[:, None], hp), 1)
         return X[1:].reshape(n - 1, self.dim) % q
 
-    def carry_xvecs(self, q: int) -> list[np.ndarray]:
-        """Connecting-map classes of the characters G -> Z/q (carry cocycles)."""
-        G = self.group
-        n = G.order
-        out = []
-        for a in _characters_mod(G, q):
-            x = np.zeros(self.dim, dtype=np.int64)
-            for pos, s in enumerate(self.gens):
-                base = pos * n
-                for hp in range(n):
-                    x[base + hp] = (a[s] + a[hp] - a[G.mul(s, hp)]) // q % q
-            out.append(x)
-        return out
+    def gauge_fix(self, X: np.ndarray) -> np.ndarray:
+        """Free coordinates, unreduced, of x - dh for the normalized cocycles
+        x with generator rows X[m] ([m, |S|, |G|]): h(1) = 0 and h(s g') =
+        h(g') + h(s) - x(s, g') along the tree, so h = 0 on S and x - dh,
+        x(s, g') - h(g') + h(s g'), vanishes on the tree edges."""
+        n = self.group.order
+        h = np.zeros((len(X), n), dtype=np.int64)
+        for g in self.tree_order[1:]:
+            pos, gp = self.parent[g]
+            h[:, g] = h[:, gp] - X[:, pos, gp]
+        Y = X - h[:, None, :] + h[:, self.group.cayley[self.gens]]
+        return Y.reshape(len(X), self.dim)[:, self.free]
+
+    def tree_coboundaries(self) -> np.ndarray:
+        """Generator rows of d(w_c) for the positions c of S, w_c(g) the
+        count of gens[c] in the tree word of g: they span the coboundaries
+        that vanish on every tree edge."""
+        W = self.group.word_counts()                                 # [g, c]
+        t = self.group.cayley[self.gens]                             # [pos, h']
+        return W.T[:, None, :] + W[self.gens].T[:, :, None] - np.moveaxis(W[t], 2, 0)
+
+    def carries(self, q: int) -> np.ndarray:
+        """Generator rows of the carry cocycles (a(s) + a(h') - a(s h')) div q
+        of one generator a of Hom(G, Z/q) per invariant factor of G^ab: the
+        connecting map is a homomorphism, so their classes span all carries."""
+        ab = abelianization(self.group)
+        g = np.gcd(np.array(ab.invariant_factors, dtype=np.int64), q)
+        P = np.array(ab.projection, dtype=np.int64).reshape(self.group.order, len(g))
+        A = (P[:, g > 1] * (q // g[g > 1])).T % q              # [character, element]
+        t = self.group.cayley[self.gens]
+        return (A[:, self.gens, None] + A[:, None, :] - A[:, t]) // q
 
 
-def _characters_mod(G: FiniteGroup, q: int) -> list[list[int]]:
-    """All homomorphisms G -> Z/q as value lists a with a[g] in {0..q-1}."""
-    ab = abelianization(G)
-    factors = ab.invariant_factors
-    choices: list[list[int]] = []
-    for d in factors:
-        g = gcd(d, q)
-        choices.append([(q // g) * t for t in range(g)])
-    out = []
-    import itertools as _it
-    for combo in _it.product(*choices) if choices else [()]:
-        vals = [sum(x * c for x, c in zip(ab.projection[g], combo)) % q
-                for g in G.elements()]
-        out.append(vals)
-    return out
+def _gauge_fixed_kernel(recon: _Reconstruction, p: int, a: int) -> np.ndarray:
+    """Generators, on the free coordinates, of the cocycles that vanish on
+    the tree edges.
 
-
-def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Reduced basis of the normalized cocycle space in generator coordinates.
-
-    The gauge-fixed cocycles are the kernel, on the free coordinates, of the
-    normalization rows and the identity blocks at the non-tree edges.  The
-    blocks join the system a few at a time: each round takes the kernel,
-    checks every generator against all identities, and adds the first
-    identity each violating generator breaks, which removes that generator
-    from the next kernel.  Once no generator violates anything, the kernel
-    plus the coboundaries span the whole space, and one elimination gives
-    its reduced basis, which depends only on the space.
+    They are the kernel of the normalization rows and the identity blocks at
+    the non-tree edges.  The blocks join the system a few at a time: each
+    round takes the kernel, checks every generator against all identities,
+    and adds the first identity each violating generator breaks, which
+    removes that generator from the next kernel.  The kernel no generator
+    violates is the whole gauge-fixed space.
     """
     q = p ** a
     free = recon.free
@@ -353,12 +348,19 @@ def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray,
         K = kernel_mod_q(H, p, a)
         bad = recon.violated(K, q)
         if not bad.any():
-            break
+            return K
         first_broken = bad.argmax(axis=1)[bad.any(axis=1)]
         system = np.vstack([H, recon.blocks(np.unique(first_broken), q)])
+
+
+def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Reduced basis of the normalized cocycle space in generator
+    coordinates: the gauge-fixed kernel plus the coboundaries span it, and
+    one elimination gives the basis, which depends only on the space."""
+    K = _gauge_fixed_kernel(recon, p, a)
     full = np.zeros((len(K), recon.dim), dtype=np.int64)
-    full[:, free] = K
-    return eliminate_mod_q(np.vstack([full, recon.coboundary_xvecs(q)]), p, a)
+    full[:, recon.free] = K
+    return eliminate_mod_q(np.vstack([full, recon.coboundary_xvecs(p ** a)]), p, a)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +477,7 @@ def verify_witness(alpha: TwoCocycle, beta: TwoCocycle, w: CoboundaryWitness) ->
 class _PrimeComponent:
     p: int
     a: int
-    basis: np.ndarray                      # reduced cocycle basis, generator coords
+    basis: np.ndarray                      # reduced gauge-fixed kernel, free coords
     piv: tuple[tuple[int, int], ...]
     V: np.ndarray                          # relation diagonalizer (mod q)
     positions: tuple[int, ...]             # coordinate slots with nontrivial factor
@@ -518,8 +520,9 @@ class SchurMultiplier:
         for ci, t in slot:
             comp = self._components[ci]
             q = comp.q
-            x = Vinv[ci][comp.positions[t]] @ comp.basis % q
-            table = self._recon.expand(x.astype(np.int64), q)
+            x = np.zeros(self._recon.dim, dtype=np.int64)
+            x[self._recon.free] = Vinv[ci][comp.positions[t]] @ comp.basis
+            table = self._recon.expand(x, q)
             acc = (acc + crt_idempotent(n, q) * table) % n
         return TwoCocycle._trusted(G, n, tuple(map(tuple, acc.tolist())))
 
@@ -531,11 +534,11 @@ class SchurMultiplier:
         if self.modulus % alpha.modulus:
             raise ModulusMismatch(
                 f"modulus {alpha.modulus} does not divide {self.modulus}")
-        alpha = alpha.promote(self.modulus)
-        table = alpha.as_array()
+        table = alpha.promote(self.modulus).as_array()
         parts = []
+        if self._components:
+            x = self._recon.gauge_fix(table[None, self._recon.gens])[0]
         for comp in self._components:
-            x = self._recon.restrict_table(table, comp.q)
             c = coeffs_in_basis(comp.basis, comp.piv, x, comp.p, comp.a)
             if c is None:
                 raise NotACocycle("table is not in the cocycle space")
@@ -585,12 +588,8 @@ def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_OR
             # a cyclic Sylow p-subgroup P has M(P) = 0, and restriction embeds
             # the p-part of M(G) into M(P): nothing to solve for
             continue
-        basis, piv = _solution_basis(recon, p, a)
+        basis, piv = eliminate_mod_q(_gauge_fixed_kernel(recon, p, a), p, a)
         r = len(piv)
-        if r == 0:
-            components.append(_PrimeComponent(p, a, basis, tuple(piv),
-                                              np.zeros((0, 0), dtype=np.int64), (), ()))
-            continue
         relations = []
         for i, (c, val) in enumerate(piv):
             if val > 0:
@@ -601,13 +600,12 @@ def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_OR
                 row = -coeff
                 row[i] += p ** (a - val)
                 relations.append(row % q)
-        for x in [*recon.coboundary_xvecs(q), *recon.carry_xvecs(q)]:
+        for x in recon.gauge_fix(np.vstack([recon.tree_coboundaries(), recon.carries(q)])):
             coeff = coeffs_in_basis(basis, piv, x, p, a)
             if coeff is None:
                 raise InvariantViolation("coboundary escaped the cocycle space")
-            relations.append(coeff % q)
-        R = np.array(relations, dtype=np.int64) if relations else np.zeros((0, r), dtype=np.int64)
-        _, vals, V = diagonalize_mod_q(R, p, a)
+            relations.append(coeff)
+        _, vals, V = diagonalize_mod_q(np.array(relations, dtype=np.int64).reshape(-1, r), p, a)
         positions, factors = primary_slots(vals, r, p, a)
         components.append(_PrimeComponent(p, a, basis, tuple(piv), V, positions, factors))
     return SchurMultiplier(G, n, components, recon)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
@@ -40,6 +41,7 @@ from .intlinalg import (
 DEFAULT_MAX_ORDER = 2048
 EXHAUSTIVE_ASSOC_BOUND = 64
 ASSOC_SAMPLES = 10_000
+_SHORTEN_TRIALS = 32                # random k-tuples per length in generating_set
 
 
 def max_order() -> int:
@@ -70,6 +72,7 @@ class FiniteGroup:
             self._validate()
         self.inverses = self._compute_inverses()
         self._gens = tuple(gens) if gens else None
+        self._short_gens: tuple[int, ...] | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: np.ndarray | None = None
         self._orders: np.ndarray | None = None
@@ -168,21 +171,65 @@ class FiniteGroup:
     # -- generators ----------------------------------------------------------
 
     def generating_set(self) -> tuple[int, ...]:
-        """A small generating set (constructor-provided when available)."""
-        if self._gens is not None:
-            return self._gens
-        by_order = sorted(range(1, self.order),
-                          key=lambda g: (-self.element_order(g), g))
-        gens: list[int] = []
-        closure = {0}
-        for g in by_order:
-            if g not in closure:
-                gens.append(g)
-                closure = self._closure(closure | {g})
-                if len(closure) == self.order:
-                    break
-        self._gens = tuple(gens)
+        """A short generating set, chosen once: the constructor's set (or a
+        greedy one) unless a seeded search finds a strictly shorter one.
+
+        The search takes one element of order |G| when there is one, and
+        otherwise tries k = 2, ..., |S| - 1 with _SHORTEN_TRIALS random
+        k-tuples each, drawn with weights the element orders, keeping the
+        first that generates, without its repeated elements."""
+        if self._short_gens is None:
+            gens = self._seed_gens()
+            orders = self.element_orders()
+            if len(gens) > 1 and orders.max() == self.order:
+                gens = (int(np.argmax(orders)),)
+            elif len(gens) > 2:
+                # the standard library's generator: a first numpy Generator
+                # costs about 6 MB of resident memory and 20 ms
+                rng = random.Random(0)
+                cum = list(itertools.accumulate(orders[1:].tolist()))
+                for k in range(2, len(gens)):
+                    trials = np.array([rng.choices(range(1, self.order), cum_weights=cum, k=k)
+                                       for _ in range(_SHORTEN_TRIALS)])
+                    hits = np.flatnonzero(self._closures(trials).all(axis=1))
+                    if hits.size:
+                        gens = tuple(sorted(set(trials[hits[0]].tolist()),
+                                            key=lambda g: (-orders[g], g)))
+                        break
+            self._short_gens = gens
+        return self._short_gens
+
+    def _seed_gens(self) -> tuple[int, ...]:
+        """The constructor's generating set, or a greedy one by element order;
+        products combine these, never a searched set."""
+        if self._gens is None:
+            by_order = sorted(range(1, self.order),
+                              key=lambda g: (-self.element_order(g), g))
+            gens: list[int] = []
+            closure = self._closures([gens])[0]
+            for g in by_order:
+                if not closure[g]:
+                    gens.append(g)
+                    closure = self._closures([gens])[0]
+                    if closure.all():
+                        break
+            self._gens = tuple(gens)
         return self._gens
+
+    def _closures(self, tuples) -> np.ndarray:
+        """reached[t, g]: g lies in the subgroup generated by row t of
+        tuples, the elements reached by words of growing length; all rows in
+        one boolean array."""
+        # reached[t, x] -> reached[t, s x]: row t moves by the left multiplications
+        # x -> s^-1 x of its generators s, gathered as [t, s, x]
+        back = self.cayley[self.inverses[np.asarray(tuples, dtype=np.int64)]]
+        reached = np.zeros((len(back), self.order), dtype=bool)
+        reached[:, 0] = True
+        while True:
+            grown = reached | np.take_along_axis(reached[:, None, :], back, axis=2).any(axis=1)
+            if np.array_equal(grown, reached):
+                return reached
+            reached = grown
 
     def word_tree(self) -> tuple[tuple[tuple[int, int] | None, ...], tuple[int, ...]]:
         """The breadth-first word tree on generating_set(), computed once:
@@ -215,17 +262,15 @@ class FiniteGroup:
             self._word_tree = (tuple(parent), tuple(order))
         return self._word_tree
 
-    def _closure(self, seed: set[int]) -> set[int]:
-        out = set(seed) | {0}
-        frontier = list(out)
-        while frontier:
-            x = frontier.pop()
-            for g in list(out):
-                for y in (self.mul(x, g), self.mul(g, x)):
-                    if y not in out:
-                        out.add(y)
-                        frontier.append(y)
-        return out
+    def word_counts(self) -> np.ndarray:
+        """W[g, pos]: how often gens[pos] occurs in the tree word of g."""
+        parent, tree_order = self.word_tree()
+        W = np.zeros((self.order, len(self.generating_set())), dtype=np.int64)
+        for g in tree_order[1:]:
+            pos, gp = parent[g]
+            W[g] = W[gp]
+            W[g, pos] += 1
+        return W
 
     # -- conjugacy ----------------------------------------------------------
 
@@ -278,8 +323,8 @@ class FiniteGroup:
         return Subgroup(self, tuple(sorted(set(int(m) for m in members))))
 
     def generated_subgroup(self, gens: Iterable[int]) -> "Subgroup":
-        closure = self._closure(set(int(g) for g in gens))
-        return Subgroup(self, tuple(sorted(closure)))
+        members = np.flatnonzero(self._closures([[int(g) for g in gens]])[0])
+        return Subgroup(self, tuple(members.tolist()))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,))
@@ -501,7 +546,7 @@ def product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     idx = np.arange(order)
     ai, bi = idx // nb, idx % nb
     table = a.cayley[np.ix_(ai, ai)].astype(np.int64) * nb + b.cayley[np.ix_(bi, bi)]
-    gens = [g * nb for g in a.generating_set()] + [g for g in b.generating_set()]
+    gens = [g * nb for g in a._seed_gens()] + list(b._seed_gens())
     return FiniteGroup(table.astype(np.int32), label=f"{a.label}x{b.label}", gens=gens)
 
 
@@ -640,12 +685,7 @@ def abelianization(G: FiniteGroup) -> Abelianization:
     if G._abelianization is None:
         gens = list(G.generating_set())
         n, k = G.order, len(gens)
-        parent, tree_order = G.word_tree()
-        W = np.zeros((n, k), dtype=np.int64)
-        for g in tree_order[1:]:
-            pos, gp = parent[g]
-            W[g] = W[gp]
-            W[g, pos] += 1
+        W = G.word_counts()
         R = W[None] - W[G.cayley[gens]]                  # [s, g]: w(g) - w(s g)
         R[np.arange(k), :, np.arange(k)] += 1
         parts = []

@@ -5,11 +5,26 @@ The full system: every identity with a generator as first argument, on all
 eliminated mod p^a; its kernel is read off a diagonalization and reduced
 once more.  No gauge is fixed and nothing is certified: every constraint
 is in the system.
+
+FullBasisMultiplier reads H^2(G, C^x) off that whole basis, with every
+coboundary and the carry of every character as relations.
 """
+
+import itertools
+from math import gcd
 
 import numpy as np
 
-from motivelab.intlinalg import diagonalize_mod_q, eliminate_mod_q
+from motivelab.groups import abelianization
+from motivelab.intlinalg import (
+    coeffs_in_basis,
+    crt_idempotent,
+    diagonalize_mod_q,
+    eliminate_mod_q,
+    merge_primary,
+    primary_slots,
+    prime_power_factors,
+)
 
 
 def constraint_rows(recon, q):
@@ -70,3 +85,80 @@ def coboundary_xvecs(recon, q):
 def expand(recon, x, q):
     """The full table of generator rows x, one matrix product per row g."""
     return np.array([recon.M[g].astype(np.int64) @ x % q for g in range(recon.group.order)])
+
+
+def characters_mod(G, q):
+    """Every homomorphism G -> Z/q, as value arrays, from the coordinates
+    of G^ab: all combinations of the characters of its cyclic factors."""
+    ab = abelianization(G)
+    d = ab.invariant_factors
+    P = np.array(ab.projection, dtype=np.int64).reshape(G.order, len(d))
+    choices = [range(0, q, q // gcd(x, q)) for x in d]
+    return [P @ np.array(combo, dtype=np.int64) % q
+            for combo in itertools.product(*choices)]
+
+
+def carry_xvecs(recon, q):
+    """Generator rows of the carry cocycle (a(s) + a(h') - a(s h')) div q
+    of every character a: G -> Z/q, entry by entry."""
+    G = recon.group
+    n = G.order
+    out = []
+    for a in characters_mod(G, q):
+        x = np.zeros(recon.dim, dtype=np.int64)
+        for pos, s in enumerate(recon.gens):
+            for hp in range(n):
+                x[pos * n + hp] = (a[s] + a[hp] - a[G.mul(s, hp)]) // q % q
+        out.append(x)
+    return out
+
+
+class FullBasisMultiplier:
+    """H^2(G, C^x) on the whole reduced cocycle basis of each prime: its
+    torsion, all |G| - 1 coboundaries and the carries of every character
+    are the relations, diagonalized at the rank r of the basis."""
+
+    def __init__(self, G):
+        from motivelab.cocycles import _Reconstruction, _solution_basis
+        self.group = G
+        self.recon = recon = _Reconstruction(G)
+        self.components = []
+        for p, a in prime_power_factors(G.order):
+            q = p ** a
+            if (G.element_orders() % q == 0).any():
+                continue
+            basis, piv = _solution_basis(recon, p, a)
+            r = len(piv)
+            relations = []
+            for i, (_, val) in enumerate(piv):
+                if val > 0:
+                    row = -coeffs_in_basis(basis, piv, (p ** (a - val)) * basis[i], p, a)
+                    row[i] += p ** (a - val)
+                    relations.append(row % q)
+            for x in [*recon.coboundary_xvecs(q), *carry_xvecs(recon, q)]:
+                relations.append(coeffs_in_basis(basis, piv, x, p, a))
+            R = np.array(relations, dtype=np.int64).reshape(-1, r)
+            _, vals, V = diagonalize_mod_q(R, p, a)
+            positions, factors = primary_slots(vals, r, p, a)
+            self.components.append((p, a, basis, piv, V, positions, factors))
+        self.invariant_factors = merge_primary(
+            [(comp[6], None) for comp in self.components], 0)[0]
+
+    def project(self, alpha):
+        """Coordinates of [alpha]: its generator rows in the basis, times V."""
+        x = alpha.promote(self.group.order).as_array()[self.recon.gens].reshape(-1)
+        parts = []
+        for p, a, basis, piv, V, positions, factors in self.components:
+            c = coeffs_in_basis(basis, piv, x, p, a)
+            parts.append((factors, (c @ V)[None, list(positions)]))
+        return tuple(merge_primary(parts, 1)[2][0].tolist())
+
+    def random_table(self, rng):
+        """A random cocycle table mod |G| from the basis of each solved prime."""
+        n = self.group.order
+        acc = np.zeros((n, n), dtype=np.int64)
+        for p, a, basis, *_ in self.components:
+            q = p ** a
+            x = rng.integers(0, q, len(basis)) @ basis % q
+            acc += crt_idempotent(n, q) * self.recon.expand(x, q)
+        return acc % n

@@ -426,6 +426,15 @@ def _brute_cocycles(G, n):
     return {tuple(map(tuple, tab)) for tab in tables[ok]}
 
 
+def _brute_characters(G, n):
+    """Every homomorphism G -> Z/n, by testing every function on every pair."""
+    import itertools
+    t = G.cayley
+    values = np.array(list(itertools.product(range(n), repeat=G.order)), dtype=np.int64)
+    hom = ((values[:, t] - values[:, :, None] - values[:, None, :]) % n == 0).all(axis=(1, 2))
+    return values[hom].tolist()
+
+
 def _brute_trivial_span(G, n):
     """Subgroup generated by coboundaries and carry classes, as tables."""
     size = G.order
@@ -435,8 +444,7 @@ def _brute_trivial_span(G, n):
         d[h] = 1
         gens.append(tuple(tuple((d[r] + d[s] - d[G.mul(r, s)]) % n
                                 for s in range(size)) for r in range(size)))
-    from motivelab.cocycles import _characters_mod
-    for a in _characters_mod(G, n):
+    for a in _brute_characters(G, n):
         gens.append(tuple(tuple((a[r] + a[s] - a[G.mul(r, s)]) // n % n
                                 for s in range(size)) for r in range(size)))
     span = {tuple(tuple(0 for _ in range(size)) for _ in range(size))}
@@ -525,12 +533,15 @@ _Q8 = _permutation_group(8, [[2, 3, 1, 0, 6, 7, 5, 4], [4, 5, 7, 6, 1, 0, 2, 3]]
 _SL23 = _permutation_group(8, [[3, 7, 2, 6, 1, 5, 0, 4], [0, 1, 3, 4, 2, 7, 5, 6]])
 _C3XC3 = _permutation_group(6, [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]])
 _HEIS27 = _permutation_group(9, [[3, 4, 5, 6, 7, 8, 0, 1, 2], [0, 1, 2, 4, 5, 3, 8, 6, 7]])
+# A6 generated by (0 1 2) and (1 2 3 4 5)
+_A6 = _permutation_group(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]])
 
 
 # (group, Schur multiplier) from the literature (Karpilovsky, The Schur
 # Multiplier, 1987); D12 x S3 by the Kunneth formula M(D12) x M(S3) x
-# (C2 x C2) (x) C2.  A4, S4, A5, S5, D48, S3, C12 and SL(2,3) have cyclic Sylow
-# subgroups for some primes, which contribute nothing and are not solved for.
+# (C2 x C2) (x) C2.  A4, S4, A5, S5, D48, S3, C12, SL(2,3) and A6 have cyclic
+# Sylow subgroups for some primes, which contribute nothing and are not solved
+# for.
 _LITERATURE = {
     "A4": (_a4, (2,)),
     "S4": (lambda: symmetric_group(4), (2,)),
@@ -544,12 +555,18 @@ _LITERATURE = {
     "SL(2,3)": (_SL23, ()),
     "C3xC3": (_C3XC3, (3,)),
     "Heisenberg27": (_HEIS27, (3, 3)),
+    "A6": (_A6, (6,)),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _literature_multiplier(name):
-    return schur_multiplier(_LITERATURE[name][0](), max_group_order=120)
+    G = _LITERATURE[name][0]()
+    return schur_multiplier(G, max_group_order=G.order)
+
+
+def test_a6_has_order_360():
+    assert _A6().order == 360
 
 
 @pytest.mark.parametrize("name", list(_LITERATURE))
@@ -646,7 +663,7 @@ def test_reconstruction_maps_match_entrywise_references(name):
     for x in basis:
         table = recon.expand(x, p ** a)
         assert np.array_equal(table, multiplier_oracle.expand(recon, x, p ** a))
-        assert np.array_equal(recon.restrict_table(table, p ** a), x)
+        assert np.array_equal(table[recon.gens].reshape(-1) % p ** a, x)
 
 
 @pytest.mark.parametrize("make,p,a,first_batch", [
@@ -699,3 +716,109 @@ def test_certificate_reports_a_corrupted_kernel_vector():
             continue
         report = recon.violated(bad, q)
         assert report[k].any() and not np.delete(report, k, axis=0).any()
+
+
+# ---------------------------------------------------------------------------
+# Multiplier on the gauge-fixed kernel against the full-basis relation path
+# ---------------------------------------------------------------------------
+
+
+# the groups of the benchmark's multiplier workload, built the same way
+_WORKLOAD_GROUPS = {
+    "Q8": _permutation_group(8, [[1, 2, 3, 0, 5, 6, 7, 4], [4, 7, 6, 5, 2, 1, 0, 3]]),
+    "A4": _a4,
+    "C3xC3": lambda: product_group(cyclic_group(3), cyclic_group(3)),
+    "D16": lambda: dihedral_group(16),
+    "C4xC4": lambda: product_group(cyclic_group(4), cyclic_group(4)),
+    "D8xC2": lambda: product_group(dihedral_group(8), cyclic_group(2)),
+    "S4": lambda: symmetric_group(4),
+    "D48": lambda: dihedral_group(48),
+    "D64": lambda: dihedral_group(64),
+    "E32": lambda: elementary_abelian_group(2, 5),
+    "A5": _permutation_group(5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]),
+    "S4xC2": lambda: product_group(symmetric_group(4), cyclic_group(2)),
+    "E4xA4": lambda: product_group(elementary_abelian_group(2, 2), _a4()),
+    "D12xS3": lambda: product_group(dihedral_group(12), symmetric_group(3)),
+    "S5": lambda: symmetric_group(5),
+}
+# A4, S4, S5, D16, D48, C4xC4 and D12xS3 are built as in _SOLVE_BATTERY
+_ORACLE_BATTERY = {**_SOLVE_BATTERY,
+                   **{f"workload-{name}": _WORKLOAD_GROUPS[name] for name in
+                      ("Q8", "C3xC3", "D8xC2", "D64", "E32", "A5", "S4xC2", "E4xA4")}}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_BATTERY))
+def test_multiplier_matches_full_basis_oracle(name):
+    """The multiplier read off the gauge-fixed kernel has the invariant
+    factors of the full-basis path; the full-basis coordinates of its
+    sections form an invertible matrix T over the sum of the Z/d_i, and T
+    carries its projection to the full-basis projection on random cocycles.
+    Up to order 48, the kernel plus the coboundaries spans the cocycle space
+    of the full system."""
+    import itertools
+    import multiplier_oracle
+    from motivelab.cocycles import _gauge_fixed_kernel
+    from motivelab.intlinalg import eliminate_mod_q, prime_power_factors
+    if name in _LITERATURE:
+        M = _literature_multiplier(name)
+    else:
+        G = _ORACLE_BATTERY[name]()
+        M = schur_multiplier(G, max_group_order=G.order)
+    G, n = M.group, M.group.order
+    old = multiplier_oracle.FullBasisMultiplier(G)
+    assert M.invariant_factors == old.invariant_factors
+    # each prime's V is |K| x |K|, never the size of the full basis
+    assert [c.p for c in M._components] == [c[0] for c in old.components]
+    for comp, (_, _, _, old_piv, *_) in zip(M._components, old.components):
+        assert comp.V.shape == (len(comp.piv), len(comp.piv))
+        assert len(comp.piv) <= len(old_piv)
+    d = np.array(M.invariant_factors, dtype=np.int64)
+    T = np.array([old.project(s) for s in M.section], dtype=np.int64).reshape(len(d), len(d))
+    if len(d):
+        every = np.array(list(itertools.product(*(range(x) for x in d))), dtype=np.int64)
+        assert len(np.unique(every @ T % d, axis=0)) == len(every)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        # the entry check is O(|G|^3): above order 120 (A6) the table, a
+        # combination of certified basis rows, is taken as it is
+        table = old.random_table(rng)
+        alpha = (TwoCocycle.from_exponents(G, n, table) if n <= 120 else
+                 TwoCocycle._trusted(G, n, tuple(map(tuple, table.tolist()))))
+        assert old.project(alpha) == tuple((np.array(M.project(alpha), dtype=np.int64)
+                                            @ T % d).tolist())
+    if n <= 48:
+        recon = old.recon
+        for p, a in prime_power_factors(n):
+            K = _gauge_fixed_kernel(recon, p, a)
+            full = np.zeros((len(K), recon.dim), dtype=np.int64)
+            full[:, recon.free] = K
+            cob = multiplier_oracle.coboundary_xvecs(recon, p ** a)
+            basis, piv = eliminate_mod_q(np.vstack([full, cob]), p, a)
+            want_basis, want_piv = multiplier_oracle.solution_basis(recon, p, a)
+            assert np.array_equal(basis, want_basis) and list(piv) == list(want_piv), p
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclic_group(2),
+    lambda: cyclic_group(4),
+    lambda: product_group(cyclic_group(2), cyclic_group(4)),
+    lambda: product_group(cyclic_group(6), cyclic_group(6)),
+    lambda: product_group(cyclic_group(3), cyclic_group(4)),
+], ids=["C2", "C4", "C2xC4", "C6xC6", "C3xC4"])
+def test_central_pairing_cocycle_is_of_central_type(make):
+    """The pairing cocycle on H x H^ makes the twisted algebra simple: one
+    alpha-regular class and a single block of dimension |H|.  Block
+    dimensions stop at BLOCK_ORDER_GUARD; above it (C6xC6, order 1296) the
+    one regular class alone says the algebra is simple."""
+    from motivelab.twisted import (
+        BLOCK_ORDER_GUARD,
+        alpha_regular,
+        build_twisted,
+        wedderburn_dims,
+    )
+    H = make()
+    alpha = central_pairing_cocycle(H)
+    G = alpha.group
+    assert alpha_regular(G, alpha).count == 1
+    if G.order <= BLOCK_ORDER_GUARD:
+        assert wedderburn_dims(build_twisted(G, alpha), seed=0).dims == (H.order,)

@@ -26,7 +26,7 @@ from motivelab.groups import (
     product_group,
     symmetric_group,
 )
-from test_cocycles import _LITERATURE
+from test_cocycles import _LITERATURE, _WORKLOAD_GROUPS
 
 
 def brute_classes(G):
@@ -283,6 +283,92 @@ def test_generating_sets_generate():
         assert G.generated_subgroup(gens).order == G.order
 
 
+_GENERATING_BATTERY = {**{name: make for name, (make, _) in _LITERATURE.items()},
+                       **{f"workload-{name}": make for name, make in _WORKLOAD_GROUPS.items()},
+                       "C3xC4": lambda: product_group(cyclic_group(3), cyclic_group(4)),
+                       "S3xS4": lambda: product_group(symmetric_group(3), symmetric_group(4))}
+
+
+def _brute_generated(G, gens):
+    """The subgroup generated by gens, by multiplying until nothing is new."""
+    out = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = G.mul(s, x)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_GENERATING_BATTERY))
+def test_generating_set_is_short_deterministic_and_generates(name):
+    """The searched set generates G, is no longer than the constructor's
+    (or greedy) set, and is the same on a second, fresh build."""
+    make = _GENERATING_BATTERY[name]
+    G = make()
+    gens = G.generating_set()
+    assert len(_brute_generated(G, gens)) == G.order
+    assert len(gens) <= len(G._seed_gens())
+    assert len(set(gens)) == len(gens) and 0 not in gens
+    assert make().generating_set() == gens
+
+
+def test_generating_set_shortens_products():
+    a4 = group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
+    expected = {
+        "E4xA4": (product_group(elementary_abelian_group(2, 2), a4), 4, 2),
+        "S4xC2": (product_group(symmetric_group(4), cyclic_group(2)), 3, 2),
+        "D12xS3": (product_group(dihedral_group(12), symmetric_group(3)), 4, 3),
+        "C3xC4": (product_group(cyclic_group(3), cyclic_group(4)), 2, 1),
+        "S3xS4": (product_group(symmetric_group(3), symmetric_group(4)), 4, 2),
+    }
+    for name, (G, before, after) in expected.items():
+        assert (len(G._seed_gens()), len(G.generating_set())) == (before, after), name
+    C12 = expected["C3xC4"][0]
+    assert C12.element_order(C12.generating_set()[0]) == 12
+
+
+def test_generating_set_keeps_constructor_sets():
+    """Constructor sets that cannot shrink stay as given: S_n, D_n, C_n,
+    the permutation groups, and D8 x C2, whose abelianization is C2^3."""
+    groups = [symmetric_group(n) for n in range(1, 7)]
+    groups += [dihedral_group(2 * n) for n in (1, 2, 3, 4, 12, 32)]
+    groups += [cyclic_group(n) for n in (1, 2, 7, 12)]
+    groups += [elementary_abelian_group(2, 5)]
+    groups += [make() for name, (make, _) in _LITERATURE.items()
+               if name in ("A4", "A5", "Q8", "SL(2,3)", "C3xC3", "Heisenberg27", "A6")]
+    groups += [product_group(dihedral_group(8), cyclic_group(2))]
+    for G in groups:
+        assert G.generating_set() == G._seed_gens() == G._gens, G.label
+
+
+def test_generating_set_search_is_cheap_where_nothing_shrinks():
+    """D8 x C2 tries 32 random pairs and keeps its three generators, in at
+    most a few milliseconds (best of three fresh builds)."""
+    import time
+    best = float("inf")
+    for _ in range(3):
+        G = product_group(dihedral_group(8), cyclic_group(2))
+        G.element_orders()
+        t0 = time.perf_counter()
+        assert len(G.generating_set()) == 3
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.02
+
+
+def test_generating_set_is_chosen_before_the_word_tree():
+    """abelianization and the word tree, called first, see the short set."""
+    a4 = group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
+    G = product_group(elementary_abelian_group(2, 2), a4)
+    abelianization(G)
+    parent, _ = G.word_tree()
+    assert len(G.generating_set()) == 2
+    assert {edge[0] for edge in parent[1:]} == {0, 1}
+
+
 def test_abelianization_mixed_primes():
     G = product_group(cyclic_group(6), cyclic_group(6))
     ab = abelianization(G)
@@ -311,7 +397,7 @@ def _c(*ns):
 _LITERATURE_ABELIANIZATIONS = {
     "A4": (3,), "S4": (2,), "A5": (), "S5": (2,), "D48": (2, 2), "S3": (2,),
     "C12": (12,), "D12xS3": (2, 2, 2), "Q8": (2, 2), "SL(2,3)": (3,),
-    "C3xC3": (3, 3), "Heisenberg27": (3, 3),
+    "C3xC3": (3, 3), "Heisenberg27": (3, 3), "A6": (),
 }
 _ABELIANIZATION_BATTERY = {
     **{name: (_LITERATURE[name][0], factors)
