@@ -7,6 +7,14 @@ logarithm of a fixed primitive root of unity mod p.  Abelian groups take a
 direct dual-group path.  The table is canonicalized by sorting rows, so the
 splitting seed never shows in the output.
 
+The split runs on the Z/p^a core at a = 1 (`intlinalg`).  Each eigenspace
+is a basis S with S[rows] = I, so a random combination B restricts to
+A = (B S)[rows].  The minimal polynomial of A is the least relation among
+the Krylov rows phi A^t of the unit-class coordinate phi = S[0], read off
+one kernel.  With as many roots as dim S, every eigenline comes from one
+inverse of the Krylov matrix times a Vandermonde matrix; otherwise each
+root's eigenspace is read off the reduced rows of A - lam.
+
 Each table keeps its values as an int64 array V[i, c, u], the multiplicity
 of the eigenvalue zeta_e^u of the i-th irreducible on the class c, so that
 chi_i(c) = sum_u V[i, c, u] zeta_e^u.  The exact `Cyclotomic` rows are built
@@ -41,10 +49,13 @@ from .errors import (
     check_invariant,
 )
 from .groups import FiniteGroup, Subgroup, abelianization, coset_space, same_group
+from .intlinalg import eliminate_mod_q, invert_mod_q, kernel_mod_q
 
 PRIME_SEARCH_LIMIT = 1_000_000
 # split_class_algebra multiplies k x k matrices of residues mod p with int64
-# matmuls; k <= 256 classes and p < 2^27 keep k p^2 below 2^63
+# matmuls: the combination B, the restriction B S, the Krylov rows phi A^t
+# and the product of the inverse Krylov matrix with the Vandermonde matrix;
+# k <= 256 classes and p < 2^27 keep k p^2 below 2^63
 SPLIT_PRIME_LIMIT = 1 << 27
 _ORTHOGONALITY_CHECK_BOUND = 48
 
@@ -226,13 +237,14 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
     sizes = [c.size for c in classes]
     inv_class = [G.class_index_of(G.inv(r)) for r in reps]
 
-    # class algebra structure constants a[i][j][l]: C_i C_j = sum_l a_ijl C_l
+    # class algebra structure constants a[i][j][l]: C_i C_j = sum_l a_ijl C_l,
+    # a_ijl counting the x in C_i with x^-1 r_l in C_j for the representative r_l
+    class_of = np.empty(n, dtype=np.int64)
+    for c, cls in enumerate(classes):
+        class_of[list(cls.members)] = c
+    x = np.arange(n)[:, None]
     a = np.zeros((k, k, k), dtype=np.int64)
-    for l, z in enumerate(reps):
-        for x in G.elements():
-            i = G.class_index_of(x)
-            j = G.class_index_of(G.mul(G.inv(x), z))
-            a[i, j, l] += 1
+    np.add.at(a, (class_of[x], class_of[G.cayley[G.inverses[x], reps]], np.arange(k)), 1)
 
     # the stdlib generator spares the table build the import of numpy.random
     # (about 6 MB of resident memory)
@@ -282,29 +294,27 @@ def split_class_algebra(a: np.ndarray, partner: list[int], n: int, p: int,
     (omega, d) per character, in splitting order."""
     k = a.shape[0]
     check_invariant(k * (p - 1) ** 2 < 1 << 63, "split_class_algebra would overflow int64")
-    mats = [np.array(a[i], dtype=np.int64) % p for i in range(k)]  # A_i[j][l]
-    spaces = [np.eye(k, dtype=np.int64)]
+    mats = np.asarray(a, dtype=np.int64) % p                      # A_i[j][l]
+    # each space is a basis S with S[rows] = I, the rows read off its reduced form
+    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
     rounds = 0
-    while any(s.shape[1] > 1 for s in spaces):
+    while any(len(rows) > 1 for _, rows in spaces):
         rounds += 1
         if rounds > 60:
             raise PrimeSearchFailed("eigenspace splitting failed to converge")
-        coeffs = [rng.randrange(p) for _ in range(k)]
-        B = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            if coeffs[i]:
-                B = (B + coeffs[i] * mats[i]) % p
+        coeffs = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
+        B = np.tensordot(coeffs, mats, axes=1) % p
         new_spaces = []
-        for S in spaces:
-            if S.shape[1] == 1:
-                new_spaces.append(S)
+        for S, rows in spaces:
+            if len(rows) == 1:
+                new_spaces.append((S, rows))
                 continue
-            new_spaces.extend(_split_space(B, S, p, rng))
+            new_spaces.extend(_split_space(B, S, rows, p, rng))
         spaces = new_spaces
 
     inv_pairs = [pow(int(a[i, partner[i], 0]) % p, p - 2, p) for i in range(k)]
     out = []
-    for S in spaces:
+    for S, _ in spaces:
         w = S[:, 0] % p
         check_invariant(w[0] != 0, "central character must be nonzero on the identity class")
         w = w * pow(int(w[0]), p - 2, p) % p
@@ -357,122 +367,46 @@ def _tensor_constants(table: CharacterTable) -> np.ndarray:
     return N
 
 
-def _split_space(B: np.ndarray, S: np.ndarray, p: int, rng) -> list[np.ndarray]:
-    """Split the column space S into eigenspaces of B (all matrices mod p)."""
-    # restriction A with B S = S A
-    A = _solve_columns(S, B @ S % p, p)
-    poly = _char_poly(A, p)
-    roots = _poly_roots(poly, p, rng)
+def _split_space(B: np.ndarray, S: np.ndarray, rows: np.ndarray, p: int,
+                 rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the column space of S, with S[rows] = I, into eigenspaces of B
+    (all mod p), each returned as such a pair.
+
+    The restriction A with B S = S A is (B S)[rows].  Its minimal polynomial
+    is the least relation among the Krylov rows phi A^t of the unit-class
+    coordinate phi = S[0]: every central character is 1 on the unit class,
+    so phi is nonzero on every eigenvector.  With r = dim S distinct roots
+    every eigenspace is a line u with phi A^t u = lam^t, so the lines are the
+    columns of K^-1 W for the Krylov matrix K (t < r) and the Vandermonde
+    matrix W[t, lam] = lam^t.  Otherwise each root's eigenspace is read off
+    the reduced rows of A - lam."""
+    r = len(rows)
+    A = (B @ S % p)[rows]
+    krylov = np.empty((r + 1, r), dtype=np.int64)
+    krylov[0] = S[0]
+    for t in range(r):
+        krylov[t + 1] = krylov[t] @ A % p
+    # kernel rows of the Krylov rows taken highest power first are echelon
+    # in falling degree: the last is the monic relation of least degree
+    relation = kernel_mod_q(krylov[::-1].T, p, 1)[-1]
+    roots = _poly_roots(relation[::-1].tolist(), p, rng)
+    if len(roots) == r:
+        W = np.ones((r, r), dtype=np.int64)
+        for t in range(1, r):
+            W[t] = W[t - 1] * roots % p
+        lines = S @ (invert_mod_q(krylov[:r], p, 1) @ W % p) % p
+        unit_row = np.zeros(1, dtype=np.int64)
+        return [(lines[:, [j]], unit_row) for j in range(r)]
     out = []
-    dim = A.shape[0]
     for lam in roots:
-        K = _nullspace(((A - lam * np.eye(dim, dtype=np.int64)) % p), p)
-        if K.shape[1]:
-            out.append(S @ K % p)
-    total = sum(s.shape[1] for s in out)
-    check_invariant(total == S.shape[1], "eigenspace split lost dimensions")
-    return out
-
-
-def _solve_columns(S: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """A with S A = Y, S having full column rank mod p."""
-    k, m = S.shape
-    aug = np.hstack([S, Y]) % p
-    # row-reduce
-    r = 0
-    pivots = []
-    for c in range(m):
-        rows = [i for i in range(r, k) if aug[i, c] % p]
-        if not rows:
-            raise PrimeSearchFailed("restriction solve failed")
-        i = rows[0]
-        aug[[r, i]] = aug[[i, r]]
-        aug[r] = aug[r] * pow(int(aug[r, c]), p - 2, p) % p
-        for i2 in range(k):
-            if i2 != r and aug[i2, c]:
-                aug[i2] = (aug[i2] - aug[i2, c] * aug[r]) % p
-        pivots.append(c)
-        r += 1
-    A = np.zeros((m, Y.shape[1]), dtype=np.int64)
-    for row_idx, c in enumerate(pivots):
-        A[c] = aug[row_idx, m:]
-    return A % p
-
-
-def _nullspace(M: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning {x : M x = 0 mod p}."""
-    M = M.copy() % p
-    rows, cols = M.shape
-    pivots = {}
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        cand = np.flatnonzero(M[r:, c])
-        if not cand.size:
-            continue
-        i = r + int(cand[0])
-        M[[r, i]] = M[[i, r]]
-        M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        M = (M - np.outer(col, M[r])) % p  # entries < p^2 < 2^54
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[c, idx] = 1
-        for pc, pr in pivots.items():
-            basis[pc, idx] = (-M[pr, c]) % p
-    return basis
-
-
-def _char_poly(A: np.ndarray, p: int) -> list[int]:
-    """Characteristic polynomial mod p via Hessenberg reduction."""
-    n = A.shape[0]
-    H = A.copy() % p
-    for c in range(n - 2):
-        piv = next((r for r in range(c + 1, n) if H[r, c]), None)
-        if piv is None:
-            continue
-        if piv != c + 1:
-            H[[c + 1, piv]] = H[[piv, c + 1]]
-            H[:, [c + 1, piv]] = H[:, [piv, c + 1]]
-        inv = pow(int(H[c + 1, c]), p - 2, p)
-        for r in range(c + 2, n):
-            if H[r, c]:
-                f = H[r, c] * inv % p
-                H[r] = (H[r] - f * H[c + 1]) % p
-                H[:, c + 1] = (H[:, c + 1] + f * H[:, r]) % p
-    # p_i = det(xI - H[:i,:i]) by the Hessenberg recurrence
-    polys = [[1]]
-    for i in range(1, n + 1):
-        # poly_i = (x - H[i-1,i-1]) * poly_{i-1} - sum over subdiagonal products
-        term = _poly_shift_sub(polys[i - 1], int(H[i - 1, i - 1]), p)
-        prod = 1
-        for j in range(i - 1, 0, -1):
-            prod = prod * int(H[j, j - 1]) % p
-            coeff = prod * int(H[j - 1, i - 1]) % p
-            if coeff:
-                term = _poly_axpy(term, polys[j - 1], (-coeff) % p, p)
-        polys.append(term)
-    return polys[n]
-
-
-def _poly_shift_sub(poly: list[int], a: int, p: int) -> list[int]:
-    """(x - a) * poly mod p."""
-    out = [0] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] = (out[i + 1] + c) % p
-        out[i] = (out[i] - a * c) % p
-    return out
-
-
-def _poly_axpy(target: list[int], poly: list[int], coeff: int, p: int) -> list[int]:
-    out = list(target)
-    for i, c in enumerate(poly):
-        out[i] = (out[i] + coeff * c) % p
+        R, piv = eliminate_mod_q(A - lam * np.eye(r, dtype=np.int64), p, 1)
+        pivots = [c for c, _ in piv]
+        free = np.setdiff1d(np.arange(r), pivots)
+        N = np.zeros((r, free.size), dtype=np.int64)
+        N[free, np.arange(free.size)] = 1
+        N[pivots] = -R[:, free] % p
+        out.append((S @ N % p, rows[free]))
+    check_invariant(sum(len(f) for _, f in out) == r, "eigenspace split lost dimensions")
     return out
 
 

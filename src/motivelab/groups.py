@@ -484,23 +484,16 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    """S_n on the transposition (0 1) and the n-cycle, numbered as
+    group_from_permutations numbers them."""
     if not 1 <= n <= 6:
         raise OrderBound("symmetric groups supported for 1 <= n <= 6")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    P = np.array(perms, dtype=np.int32)
-    # p q is x -> p[q[x]]; its base-n code, digit x being p[q[x]], is found
-    # by bisection among the codes of the sorted permutations, which increase
-    codes = np.zeros((len(perms), len(perms)), dtype=np.int32)
-    for x in range(n):
-        codes = codes * n + P[:, P[:, x]]
-    table = np.searchsorted(P @ n ** np.arange(n - 1, -1, -1), codes).astype(np.int32)
-    gens = []
-    if n >= 2:
-        gens.append(index[tuple([1, 0] + list(range(2, n)))])
+    gens = [[1, 0] + list(range(2, n))] if n >= 2 else []
     if n >= 3:
-        gens.append(index[tuple(list(range(1, n)) + [0])])
-    return FiniteGroup(table, label=f"S{n}", gens=gens)
+        gens.append(list(range(1, n)) + [0])
+    G = group_from_permutations(n, gens)
+    G.label = f"S{n}"
+    return G
 
 
 def dihedral_group(order: int) -> FiniteGroup:
@@ -574,35 +567,54 @@ def group_from_cayley(table: Sequence[Sequence[int]]) -> FiniteGroup:
 
 
 def group_from_permutations(degree: int, gens: Sequence[Sequence[int]]) -> FiniteGroup:
+    """The group generated by permutations of 0..degree-1, its elements
+    numbered in lexicographic order; p q is x -> p[q[x]]."""
     if degree > 16:
         raise OrderBound("permutation degree limited to 16")
-    base = tuple(range(degree))
-    gen_tuples = []
+    rows = []
     for g in gens:
-        t = tuple(int(x) for x in g)
+        t = [int(x) for x in g]
         if sorted(t) != list(range(degree)):
             raise NotClosed(f"not a permutation of 0..{degree - 1}: {g}")
-        gen_tuples.append(t)
-    elems = {base}
-    frontier = [base]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_tuples:
-            y = tuple(g[x[i]] for i in range(degree))
-            if y not in elems:
-                if len(elems) >= max_order():
-                    raise OrderBound(f"closure exceeds bound {max_order()}")
-                elems.add(y)
-                frontier.append(y)
-    ordered = sorted(elems)
-    index = {p: i for i, p in enumerate(ordered)}
-    n = len(ordered)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, p in enumerate(ordered):
-        for j, q in enumerate(ordered):
-            table[i, j] = index[tuple(p[q[x]] for x in range(degree))]
-    gen_idx = [index[g] for g in gen_tuples]
-    return FiniteGroup(table, label=f"P{n}", gens=gen_idx)
+        rows.append(t)
+    gen_arr = np.array(rows, dtype=np.int64).reshape(len(rows), max(degree, 0))
+    # a permutation is fixed by its first degree - 1 images; as base-degree
+    # digits they give int64 codes (below 16^15 = 2^60) that increase with the
+    # lexicographic order
+    weights = degree ** np.arange(degree - 1, dtype=np.int64)[::-1]
+
+    def code(p: np.ndarray) -> np.ndarray:
+        return p[..., :len(weights)] @ weights
+
+    # breadth-first closure under x -> g x; each level keeps, per new element
+    # g x, the generator's position (via) and the row of x in perms (parent)
+    perms = frontier = np.arange(degree, dtype=np.int64)[None, :]
+    codes = code(perms)
+    levels = []
+    while len(frontier):
+        found = gen_arr[:, frontier]                         # [g, x] -> g x
+        new_codes, first = np.unique(code(found).reshape(-1), return_index=True)
+        fresh = ~np.isin(new_codes, codes)
+        via, at = np.divmod(first[fresh], len(frontier))
+        levels.append((via, len(perms) - len(frontier) + at))
+        frontier = found[via, at]
+        if len(perms) + len(frontier) > max_order():
+            raise OrderBound(f"closure exceeds bound {max_order()}")
+        perms = np.vstack([perms, frontier])
+        codes = np.concatenate([codes, new_codes[fresh]])
+    order = np.argsort(codes)
+    keys = codes[order]
+    # row x of the table is y -> x y; the row of g x is the row of x followed
+    # by y -> g y, whose table is left[g]
+    left = np.searchsorted(keys, code(gen_arr[:, perms[order]]))
+    table = np.empty((len(perms), len(perms)), dtype=np.int32)
+    table[0] = np.arange(len(perms))
+    start = 1
+    for via, parent in levels:
+        table[start:start + len(via)] = left[via[:, None], table[parent]]
+        start += len(via)
+    gen_idx = np.searchsorted(keys, code(gen_arr)).tolist()
+    return FiniteGroup(table[order], label=f"P{len(perms)}", gens=gen_idx)
 
 
 # shorthand name -> spec keys of its comma-separated integer parameters

@@ -178,7 +178,8 @@ def _echelon_block(M: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tupl
         f[r] = 0
         nz = np.nonzero(f)[0]
         if nz.size:
-            M[nz] = (M[nz] - np.outer(f[nz], M[r])) % q
+            # every row from r on, row r included, is zero left of column c
+            M[nz, c:] = (M[nz, c:] - np.outer(f[nz], M[r, c:])) % q
         piv.append((c, v))
         r += 1
     return M[:r], piv

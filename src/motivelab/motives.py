@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cocycles import SCHUR_DEFAULT_MAX_ORDER, CohomClass, SchurMultiplier, schur_multiplier
 from .errors import (
     GroupMismatch,
@@ -186,21 +188,21 @@ def _restricted_regular_count(cls: CohomClass, H: Subgroup) -> int:
 
 def _induced_pair_rank(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> int:
     """Sum of conjugacy-class counts of the double-coset stabilizers: the
-    orbits of H1 on G/H2 have point stabilizers H1 n gH2g^-1."""
-    h2 = set(H2.members)
-    seen: set[int] = set()
+    orbits of H1 on G/H2 have point stabilizers K = H1 n gH2g^-1, and K has
+    #{(x, y) in K^2 : xy = yx} / |K| classes."""
+    cay = G.cayley
+    h1, h2 = np.array(H1.members), np.array(H2.members)
+    in_h2 = np.zeros(G.order, dtype=bool)
+    in_h2[h2] = True
+    seen = np.zeros(G.order, dtype=bool)
     total = 0
-    for g in G.elements():
-        if g in seen:
+    for g in range(G.order):
+        if seen[g]:
             continue
-        # the double coset H1 g H2
-        coset = {G.mul(h, G.mul(g, k)) for h in H1.members for k in h2}
-        seen |= coset
-        stab_members = [h for h in H1.members
-                        if G.mul(G.inv(g), G.mul(h, g)) in h2]
-        stab = Subgroup(G, tuple(sorted(stab_members)))
-        sub, _ = stab.as_group()
-        total += len(sub.conjugacy_classes())
+        seen[cay[np.ix_(cay[h1, g], h2)]] = True                 # the double coset H1 g H2
+        K = h1[in_h2[cay[cay[G.inverses[g], h1], g]]]            # g^-1 h g in H2
+        T = cay[np.ix_(K, K)]
+        total += int((T == T.T).sum()) // len(K)
     return total
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from orthogonality_oracle import cyclotomic_orthogonality
 
+from motivelab import characters, twisted
 from motivelab.characters import (
     VirtualCharacter,
     _canonical_table,
@@ -20,6 +21,7 @@ from motivelab.characters import (
     restrict,
     rr_arith,
 )
+from motivelab.cocycles import TwoCocycle
 from motivelab.cyclotomic import Cyclotomic
 from motivelab.errors import GroupMismatch, InvariantViolation, NonIntegralCharacter
 from motivelab.groups import (
@@ -30,6 +32,7 @@ from motivelab.groups import (
     product_group,
     symmetric_group,
 )
+from motivelab.twisted import build_twisted, wedderburn_dims
 
 BATTERY = [
     cyclic_group(2), cyclic_group(3), cyclic_group(4), cyclic_group(6),
@@ -396,6 +399,13 @@ GOLDEN = {
     "D16": ("a9361445c5093091", "bf6bb41712ef01d6"),
     "D16xC2": ("fb2cafd5f883d56b", "8d82d65aefb73bce"),
     "C4xC4": ("37d4925f861569b8", "d89438b77a7e9941"),
+    "D48": ("8adedaaedeb8953a", "bee29e08f53ae94f"),
+    "D64": ("7a4fa20214a8780f", "c08117ead88eda25"),
+    "S6": ("bb2200835c32e86c", "fa895b1c71ed03a3"),
+    "S3xS4": ("d94685691ace1692", "a448887be5b38f67"),
+    "S4xC5": ("23e6cd965754f850", "c4dcdcd386efb5f3"),
+    "E16xS3": ("c8540d49f47d0005", "048f61209c473c97"),
+    "C128": ("b7b24fd4a5b65f4c", "64abc077cc75d2e7"),
 }
 
 
@@ -409,7 +419,16 @@ def _golden_groups():
                       product_group(cyclic_group(4), cyclic_group(4))]
 
 
-@pytest.mark.parametrize("G", _golden_groups(), ids=lambda G: G.label)
+def _large_golden_groups():
+    """Pinned by hash only: the k^2 exact sums of the multiplicity test below
+    are slow at k = 128."""
+    S3, S4 = symmetric_group(3), symmetric_group(4)
+    return [dihedral_group(48), dihedral_group(64), symmetric_group(6),
+            product_group(S3, S4), product_group(S4, cyclic_group(5)),
+            product_group(elementary_abelian_group(2, 4), S3), cyclic_group(128)]
+
+
+@pytest.mark.parametrize("G", _golden_groups() + _large_golden_groups(), ids=lambda G: G.label)
 def test_rows_and_structure_constants_unchanged(G):
     table = character_table(G)
     rows, N = GOLDEN[G.label]
@@ -505,3 +524,101 @@ def test_dropped_group_is_freed_and_its_table_still_works():
     table.verify_orthogonality()
     assert np.array_equal(table.structure_constants,
                           character_table(H).structure_constants)
+
+
+# ---------------------------------------------------------------------------
+# Class-algebra splitting
+# ---------------------------------------------------------------------------
+
+
+def _recorded_splits(monkeypatch, module):
+    """Record the arguments and result of every split_class_algebra call
+    made through module."""
+    split, calls = characters.split_class_algebra, []
+
+    def spy(*args):
+        out = split(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, "split_class_algebra", spy)
+    return calls
+
+
+def _split_sha(out):
+    return _sha(repr(sorted((tuple(w), d) for w, d in out)).encode())
+
+
+def _check_central_characters(a, n, p, out):
+    """Each omega is an algebra map of the class algebra mod p, 1 on the unit,
+    the omegas are distinct, one per class, and the degrees square-sum to n."""
+    a = np.asarray(a) % p
+    omegas = np.array([w for w, _ in out], dtype=np.int64)
+    assert len(out) == a.shape[0] == len({tuple(w) for w in omegas.tolist()})
+    assert (omegas[:, 0] == 1).all()
+    lhs = omegas[:, :, None] * omegas[:, None, :] % p                  # omega_i omega_j
+    assert np.array_equal(lhs, np.einsum("ijl,wl->wij", a, omegas) % p)
+    assert sum(d * d for _, d in out) == n
+
+
+# sorted (omega, d) of the splits, the same for every seed
+SPLIT_GOLDEN = {
+    "S6": "829cecdffa6700ba",
+    "D48": "59d5b434aab52160",
+    "S3xS4": "4d31683b47c4401f",
+    "E16xS3": "9eaa4aa9784e1493",
+    "C100": "bed41187ceb115d4",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("make", [lambda: symmetric_group(6), lambda: dihedral_group(48),
+                                  lambda: product_group(symmetric_group(3), symmetric_group(4)),
+                                  lambda: product_group(elementary_abelian_group(2, 4),
+                                                        symmetric_group(3))],
+                         ids=["S6", "D48", "S3xS4", "E16xS3"])
+def test_dixon_split_unchanged(monkeypatch, make, seed):
+    calls = _recorded_splits(monkeypatch, characters)
+    G = make()
+    character_table(G, seed)
+    [((a, _, n, p, _), out)] = calls
+    assert _split_sha(out) == SPLIT_GOLDEN[G.label]
+    _check_central_characters(a, n, p, out)
+
+
+def test_split_cluster_path(monkeypatch):
+    """E16xS3 has 48 classes but Dixon's prime is 31: no draw can separate
+    48 eigenvalues in F_31, so eigenspaces are read off reduced rows over
+    several rounds."""
+    calls = _recorded_splits(monkeypatch, characters)
+    eliminate, eliminations = characters.eliminate_mod_q, []
+
+    def counting(A, p, a):
+        eliminations.append(A.shape)
+        return eliminate(A, p, a)
+
+    monkeypatch.setattr(characters, "eliminate_mod_q", counting)
+    G = product_group(elementary_abelian_group(2, 4), symmetric_group(3))
+    character_table(G)
+    [((a, _, n, p, _), out)] = calls
+    assert p == 31 and len(out) == 48
+    assert eliminations and eliminations[0] == (48, 48)
+    _check_central_characters(a, n, p, out)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_split_line_path(monkeypatch, seed):
+    """The trivial cocycle of C100: a first draw with 100 distinct
+    eigenvalues gives every eigenline from one inverse, with no elimination
+    of A - lam."""
+    calls = _recorded_splits(monkeypatch, twisted)
+
+    def refuse(*args):
+        raise AssertionError("the line path eliminates no A - lam")
+
+    monkeypatch.setattr(characters, "eliminate_mod_q", refuse)
+    C = cyclic_group(100)
+    assert wedderburn_dims(build_twisted(C, TwoCocycle.trivial(C, 100)), seed).dims == (1,) * 100
+    [((a, _, n, p, _), out)] = calls
+    assert _split_sha(out) == SPLIT_GOLDEN["C100"]
+    _check_central_characters(a, n, p, out)

@@ -72,6 +72,52 @@ def test_symmetric_6_table_hash():
     assert G.generating_set() == (120, 153)
 
 
+def _permutation_group_by_loops(degree, gens):
+    """Closure of gens under x -> g x, then the table on the sorted elements
+    composed one pair at a time, and the generators' numbers."""
+    gens = [tuple(g) for g in gens]
+    elems, frontier = {tuple(range(degree))}, [tuple(range(degree))]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple(g[x[i]] for i in range(degree))
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    perms = sorted(elems)
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.array([[index[tuple(p[q[x]] for x in range(degree))] for q in perms]
+                      for p in perms], dtype=np.int32)
+    return table, tuple(index[g] for g in gens)
+
+
+_SHIFT16 = list(range(1, 16)) + [0]
+_FLIP16 = list(range(15, -1, -1))
+
+
+@pytest.mark.parametrize("degree,gens", [
+    (1, []), (2, [[1, 0]]), (3, [[1, 2, 0]]), (4, [[1, 2, 0, 3], [1, 0, 3, 2]]),
+    (5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]),
+    (8, [[1, 2, 3, 0, 5, 6, 7, 4], [4, 7, 6, 5, 2, 1, 0, 3]]),
+    (6, [[1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4], [2, 3, 4, 5, 0, 1]]),
+    (16, [_SHIFT16, _FLIP16]), (16, [_FLIP16, [1, 0] + list(range(2, 16))]),
+], ids=lambda v: str(v) if isinstance(v, int) else None)
+def test_permutation_table_matches_loops(degree, gens):
+    G = group_from_permutations(degree, gens)
+    table, gen_idx = _permutation_group_by_loops(degree, gens)
+    assert np.array_equal(G.cayley, table)
+    assert G.label == f"P{len(table)}" and G._seed_gens() == gen_idx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_symmetric_group_is_a_permutation_group(n):
+    transposition, cycle = [1, 0] + list(range(2, n)), list(range(1, n)) + [0]
+    gens = [transposition, cycle][:n - 1]           # S1 has none, S2 only (0 1)
+    P, G = group_from_permutations(n, gens), symmetric_group(n)
+    assert np.array_equal(G.cayley, P.cayley) and G.label == f"S{n}"
+    assert G._seed_gens() == P._seed_gens()
+
+
 def test_symmetric_3():
     G = symmetric_group(3)
     assert G.order == 6

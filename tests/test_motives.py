@@ -141,9 +141,12 @@ def test_hom_rank_induced_to_unit():
 
 
 def test_hom_rank_induced_pair_oracle():
-    """Double-coset formula against brute-force orbit enumeration."""
-    for G in (symmetric_group(3), dihedral_group(8), elementary_abelian_group(2, 2)):
-        subs = [H for H in all_subgroups(G) if not H.is_whole_group()]
+    """Double-coset formula against brute-force orbit enumeration, whose
+    stabilizers are counted as groups of their own."""
+    for G, step in ((symmetric_group(3), 1), (dihedral_group(8), 1),
+                    (elementary_abelian_group(2, 2), 1), (symmetric_group(4), 3),
+                    (dihedral_group(12), 3), (product_group(symmetric_group(3), cyclic_group(4)), 3)):
+        subs = [H for H in all_subgroups(G) if not H.is_whole_group()][::step]
         for H1 in subs:
             for H2 in subs:
                 got = hom_rank(induced_atom(H1), induced_atom(H2))
