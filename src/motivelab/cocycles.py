@@ -18,11 +18,15 @@ The solve fixes a gauge: adding the coboundary of a suitable f: G -> Z/q
 makes any cocycle vanish on the |G| - 1 tree edges (pos, g') of the word
 tree, and the identity block of a tree edge is identically zero.  So the
 unknowns are the (|S| - 1)|G| + 1 other coordinates, and the blocks come
-from the non-tree edges.  They enter a few at a time, and each kernel is
-checked exactly against every identity.  The multiplier is that kernel K
-modulo the |S| gauge-fixed coboundaries d(w.c), w(g) the generator counts
-of the tree word of g (Reidemeister-Schreier), and the gauge-fixed carries,
-diagonalized at the size of K.  cocycle_space adds every coboundary to K.
+from the non-tree edges.  Each block is read off the tree paths of its two
+ends, so no |G| x |G| x |S||G| reconstruction tensor is built.  The blocks
+enter a few at a time, and each kernel is checked exactly against every
+identity.  The kernel is carried from round to round: a round eliminates
+the new blocks only on the current kernel's generators, never again on all
+free coordinates.  The multiplier is the certified kernel K modulo the |S|
+gauge-fixed coboundaries d(w.c), w(g) the generator counts of the tree word
+of g (Reidemeister-Schreier), and the gauge-fixed carries, diagonalized at
+the size of K.  cocycle_space adds every coboundary to K.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from .intlinalg import (
 
 COCYCLE_SPACE_GUARD = 4096          # |G|^2 bound for full-table bases
 SCHUR_DEFAULT_MAX_ORDER = 48
-_RECONSTRUCTION_GUARD = 1 << 27     # entries in the reconstruction tensor
 _FIRST_BATCH = 4                    # identity blocks before the first certificate
 MODULUS_BOUND = 1 << 62             # int64 sums of two reduced exponents stay exact
 
@@ -222,10 +225,7 @@ class _Reconstruction:
         n = G.order
         self.gens = gens
         self.dim = len(gens) * n
-        if n * n * self.dim > _RECONSTRUCTION_GUARD:
-            raise SizeBound("cocycle parametrization too large for this group")
         self.parent, self.tree_order = G.word_tree()
-        self.M = self.tables(np.eye(self.dim, dtype=np.int32))
         # the coordinates (pos, g') off the tree edges: the gauge-fixed unknowns
         tree = np.zeros(self.dim, dtype=bool)
         for g in self.tree_order[1:]:
@@ -249,16 +249,29 @@ class _Reconstruction:
     def blocks(self, edges: np.ndarray, q: int) -> np.ndarray:
         """Rows, on the free coordinates, of the identities
         e(rho, -) + e(s, rho -) - e(s, rho) - e(s rho, -) = 0 at the non-tree
-        edges (pos, rho) = divmod(free[k], |G|), k in edges."""
+        edges (pos, rho) = divmod(free[k], |G|), k in edges.  Each is read off
+        tree paths: e(g, sigma) sums x(s', g' sigma) - x(s', g') over the steps
+        (s', g') from g to the root, so an identity is the path of rho, the
+        step (s, rho) itself, minus the path of s rho."""
         n = self.group.order
         t = self.group.cayley
-        pos, rho = np.divmod(self.free[edges], n)
-        B = self.M[rho].astype(np.int64) - self.M[t[self.gens[pos], rho]]
-        k = np.arange(len(edges))[:, None]
-        sigma = np.arange(n)[None, :]
-        B[k, sigma, (pos * n)[:, None] + t[rho]] += 1
-        B[k, sigma, (pos * n + rho)[:, None]] -= 1
-        return B[:, :, self.free].reshape(-1, len(self.free)) % q
+        steps = []                                       # (edge, sign, pos, g')
+        for k, (pos, rho) in enumerate(zip(*np.divmod(self.free[edges], n))):
+            steps.append((k, 1, pos, rho))
+            for g, sign in ((rho, 1), (t[self.gens[pos], rho], -1)):
+                while g:
+                    steps.append((k, sign, *self.parent[g]))
+                    g = self.parent[g][1]
+        k, sign, pos, gp = np.array(steps, dtype=np.int64).reshape(-1, 4).T
+        # tree coordinates go to a last column that is dropped
+        column = np.full(self.dim, len(self.free))
+        column[self.free] = np.arange(len(self.free))
+        B = np.zeros((len(edges), n, len(self.free) + 1), dtype=np.int64)
+        sigma = np.arange(n)
+        np.add.at(B, (k[:, None], sigma, column[(pos * n)[:, None] + t[gp]]), sign[:, None])
+        np.subtract.at(B, (k[:, None], sigma, column[pos * n + gp][:, None]), sign[:, None])
+        B %= q
+        return B[:, :, :-1].reshape(-1, len(self.free))
 
     def violated(self, X: np.ndarray, q: int) -> np.ndarray:
         """bad[k, j]: row k of X, a cocycle candidate on the free coordinates,
@@ -275,8 +288,12 @@ class _Reconstruction:
         bad = np.zeros((self.dim, len(X)), dtype=bool)
         for pos, s in enumerate(self.gens):
             xs = full[:, pos * n:(pos + 1) * n].T          # [h, k] = e_k(s, h)
-            R = E - E[t[s]] + xs[t] - xs[:, None, :]
-            bad[pos * n:(pos + 1) * n] = (R % q).any(axis=1)
+            R = E[t[s]]                        # in place: each term has |G|^2 |K| entries
+            np.subtract(E, R, out=R)
+            R += xs[t]
+            R -= xs[:, None, :]
+            R %= q
+            bad[pos * n:(pos + 1) * n] = R.any(axis=1)
         return bad[self.free].T
 
     def expand(self, x: np.ndarray, q: int) -> np.ndarray:
@@ -332,25 +349,30 @@ def _gauge_fixed_kernel(recon: _Reconstruction, p: int, a: int) -> np.ndarray:
     the tree edges.
 
     They are the kernel of the normalization rows and the identity blocks at
-    the non-tree edges.  The blocks join the system a few at a time: each
-    round takes the kernel, checks every generator against all identities,
-    and adds the first identity each violating generator breaks, which
-    removes that generator from the next kernel.  The kernel no generator
-    violates is the whole gauge-fixed space.
+    the non-tree edges.  The kernel K is carried from round to round: it
+    starts as the unit vectors off the normalization coordinates, and each
+    round's blocks B cut it to Y K, Y the kernel of C = B K^T, so a round
+    eliminates only |K| columns.  The first round's C is the first blocks'
+    columns off normalization.  Each round checks every generator of K
+    against all identities, and the first identity each violating generator
+    breaks joins the next round's blocks, which removes that generator from
+    the next kernel.  The kernel no generator violates is the whole
+    gauge-fixed space.
     """
     q = p ** a
     free = recon.free
-    normalization = np.eye(len(free), dtype=np.int64)[free % recon.group.order == 0]
-    system = np.vstack([normalization,
-                        recon.blocks(np.arange(min(_FIRST_BATCH, len(free))), q)])
+    keep = free % recon.group.order != 0
+    C = recon.blocks(np.arange(min(_FIRST_BATCH, len(free))), q)[:, keep]
+    Y = kernel_mod_q(eliminate_mod_q(C, p, a)[0], p, a)
+    K = np.zeros((len(Y), len(free)), dtype=np.int64)
+    K[:, keep] = Y
     while True:
-        H, _ = eliminate_mod_q(system, p, a)
-        K = kernel_mod_q(H, p, a)
         bad = recon.violated(K, q)
         if not bad.any():
             return K
         first_broken = bad.argmax(axis=1)[bad.any(axis=1)]
-        system = np.vstack([H, recon.blocks(np.unique(first_broken), q)])
+        C = recon.blocks(np.unique(first_broken), q) @ K.T % q
+        K = kernel_mod_q(eliminate_mod_q(C, p, a)[0], p, a) @ K % q
 
 
 def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -454,18 +476,24 @@ def _witness_modulus(big: int) -> int:
 
 
 def verify_witness(alpha: TwoCocycle, beta: TwoCocycle, w: CoboundaryWitness) -> bool:
+    """Whether w.values is a witness delta for alpha ~ beta: delta(1) = 0 and
+    delta(rho sigma) + alpha(rho, sigma) = delta(sigma) + delta(rho) +
+    beta(rho, sigma) mod w.modulus on every pair, checked in one array pass.
+    A witness with other than |G| values is not one."""
     G = alpha.group
+    if not same_group(G, beta.group):
+        raise GroupMismatch("cocycles live on different groups")
+    if alpha.modulus != beta.modulus:
+        raise ModulusMismatch("cocycle moduli differ")
     big = _witness_modulus(w.modulus)
-    ea = alpha.promote(big).as_array()
-    eb = beta.promote(big).as_array()
-    d = w.values
-    for rho in G.elements():
-        for sigma in G.elements():
-            lhs = (d[G.mul(rho, sigma)] + int(ea[rho, sigma])) % big
-            rhs = (d[sigma] + d[rho] + int(eb[rho, sigma])) % big
-            if lhs != rhs:
-                return False
-    return d[0] % big == 0
+    if len(w.values) != G.order:
+        return False
+    d = np.array([int(v) % big for v in w.values], dtype=np.int64)
+    # every sum below adds two values reduced mod big < 2^62: no int64 wrap
+    lhs = (d[G.cayley] + alpha.promote(big).as_array()) % big
+    rhs = (d[None, :] + d[:, None]) % big
+    rhs = (rhs + beta.promote(big).as_array()) % big
+    return bool(d[0] == 0 and np.array_equal(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,24 +27,37 @@ from motivelab.intlinalg import (
 )
 
 
-def constraint_rows(recon, q):
-    """All identities with generator first argument, plus normalization."""
+def dense_tensor(recon):
+    """M[g, sigma, k] = e_k(g, sigma) for the unit generator-row vectors e_k:
+    the whole reconstruction as one |G| x |G| x |S||G| tensor."""
+    return recon.tables(np.eye(recon.dim, dtype=np.int32))
+
+
+def identity_blocks(recon, q):
+    """blocks[pos * |G| + rho, sigma] = the row of the identity
+    e(rho, sigma) + e(s, rho sigma) - e(s, rho) - e(s rho, sigma) = 0 on all
+    generator coordinates, s = gens[pos], from rows of the dense tensor."""
     G = recon.group
     n = G.order
     t = G.cayley
+    M = dense_tensor(recon)
     sigma = np.arange(n)
     blocks = []
     for pos, s in enumerate(recon.gens):
         for rho in range(n):
-            blk = recon.M[rho].astype(np.int64) - recon.M[G.mul(s, rho)]
+            blk = M[rho].astype(np.int64) - M[G.mul(s, rho)]
             blk[sigma, pos * n + t[rho]] += 1
             blk[:, pos * n + rho] -= 1
             blocks.append(blk)
-    for pos in range(len(recon.gens)):
-        row = np.zeros((1, recon.dim), dtype=np.int64)
-        row[0, pos * n] = 1
-        blocks.append(row)
-    return np.vstack(blocks) % q
+    return np.array(blocks) % q
+
+
+def constraint_rows(recon, q):
+    """All identities with generator first argument, plus normalization."""
+    n = recon.group.order
+    normalization = np.zeros((len(recon.gens), recon.dim), dtype=np.int64)
+    normalization[np.arange(len(recon.gens)), np.arange(len(recon.gens)) * n] = 1
+    return np.vstack([identity_blocks(recon, q).reshape(-1, recon.dim), normalization])
 
 
 def kernel_by_diagonalization(A, p, a):
@@ -84,7 +97,8 @@ def coboundary_xvecs(recon, q):
 
 def expand(recon, x, q):
     """The full table of generator rows x, one matrix product per row g."""
-    return np.array([recon.M[g].astype(np.int64) @ x % q for g in range(recon.group.order)])
+    M = dense_tensor(recon)
+    return np.array([M[g].astype(np.int64) @ x % q for g in range(recon.group.order)])
 
 
 def characters_mod(G, q):

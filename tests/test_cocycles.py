@@ -17,7 +17,14 @@ from motivelab.cocycles import (
     schur_multiplier,
     verify_witness,
 )
-from motivelab.errors import BadModulus, ModulusMismatch, NotACocycle, NotAbelian, SizeBound
+from motivelab.errors import (
+    BadModulus,
+    GroupMismatch,
+    ModulusMismatch,
+    NotACocycle,
+    NotAbelian,
+    SizeBound,
+)
 from motivelab.groups import (
     cyclic_group,
     dihedral_group,
@@ -269,6 +276,40 @@ def test_witness_modulus_beyond_int64_is_bad_modulus():
         is_cohomologous(alpha, alpha)
     with pytest.raises(BadModulus):
         verify_witness(alpha, alpha, CoboundaryWitness(2**63, (0,) * 4))
+
+
+def test_verify_witness_rejects_a_witness_of_the_wrong_length():
+    # a witness one value short or one value long is no witness, not a traceback
+    G = symmetric_group(3)
+    alpha = TwoCocycle.trivial(G, 6)
+    w = is_cohomologous(alpha, alpha)
+    assert verify_witness(alpha, alpha, w)
+    assert not verify_witness(alpha, alpha, CoboundaryWitness(w.modulus, w.values[:-1]))
+    assert not verify_witness(alpha, alpha, CoboundaryWitness(w.modulus, w.values + (0,)))
+
+
+def test_verify_witness_checks_group_and_modulus():
+    G, H = symmetric_group(3), cyclic_group(6)
+    w = CoboundaryWitness(36, (0,) * 6)
+    with pytest.raises(GroupMismatch):
+        verify_witness(TwoCocycle.trivial(G, 6), TwoCocycle.trivial(H, 6), w)
+    with pytest.raises(ModulusMismatch):
+        verify_witness(TwoCocycle.trivial(G, 6), TwoCocycle.trivial(G, 3), w)
+
+
+def test_verify_witness_rejects_a_wrong_value():
+    """A witness from the solve passes; changing any one value but delta(1)'s
+    breaks an identity, and a nonzero delta(1) is no normalized witness."""
+    G = dihedral_group(8)
+    M = schur_multiplier(G)
+    alpha = M.section[0]
+    beta = alpha.mul(_coboundary(G, M.modulus, np.random.default_rng(2)))
+    w = is_cohomologous(alpha, beta)
+    assert verify_witness(alpha, beta, w)
+    for g in range(G.order):
+        values = list(w.values)
+        values[g] = (values[g] + 1) % w.modulus
+        assert not verify_witness(alpha, beta, CoboundaryWitness(w.modulus, tuple(values)))
 
 
 def test_schur_multiplier_table():
@@ -588,6 +629,12 @@ def _coboundary(G, n, rng):
                for r in G.elements()])
 
 
+def test_s6_multiplier_is_c2():
+    """S6 (order 720) has M(S6) = C2 (Karpilovsky 1987).  It is kept out of
+    the oracle batteries: their dense reconstruction tensor would be 3 GB."""
+    assert schur_multiplier(symmetric_group(6), 720).invariant_factors == (2,)
+
+
 @pytest.mark.parametrize("name", list(_LITERATURE))
 def test_project_round_trips(name):
     """class_from_coords(project(alpha)) is the class of alpha, on random
@@ -649,15 +696,20 @@ def test_solution_basis_matches_full_system(name):
 
 @pytest.mark.parametrize("name", ["S3", "Q8", "A4", "D12xS3"])
 def test_reconstruction_maps_match_entrywise_references(name):
-    """Coboundary rows, table expansion and restriction as array passes agree
-    with the entry-by-entry and per-row forms."""
+    """Coboundary rows, identity blocks, table expansion and restriction as
+    array passes agree with the entry-by-entry forms and with rows of the
+    dense reconstruction tensor."""
     import multiplier_oracle
     from motivelab.cocycles import _Reconstruction, _solution_basis
     G = _SOLVE_BATTERY[name]()
     recon = _Reconstruction(G)
+    free = recon.free
     for q in (2, 3, 8):
         assert np.array_equal(recon.coboundary_xvecs(q),
                               multiplier_oracle.coboundary_xvecs(recon, q))
+        dense = multiplier_oracle.identity_blocks(recon, q)[free][:, :, free]
+        assert np.array_equal(recon.blocks(np.arange(len(free)), q),
+                              dense.reshape(-1, len(free)))
     p, a = 2, 3 if G.order % 8 == 0 else 1
     basis, _ = _solution_basis(recon, p, a)
     for x in basis:
@@ -690,6 +742,34 @@ def test_certificate_adds_blocks_until_nothing_is_violated(monkeypatch, make, p,
     assert len(rounds) >= 2 and rounds[0].any() and not rounds[-1].any()
     want_basis, want_piv = solution_basis(recon, p, a)
     assert np.array_equal(basis, want_basis) and list(piv) == list(want_piv)
+
+
+@pytest.mark.parametrize("make", [lambda: elementary_abelian_group(2, 5),
+                                  _LITERATURE["D12xS3"][0]], ids=["E32", "D12xS3"])
+def test_certificate_rounds_eliminate_only_the_carried_kernel(monkeypatch, make):
+    """After the first round, each certificate elimination has one column per
+    generator of the kernel the previous round left, never one per free
+    coordinate, and the multiplier still takes more than one round."""
+    from motivelab import cocycles
+    from motivelab.cocycles import _gauge_fixed_kernel, _Reconstruction
+    from motivelab.intlinalg import prime_power_factors
+    recon = _Reconstruction(make())
+    rounds = []
+    for p, a in prime_power_factors(recon.group.order):
+        widths, kernels = [], []
+        eliminate, certify = cocycles.eliminate_mod_q, recon.violated
+        monkeypatch.setattr(cocycles, "eliminate_mod_q",
+                            lambda A, p, a: widths.append(A.shape[1]) or eliminate(A, p, a))
+        monkeypatch.setattr(recon, "violated",
+                            lambda K, q: kernels.append(len(K)) or certify(K, q))
+        K = _gauge_fixed_kernel(recon, p, a)
+        monkeypatch.undo()
+        assert len(widths) == len(kernels) and kernels[-1] == len(K), p
+        assert widths[0] == int((recon.free % recon.group.order != 0).sum())
+        assert widths[1:] == kernels[:-1], p
+        assert len(recon.free) not in widths[1:], p
+        rounds.append(len(kernels))
+    assert max(rounds) >= 2
 
 
 def test_certificate_reports_a_corrupted_kernel_vector():

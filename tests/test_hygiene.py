@@ -1,6 +1,7 @@
 """Source hygiene of the library, by an AST scan of src/motivelab: every
-import is used, and every module-level private function is referenced
-somewhere in the library, so helpers left behind by a rewrite show up."""
+import is used, and every module-level private function and private
+constant is referenced somewhere in the library, so helpers and guards left
+behind by a rewrite show up."""
 
 import ast
 from pathlib import Path
@@ -15,7 +16,7 @@ def _used_names(tree):
     """Every bare name read in the tree and every attribute name."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -33,16 +34,31 @@ def _unused_imports(tree):
     return [name for name in imported if name not in used]
 
 
-def _unreferenced_private_functions(trees):
-    """module:function for each module-level def _name that no module names."""
+def _referenced(trees):
     referenced = set()
     for tree in trees.values():
         referenced |= _used_names(tree)
         referenced.update(a.name for node in ast.walk(tree)
                           if isinstance(node, ast.ImportFrom) for a in node.names)
+    return referenced
+
+
+def _unreferenced_private_functions(trees):
+    """module:function for each module-level def _name that no module names."""
+    referenced = _referenced(trees)
     return [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and node.name not in referenced]
+
+
+def _unreferenced_private_constants(trees):
+    """module:name for each module-level _NAME = ... that no module reads."""
+    referenced = _referenced(trees)
+    return [f"{module}:{target.id}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id.startswith("_")
+            and not target.id.startswith("__") and target.id not in referenced]
 
 
 # __init__.py only re-exports, so its imports are its interface
@@ -57,10 +73,17 @@ def test_every_private_function_is_referenced():
     assert _unreferenced_private_functions(trees) == []
 
 
+def test_every_private_constant_is_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    assert _unreferenced_private_constants(trees) == []
+
+
 def test_scan_finds_leftovers():
     tree = ast.parse("import os\nfrom math import gcd\n\n"
+                     "_RECONSTRUCTION_GUARD = 1 << 27\n_FIRST_BATCH = 4\n\n"
                      "def _poly_axpy(a, b):\n    return a\n\n"
-                     "def _used():\n    return gcd(2, 4)\n\n"
+                     "def _used():\n    return gcd(2, 4) + _FIRST_BATCH\n\n"
                      "def f():\n    return _used()\n")
     assert _unused_imports(tree) == ["os"]
     assert _unreferenced_private_functions({"m.py": tree}) == ["m.py:_poly_axpy"]
+    assert _unreferenced_private_constants({"m.py": tree}) == ["m.py:_RECONSTRUCTION_GUARD"]
