@@ -579,10 +579,6 @@ class VirtualCharacter:
                 acc = acc + c * row[class_index]
         return acc
 
-    def class_values(self) -> list[Cyclotomic]:
-        k = character_table(self.group).num_irreducibles
-        return [self.class_value(c) for c in range(k)]
-
     def add(self, other: "VirtualCharacter") -> "VirtualCharacter":
         _same(self, other)
         return VirtualCharacter(self.group,

@@ -437,9 +437,9 @@ def _field(data, key: str, where: str, hint: str = ""):
 
 
 def cmd_selftest(args) -> int:
-    failures = selftest_mod.run(fast=args.fast, verbose=not args.json)
+    failures, seconds = selftest_mod.run(fast=args.fast, verbose=not args.json)
     if args.json:
-        print(json.dumps({"failures": failures}, sort_keys=True))
+        print(json.dumps({"failures": failures, "seconds": seconds}, sort_keys=True))
     return 0 if not failures else CHECK_FAILURE
 
 

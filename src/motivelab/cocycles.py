@@ -31,6 +31,7 @@ the size of K.  cocycle_space adds every coboundary to K.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,6 +67,7 @@ from .intlinalg import (
 COCYCLE_SPACE_GUARD = 4096          # |G|^2 bound for full-table bases
 SCHUR_DEFAULT_MAX_ORDER = 48
 _FIRST_BATCH = 4                    # identity blocks before the first certificate
+_CERTIFICATE_CHUNK = 1 << 21        # |G|^2 x rows table entries per certificate chunk
 MODULUS_BOUND = 1 << 62             # int64 sums of two reduced exponents stay exact
 
 
@@ -284,16 +286,21 @@ class _Reconstruction:
         full[:, self.free] = X
         if (full[:, ::n] % q).any():
             raise InvariantViolation("cocycle candidate is not normalized")
-        E = self.tables(full)
         bad = np.zeros((self.dim, len(X)), dtype=bool)
-        for pos, s in enumerate(self.gens):
-            xs = full[:, pos * n:(pos + 1) * n].T          # [h, k] = e_k(s, h)
-            R = E[t[s]]                        # in place: each term has |G|^2 |K| entries
-            np.subtract(E, R, out=R)
-            R += xs[t]
-            R -= xs[:, None, :]
-            R %= q
-            bad[pos * n:(pos + 1) * n] = R.any(axis=1)
+        # row chunks of X bound the working set; the multiplier's kernels on
+        # the tested groups up to order 120 fit in one chunk
+        step = max(1, _CERTIFICATE_CHUNK // (n * n))
+        for lo in range(0, len(X), step):
+            chunk = full[lo:lo + step]
+            E = self.tables(chunk)
+            for pos, s in enumerate(self.gens):
+                xs = chunk[:, pos * n:(pos + 1) * n].T     # [h, k] = e_k(s, h)
+                R = E[t[s]]                    # in place: each term has |G|^2 |chunk| entries
+                np.subtract(E, R, out=R)
+                R += xs[t]
+                R -= xs[:, None, :]
+                R %= q
+                bad[pos * n:(pos + 1) * n, lo:lo + step] = R.any(axis=1)
         return bad[self.free].T
 
     def expand(self, x: np.ndarray, q: int) -> np.ndarray:
@@ -600,10 +607,24 @@ class SchurMultiplier:
 
 def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> SchurMultiplier:
     """H^2(G, C^x) as invariant factors, via mu_|G| cocycles modulo
-    coboundaries and connecting-map classes."""
+    coboundaries and connecting-map classes.
+
+    The guard is checked first.  The result is memoized on G while it, or
+    anything built from it, is alive: G keeps only a weak reference, since
+    the multiplier, its sections and its reconstruction refer back to G and
+    a strong one would make a cycle that only the cyclic collector frees."""
     if G.order > max_group_order:
         raise SizeBound(
             f"group order {G.order} exceeds the multiplier guard {max_group_order}")
+    cached = getattr(G, "_schur", None)
+    M = cached() if cached is not None else None
+    if M is None:
+        M = _schur_multiplier(G)
+        G._schur = weakref.ref(M)
+    return M
+
+
+def _schur_multiplier(G: FiniteGroup) -> SchurMultiplier:
     n = G.order
     if n == 1:
         return SchurMultiplier(G, 1, [], None)

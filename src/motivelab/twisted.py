@@ -40,10 +40,6 @@ class TwistedGroupAlgebra:
     def dimension(self) -> int:
         return self.group.order
 
-    def basis_product(self, g: int, h: int) -> tuple[int, int]:
-        """e_g e_h = zeta^expo e_k; returns (expo, k)."""
-        return self.cocycle.table[g][h], self.group.mul(g, h)
-
     @cached_property
     def center_exponents(self) -> tuple[dict[int, int], ...]:
         """Center basis in exponent form, computed once per algebra by

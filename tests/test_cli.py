@@ -244,6 +244,16 @@ def test_selftest_fast(capsys):
     assert out.count("PASS") == 9
 
 
+def test_selftest_json_reports_seconds_per_row(capsys):
+    code, out, _ = run(capsys, "selftest", "--fast", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failures"] == []
+    seconds = payload["seconds"]
+    assert len(seconds) == 9
+    assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+
+
 def test_selftest_reports_invariant_violation(monkeypatch, capsys):
     from motivelab import selftest
     from motivelab.errors import InvariantViolation

@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -329,6 +331,107 @@ def test_schur_multiplier_table():
 def test_multiplier_guard():
     with pytest.raises(SizeBound):
         schur_multiplier(symmetric_group(5))  # default guard is 48
+
+
+# ---------------------------------------------------------------------------
+# One multiplier per group object
+# ---------------------------------------------------------------------------
+
+
+def _solved(M):
+    """Invariant factors, section tables and each prime's basis, pivots and
+    diagonalizer."""
+    return (M.invariant_factors, [alpha.table for alpha in M.section],
+            [(c.basis.tobytes(), c.piv, c.V.tobytes()) for c in M._components])
+
+
+def test_multiplier_is_memoized_on_a_live_group():
+    G = symmetric_group(4)
+    M = schur_multiplier(G)
+    assert schur_multiplier(G) is M
+    assert schur_multiplier(symmetric_group(4)) is not M
+
+
+def test_multiplier_guard_is_checked_before_the_cache():
+    S5 = symmetric_group(5)
+    M = schur_multiplier(S5, 120)
+    with pytest.raises(SizeBound):
+        schur_multiplier(S5)
+    assert schur_multiplier(S5, 120) is M
+
+
+def test_dropped_group_is_freed_and_its_multiplier_still_works():
+    """The group holds its multiplier weakly, so the multiplier keeps the
+    group alive and answers without the caller's reference, and once both
+    are dropped reference counting alone frees the group: no cycle."""
+    G = dihedral_group(8)
+    M = schur_multiplier(G)
+    alpha = M.section[0]
+    alive = weakref.ref(G)
+    gc.disable()
+    try:
+        del G
+        assert alive() is M.group
+        assert M.project(alpha) == (1,)
+        assert M.class_from_coords((1,)).representative.table == alpha.table
+        del M, alpha
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_dropped_multiplier_is_rebuilt_equal():
+    G = product_group(dihedral_group(12), symmetric_group(3))
+    M = schur_multiplier(G, 72)
+    want = _solved(M)
+    dead = weakref.ref(M)
+    del M
+    assert dead() is None
+    assert _solved(schur_multiplier(G, 72)) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: elementary_abelian_group(2, 3),
+    lambda: product_group(cyclic_group(4), cyclic_group(4)),
+], ids=["E8", "C4xC4"])
+def test_cached_multiplier_answers_as_a_fresh_groups(make):
+    """Classes and project coordinates from a cached multiplier equal those
+    of a fresh group object's multiplier on the same table."""
+    G, fresh = make(), make()
+    schur_multiplier(G)
+    cached = schur_multiplier(G)
+    M = schur_multiplier(fresh)
+    assert cached is not M and _solved(cached) == _solved(M)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        alpha = random_cocycle(G, G.order, rng)
+        beta = TwoCocycle.from_exponents(fresh, alpha.modulus, alpha.table)
+        assert cached.project(alpha) == M.project(beta)
+        assert cached.class_of(alpha).coords == M.class_of(beta).coords
+    for coords in [(1,) * len(M.invariant_factors), (0,) * len(M.invariant_factors)]:
+        assert (cached.class_from_coords(coords).representative.table
+                == M.class_from_coords(coords).representative.table)
+
+
+def test_certificate_chunks_agree_with_one_pass(monkeypatch):
+    """The certificate checks the kernel in row chunks; chunks of one, two
+    and five rows report exactly what one pass over every row reports."""
+    from motivelab import cocycles
+    from motivelab.cocycles import _Reconstruction
+    recon = _Reconstruction(elementary_abelian_group(2, 5))
+    calls = []
+    certify = recon.violated
+    monkeypatch.setattr(recon, "violated",
+                        lambda K, q: calls.append((K, q, certify(K, q))) or calls[-1][2])
+    cocycles._gauge_fixed_kernel(recon, 2, 5)
+    monkeypatch.undo()
+    assert max(len(K) for K, _, _ in calls) > 5
+    assert any(bad.any() for _, _, bad in calls)
+    n = recon.group.order
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(cocycles, "_CERTIFICATE_CHUNK", rows * n * n)
+        for K, q, bad in calls:
+            assert np.array_equal(recon.violated(K, q), bad)
 
 
 def test_class_of_coboundary_is_zero():
