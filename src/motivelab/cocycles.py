@@ -283,8 +283,8 @@ class _Reconstruction:
         n = self.group.order
         t = self.group.cayley
         full = np.zeros((len(X), self.dim), dtype=np.int64)
-        full[:, self.free] = X
-        if (full[:, ::n] % q).any():
+        full[:, self.free] = X % q
+        if full[:, ::n].any():
             raise InvariantViolation("cocycle candidate is not normalized")
         bad = np.zeros((self.dim, len(X)), dtype=bool)
         # row chunks of X bound the working set; the multiplier's kernels on
@@ -293,14 +293,17 @@ class _Reconstruction:
         for lo in range(0, len(X), step):
             chunk = full[lo:lo + step]
             E = self.tables(chunk)
+            E %= q
             for pos, s in enumerate(self.gens):
                 xs = chunk[:, pos * n:(pos + 1) * n].T     # [h, k] = e_k(s, h)
                 R = E[t[s]]                    # in place: each term has |G|^2 |chunk| entries
                 np.subtract(E, R, out=R)
                 R += xs[t]
                 R -= xs[:, None, :]
-                R %= q
-                bad[pos * n:(pos + 1) * n, lo:lo + step] = R.any(axis=1)
+                # four terms reduced mod q: R lies in (-2q, 2q), and is 0 mod q
+                # exactly when its absolute value is 0 or q
+                np.abs(R, out=R)
+                bad[pos * n:(pos + 1) * n, lo:lo + step] = ((R != 0) & (R != q)).any(axis=1)
         return bad[self.free].T
 
     def expand(self, x: np.ndarray, q: int) -> np.ndarray:
@@ -370,7 +373,7 @@ def _gauge_fixed_kernel(recon: _Reconstruction, p: int, a: int) -> np.ndarray:
     free = recon.free
     keep = free % recon.group.order != 0
     C = recon.blocks(np.arange(min(_FIRST_BATCH, len(free))), q)[:, keep]
-    Y = kernel_mod_q(eliminate_mod_q(C, p, a)[0], p, a)
+    Y = kernel_mod_q(C, p, a)
     K = np.zeros((len(Y), len(free)), dtype=np.int64)
     K[:, keep] = Y
     while True:
@@ -379,7 +382,7 @@ def _gauge_fixed_kernel(recon: _Reconstruction, p: int, a: int) -> np.ndarray:
             return K
         first_broken = bad.argmax(axis=1)[bad.any(axis=1)]
         C = recon.blocks(np.unique(first_broken), q) @ K.T % q
-        K = kernel_mod_q(eliminate_mod_q(C, p, a)[0], p, a) @ K % q
+        K = kernel_mod_q(C, p, a) @ K % q
 
 
 def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:

@@ -91,28 +91,27 @@ def crt_zip(parts: Sequence[tuple[int, Sequence[np.ndarray]]], n: int,
 # ---------------------------------------------------------------------------
 
 
-def _valuations(col: np.ndarray, p: int, a: int) -> np.ndarray:
-    """p-adic valuation of each entry, with a for zeros (mod p^a)."""
-    val = np.full(col.shape, a, dtype=np.int64)
-    tmp = col.copy()
-    for v in range(a):
-        mask = (tmp != 0) & (tmp % p != 0)
-        val[mask & (val == a)] = v
-        tmp //= p
-    return val
+def _mod(X: np.ndarray, p: int, q: int) -> np.ndarray:
+    """X mod q = p**a in [0, q); for p = 2 a mask, which on two's complement
+    int64 is the floor mod."""
+    return X & (q - 1) if p == 2 else X % q
 
 
 def _first_min_valuation(x: np.ndarray, p: int, a: int) -> tuple[int, int]:
     """(index, valuation) of the first entry of least p-adic valuation, with
-    valuation a when x is zero mod p**a; one % p pass finds a unit."""
-    units = np.flatnonzero(x % p)
-    if units.size:
-        return int(units[0]), 0
+    valuation a when x is zero mod p**a; one % p pass finds a unit, and each
+    further valuation costs one // p pass."""
+    hit = _mod(x, p, p).nonzero()[0]
+    if hit.size:
+        return int(hit[0]), 0
     if not x.any():
         return 0, a
-    vals = _valuations(x, p, a)
-    i = int(np.argmin(vals))
-    return i, int(vals[i])
+    for v in range(1, a):
+        x = x // p
+        hit = _mod(x, p, p).nonzero()[0]
+        if hit.size:
+            return int(hit[0]), v
+    return 0, a
 
 
 def eliminate_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -124,7 +123,7 @@ def eliminate_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tup
     tall redundant systems only pay one vectorized reduction pass.
     """
     q = p ** a
-    A = np.asarray(A, dtype=np.int64) % q
+    A = _mod(np.asarray(A, dtype=np.int64), p, q)
     if A.shape[0] == 0 or not A.any():
         return np.zeros((0, A.shape[1]), dtype=np.int64), []
     cols = A.shape[1]
@@ -158,8 +157,10 @@ def eliminate_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tup
 
 
 def _echelon_block(M: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Echelon form of the rows of M, whose entries lie in [0, q), q = p**a,
+    computed in place: each pivot is scaled to p**v, its column cleared
+    below and reduced mod p**v above."""
     q = p ** a
-    M = M % q
     m, ncols = M.shape
     r = 0
     piv: list[tuple[int, int]] = []
@@ -173,13 +174,14 @@ def _echelon_block(M: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tupl
             M[[r, r + i]] = M[[r + i, r]]
         pv = p ** v
         unit = int(M[r, c]) // pv
-        M[r] = M[r] * inv_mod(unit, q) % q
-        f = M[:, c] // pv
+        if unit != 1:
+            M[r, c:] = _mod(M[r, c:] * inv_mod(unit, q), p, q)
+        f = M[:, c] // pv if v else M[:, c].copy()
         f[r] = 0
-        nz = np.nonzero(f)[0]
+        nz = f.nonzero()[0]
         if nz.size:
             # every row from r on, row r included, is zero left of column c
-            M[nz, c:] = (M[nz, c:] - np.outer(f[nz], M[r, c:])) % q
+            M[nz, c:] = _mod(M[nz, c:] - f[nz, None] * M[r, c:], p, q)
         piv.append((c, v))
         r += 1
     return M[:r], piv
@@ -187,12 +189,14 @@ def _echelon_block(M: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tupl
 
 def _reduce_block_rows(B: np.ndarray, basis: np.ndarray, piv: list[tuple[int, int]],
                        p: int, q: int) -> np.ndarray:
-    B = B % q
+    """B reduced against an echelon basis: each row's entry at a pivot
+    column is cut below the pivot, only on the pivot's tail."""
+    B = _mod(B, p, q)
     for i, (c, v) in enumerate(piv):
-        f = B[:, c] // (p ** v)
-        nz = np.nonzero(f)[0]
+        f = B[:, c] // (p ** v) if v else B[:, c]
+        nz = f.nonzero()[0]
         if nz.size:
-            B[nz] = (B[nz] - np.outer(f[nz], basis[i])) % q
+            B[nz, c:] = _mod(B[nz, c:] - f[nz, None] * basis[i, c:], p, q)
     return B
 
 
@@ -246,15 +250,28 @@ def diagonalize_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[i
 
 
 def kernel_mod_q(A: np.ndarray, p: int, a: int) -> np.ndarray:
-    """Generators of {x : A x == 0 mod p**a}, one per row.
+    """Generators of {x : A x == 0 mod p**a}, one per row, in Howell form.
 
-    The rows of [A^T | I] span the pairs (A x, x); in their Howell form the
-    rows whose left part is zero span the pairs with A x = 0.
+    Read off the Howell form R of A: a row with a unit pivot is zero at every
+    other unit pivot, so the unit-pivot coordinates are x_P = -R[unit, N] x_N
+    on the rest N of the columns.  Only the rows W with pivot p**v, v > 0,
+    constrain x_N; the rows of the Howell form of [W^T | I] whose left part
+    is zero span their kernel.  The lifted generators are put in Howell
+    form, which depends only on the kernel.
     """
-    A = np.asarray(A, dtype=np.int64)
-    r, c = A.shape
-    H, piv = eliminate_mod_q(np.hstack([A.T, np.eye(c, dtype=np.int64)]), p, a)
-    return H[[i for i, (col, _) in enumerate(piv) if col >= r], r:]
+    R, piv = eliminate_mod_q(A, p, a)
+    unit = np.array([v == 0 for _, v in piv], dtype=bool)
+    rest = np.ones(R.shape[1], dtype=bool)
+    rest[[c for c, v in piv if v == 0]] = False
+    W = R[~unit][:, rest]
+    Y = np.eye(len(W.T), dtype=np.int64)
+    if len(W):
+        H, wpiv = eliminate_mod_q(np.hstack([W.T, Y]), p, a)
+        Y = H[[i for i, (c, _) in enumerate(wpiv) if c >= len(W)], len(W):]
+    X = np.zeros((len(Y), R.shape[1]), dtype=np.int64)
+    X[:, rest] = Y
+    X[:, ~rest] = -(Y @ R[unit][:, rest].T)
+    return eliminate_mod_q(X, p, a)[0]
 
 
 def coeffs_in_basis(basis: np.ndarray, piv: Sequence[tuple[int, int]], v: np.ndarray,

@@ -860,9 +860,9 @@ def test_certificate_rounds_eliminate_only_the_carried_kernel(monkeypatch, make)
     rounds = []
     for p, a in prime_power_factors(recon.group.order):
         widths, kernels = [], []
-        eliminate, certify = cocycles.eliminate_mod_q, recon.violated
-        monkeypatch.setattr(cocycles, "eliminate_mod_q",
-                            lambda A, p, a: widths.append(A.shape[1]) or eliminate(A, p, a))
+        kernel, certify = cocycles.kernel_mod_q, recon.violated
+        monkeypatch.setattr(cocycles, "kernel_mod_q",
+                            lambda A, p, a: widths.append(A.shape[1]) or kernel(A, p, a))
         monkeypatch.setattr(recon, "violated",
                             lambda K, q: kernels.append(len(K)) or certify(K, q))
         K = _gauge_fixed_kernel(recon, p, a)
@@ -899,6 +899,54 @@ def test_certificate_reports_a_corrupted_kernel_vector():
             continue
         report = recon.violated(bad, q)
         assert report[k].any() and not np.delete(report, k, axis=0).any()
+
+
+def _d8_kernel():
+    """The reconstruction of D8 and the gauge-fixed kernel mod 8, solved from
+    every identity block at once, without the certificate."""
+    from motivelab.cocycles import _Reconstruction
+    from motivelab.intlinalg import kernel_mod_q
+    recon = _Reconstruction(dihedral_group(8))
+    free = recon.free
+    system = np.vstack([np.eye(len(free), dtype=np.int64)[free % 8 == 0],
+                        recon.blocks(np.arange(len(free)), 8)])
+    return recon, kernel_mod_q(system, 2, 3)
+
+
+def test_certificate_passes_residuals_of_exactly_q():
+    """With every term reduced mod q an identity's residual lies in
+    (-2q, 2q): the complete kernel of D8 mod 8 has residuals -q and q, which
+    are 0 mod q, and passes."""
+    recon, K = _d8_kernel()
+    q, t = 8, recon.group.cayley
+    residuals = set()
+    for k in K:
+        x = np.zeros(recon.dim, dtype=np.int64)
+        x[recon.free] = k
+        E = recon.expand(x, q)
+        for s in recon.gens:
+            # e(g, sigma) - e(s g, sigma) + e(s, g sigma) - e(s, g)
+            R = E - E[t[s]] + E[s][t] - E[s][:, None]
+            assert not (R % q).any()
+            residuals |= set(np.unique(R).tolist())
+    assert {-q, q} <= residuals
+    assert not recon.violated(K, q).any()
+
+
+def test_certificate_reads_unreduced_candidates_as_their_reductions():
+    """Candidates shifted by multiples of q, unreduced or negative, report
+    exactly the identities their reductions break."""
+    recon, K = _d8_kernel()
+    q = 8
+    rng = np.random.default_rng(6)
+    # corrupt every other generator off the normalization coordinates
+    noise = rng.integers(0, q, size=K.shape) * (recon.free % 8 != 0)
+    noise[::2] = 0
+    X = (K + noise) % q
+    want = recon.violated(X, q)
+    assert want.any() and not want[::2].any()
+    for shift in (q * rng.integers(-3, 4, size=K.shape), -q, 3 * q):
+        assert np.array_equal(recon.violated(X + shift, q), want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -154,9 +155,85 @@ def test_kernel_mod_q_complete():
         assert spanned == brute
 
 
+def _augmented_kernel(A, p, a):
+    """The reference kernel: the rows of the Howell form of [A^T | I] whose
+    left part is zero span the pairs (A x, x) with A x = 0."""
+    A = np.asarray(A, dtype=np.int64)
+    r, c = A.shape
+    H, piv = eliminate_mod_q(np.hstack([A.T, np.eye(c, dtype=np.int64)]), p, a)
+    return H[[i for i, (col, _) in enumerate(piv) if col >= r], r:]
+
+
+def _scaled_systems(seed, count):
+    """Seeded matrices over Z/p^a for p in {2, 3, 5, 7} and a in 1..4, with
+    0 to 9 rows and 1 to 9 columns.  Each row is scaled by p^k, so pivots
+    p^v with v > 0 occur; every third matrix is shifted by multiples of q,
+    so entries arrive unreduced and negative."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        p, a = (2, 3, 5, 7)[t % 4], 1 + t // 4 % 4
+        q = p ** a
+        rows, cols = int(rng.integers(0, 10)), int(rng.integers(1, 10))
+        A = rng.integers(0, q, size=(rows, cols)) * p ** rng.integers(0, a + 1, size=(rows, 1))
+        if t % 3 == 0:
+            A -= q * rng.integers(-2, 3, size=A.shape)
+        yield A, p, a
+
+
+def test_kernel_matches_the_augmented_reference():
+    """The kernel read off the Howell form of A is, bit for bit, the Howell
+    form the [A^T | I] reduction gives."""
+    unit_only = scaled = 0
+    for A, p, a in _scaled_systems(12, 2400):
+        assert np.array_equal(kernel_mod_q(A, p, a), _augmented_kernel(A, p, a)), (A, p, a)
+        vals = [v for _, v in eliminate_mod_q(A, p, a)[1]]
+        unit_only += bool(vals) and max(vals) == 0
+        scaled += bool(vals) and max(vals) > 0
+    assert unit_only > 300 and scaled > 300
+
+
+# sha256 over repr((R.tolist(), pivots)) of eliminate_mod_q on
+# _scaled_systems(13, 800), recorded with the pivot loop that reduced with
+# % q on every pass and scanned full rows
+_ELIMINATION_DIGEST = "47e82a69bb65d21357aac66b1927a8e781117be2fff4aa9797362d91af59c4d7"
+
+
+def test_elimination_output_is_pinned():
+    digest = hashlib.sha256()
+    for A, p, a in _scaled_systems(13, 800):
+        R, piv = eliminate_mod_q(A, p, a)
+        digest.update(repr((R.tolist(), piv)).encode())
+    assert digest.hexdigest() == _ELIMINATION_DIGEST
+
+
+def test_elimination_depends_only_on_the_row_span():
+    """Permuting the rows, or adding random combinations of them, gives the
+    same reduced basis and pivots."""
+    rng = np.random.default_rng(14)
+    for A, p, a in _scaled_systems(15, 400):
+        want, want_piv = eliminate_mod_q(A, p, a)
+        perm = rng.permutation(len(A))
+        mixed = np.vstack([A[perm], rng.integers(0, p ** a, size=(3, len(A))) @ A])
+        for B in (A[perm], mixed):
+            R, piv = eliminate_mod_q(B, p, a)
+            assert np.array_equal(R, want) and piv == want_piv
+
+
+def _valuations(col, p, a):
+    """p-adic valuation of each entry, with a for zeros (mod p^a): the full
+    scan the pivot search is checked against."""
+    val = np.full(col.shape, a, dtype=np.int64)
+    tmp = col.copy()
+    for v in range(a):
+        mask = (tmp != 0) & (tmp % p != 0)
+        val[mask & (val == a)] = v
+        tmp //= p
+    return val
+
+
 def test_first_min_valuation_is_the_argmin_pivot():
     """The % p shortcut picks the entry the full valuation scan picks."""
-    from motivelab.intlinalg import _first_min_valuation, _valuations
+    from motivelab.intlinalg import _first_min_valuation
     rng = np.random.default_rng(8)
     for p, a in [(2, 1), (2, 4), (3, 2), (5, 1)]:
         q = p ** a
