@@ -111,7 +111,9 @@ class TwoCocycle:
         return np.asarray(self.table, dtype=np.int64)
 
     def promote(self, m: int) -> "TwoCocycle":
-        """View the same mu_modulus-valued cocycle inside mu_m (modulus | m)."""
+        """View the same mu_modulus-valued cocycle inside mu_m (modulus | m < 2^62)."""
+        if m >= MODULUS_BOUND:
+            raise BadModulus(f"cocycle modulus must be below 2^62, got {m}")
         if m == self.modulus:
             return self
         if m % self.modulus:
@@ -309,38 +311,25 @@ class _Reconstruction:
     def expand(self, x: np.ndarray, q: int) -> np.ndarray:
         return self.tables(x[None].astype(np.int64))[:, :, 0] % q
 
-    def coboundary_xvecs(self, q: int) -> np.ndarray:
-        """Generator-row restrictions of the coboundaries d_h, h != 1:
-        row h-1 at (pos, h') is [h' = h] + [s = h] - [s h' = h]."""
-        n = self.group.order
-        k = len(self.gens)
-        X = np.zeros((n, k, n), dtype=np.int64)
-        hp = np.arange(n)
-        X[hp, :, hp] += 1
-        X[self.gens, np.arange(k)] += 1
-        np.subtract.at(X, (self.group.cayley[self.gens], np.arange(k)[:, None], hp), 1)
-        return X[1:].reshape(n - 1, self.dim) % q
+    def coboundaries(self, F: np.ndarray) -> np.ndarray:
+        """Generator rows [c, pos, h'] of the coboundaries of the columns f of
+        F ([g, c]): f(s) + f(h') - f(s h'), s = gens[pos]."""
+        t = self.group.cayley[self.gens]                             # [pos, h']
+        return F.T[:, None, :] + F[self.gens].T[:, :, None] - np.moveaxis(F[t], 2, 0)
 
-    def gauge_fix(self, X: np.ndarray) -> np.ndarray:
-        """Free coordinates, unreduced, of x - dh for the normalized cocycles
-        x with generator rows X[m] ([m, |S|, |G|]): h(1) = 0 and h(s g') =
-        h(g') + h(s) - x(s, g') along the tree, so h = 0 on S and x - dh,
-        x(s, g') - h(g') + h(s g'), vanishes on the tree edges."""
+    def gauge_fix(self, X: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """(h, Y) mod N with x = Y + dh for the normalized cocycles x with
+        generator rows X[m] ([m, |S|, |G|], |entries| < 2^62), Y on the free
+        coordinates: h(1) = 0 and h(s g') = h(g') + h(s) - x(s, g') along the
+        tree, so h = 0 on S and Y = x - dh, x(s, g') - h(g') + h(s g'),
+        vanishes on the tree edges.  Reduced at every step, nothing wraps."""
         n = self.group.order
         h = np.zeros((len(X), n), dtype=np.int64)
         for g in self.tree_order[1:]:
             pos, gp = self.parent[g]
-            h[:, g] = h[:, gp] - X[:, pos, gp]
+            h[:, g] = (h[:, gp] - X[:, pos, gp]) % N
         Y = X - h[:, None, :] + h[:, self.group.cayley[self.gens]]
-        return Y.reshape(len(X), self.dim)[:, self.free]
-
-    def tree_coboundaries(self) -> np.ndarray:
-        """Generator rows of d(w_c) for the positions c of S, w_c(g) the
-        count of gens[c] in the tree word of g: they span the coboundaries
-        that vanish on every tree edge."""
-        W = self.group.word_counts()                                 # [g, c]
-        t = self.group.cayley[self.gens]                             # [pos, h']
-        return W.T[:, None, :] + W[self.gens].T[:, :, None] - np.moveaxis(W[t], 2, 0)
+        return h, Y.reshape(len(X), self.dim)[:, self.free] % N
 
     def carries(self, q: int) -> np.ndarray:
         """Generator rows of the carry cocycles (a(s) + a(h') - a(s h')) div q
@@ -392,7 +381,8 @@ def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray,
     K = _gauge_fixed_kernel(recon, p, a)
     full = np.zeros((len(K), recon.dim), dtype=np.int64)
     full[:, recon.free] = K
-    return eliminate_mod_q(np.vstack([full, recon.coboundary_xvecs(p ** a)]), p, a)
+    cob = recon.coboundaries(np.eye(recon.group.order, dtype=np.int64)[:, 1:])
+    return eliminate_mod_q(np.vstack([full, cob.reshape(-1, recon.dim)]), p, a)
 
 
 # ---------------------------------------------------------------------------
@@ -452,37 +442,30 @@ class CoboundaryWitness:
 
 
 def is_cohomologous(alpha: TwoCocycle, beta: TwoCocycle) -> CoboundaryWitness | None:
-    """Decide equality of [alpha], [beta] in H^2(G, C^x); None if distinct."""
+    """Decide equality of [alpha], [beta] in H^2(G, C^x); None if distinct.
+
+    Mod N = modulus * exp(G), x = alpha - beta is gauge fixed on its
+    generator rows, x = Y + dh, and x = d(delta) exactly when Y is a sum of
+    the |S| tree coboundaries d(w_c) c_c: then delta = h + W c, W the word
+    counts, since a normalized cocycle is fixed by its generator rows."""
     G = alpha.group
     if not same_group(G, beta.group):
         raise GroupMismatch("cocycles live on different groups")
     if alpha.modulus != beta.modulus:
         raise ModulusMismatch("cocycle moduli differ")
-    n = G.order
-    big = _witness_modulus(alpha.modulus * G.exponent())
-    ea = alpha.promote(big).as_array()
-    eb = beta.promote(big).as_array()
-    # one row per (rho, sigma): delta(rho sigma) - delta(rho) - delta(sigma)
-    k = np.arange(n * n)
-    rho, sigma = np.divmod(k, n)
-    rows = np.zeros((n * n + 1, n), dtype=np.int64)
-    np.add.at(rows, (k, G.cayley[rho, sigma]), 1)
-    np.add.at(rows, (k, rho), -1)
-    np.add.at(rows, (k, sigma), -1)
-    rows[n * n, 0] = 1  # pin delta(1) = 0
-    rhs = np.append((eb - ea).reshape(-1) % big, 0)
+    big = alpha.modulus * G.exponent()
+    recon = _Reconstruction(G)
+    W = G.word_counts()
+    x = alpha.promote(big).as_array() - beta.promote(big).as_array()
+    h, Y = recon.gauge_fix(x[None, recon.gens], big)
+    T = recon.coboundaries(W).reshape(len(W.T), recon.dim)[:, recon.free]
     try:
-        sol = solve_mod(rows, rhs, big)
+        c = solve_mod(T.T, Y[0], big).particular
     except Unsolvable:
         return None
-    return CoboundaryWitness(big, sol.particular)
-
-
-def _witness_modulus(big: int) -> int:
-    """big, or BadModulus when the promoted exponents would leave int64."""
-    if big >= MODULUS_BOUND:
-        raise BadModulus(f"coboundary witness modulus must be below 2^62, got {big}")
-    return big
+    # W c in Python integers: c is reduced mod big, up to 2^62
+    delta = (h[0] + W @ np.array(c, dtype=object)) % big
+    return CoboundaryWitness(big, tuple(int(v) for v in delta))
 
 
 def verify_witness(alpha: TwoCocycle, beta: TwoCocycle, w: CoboundaryWitness) -> bool:
@@ -495,14 +478,15 @@ def verify_witness(alpha: TwoCocycle, beta: TwoCocycle, w: CoboundaryWitness) ->
         raise GroupMismatch("cocycles live on different groups")
     if alpha.modulus != beta.modulus:
         raise ModulusMismatch("cocycle moduli differ")
-    big = _witness_modulus(w.modulus)
+    big = w.modulus
+    ea, eb = alpha.promote(big).as_array(), beta.promote(big).as_array()
     if len(w.values) != G.order:
         return False
     d = np.array([int(v) % big for v in w.values], dtype=np.int64)
     # every sum below adds two values reduced mod big < 2^62: no int64 wrap
-    lhs = (d[G.cayley] + alpha.promote(big).as_array()) % big
+    lhs = (d[G.cayley] + ea) % big
     rhs = (d[None, :] + d[:, None]) % big
-    rhs = (rhs + beta.promote(big).as_array()) % big
+    rhs = (rhs + eb) % big
     return bool(d[0] == 0 and np.array_equal(lhs, rhs))
 
 
@@ -575,7 +559,7 @@ class SchurMultiplier:
         table = alpha.promote(self.modulus).as_array()
         parts = []
         if self._components:
-            x = self._recon.gauge_fix(table[None, self._recon.gens])[0]
+            x = self._recon.gauge_fix(table[None, self._recon.gens], self.modulus)[1][0]
         for comp in self._components:
             c = coeffs_in_basis(comp.basis, comp.piv, x, comp.p, comp.a)
             if c is None:
@@ -652,7 +636,8 @@ def _schur_multiplier(G: FiniteGroup) -> SchurMultiplier:
                 row = -coeff
                 row[i] += p ** (a - val)
                 relations.append(row % q)
-        for x in recon.gauge_fix(np.vstack([recon.tree_coboundaries(), recon.carries(q)])):
+        for x in recon.gauge_fix(np.vstack([recon.coboundaries(G.word_counts()),
+                                            recon.carries(q)]), q)[1]:
             coeff = coeffs_in_basis(basis, piv, x, p, a)
             if coeff is None:
                 raise InvariantViolation("coboundary escaped the cocycle space")

@@ -66,6 +66,13 @@ def require_modulus(n: int) -> None:
         raise BadModulus(f"modulus must be a positive integer, got {n}")
 
 
+def _require_int64(p: int, a: int, width: int = 1) -> None:
+    """BadModulus when int64 sums of width products of residues mod p**a could
+    wrap; for p = 2 they wrap mod 2^64, a multiple of p**a, and stay exact."""
+    if p != 2 and max(width, 1) * p ** (2 * a) >= 1 << 63:
+        raise BadModulus(f"modulus {p}^{a} is too large for exact int64 arithmetic")
+
+
 def crt_idempotent(n: int, q: int) -> int:
     """e_q mod n for a prime power q || n: e_q == 1 mod q and 0 mod n/q."""
     m = n // q
@@ -122,6 +129,7 @@ def eliminate_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tup
     list of (col, val).  Rows are folded in geometrically growing chunks so
     tall redundant systems only pay one vectorized reduction pass.
     """
+    _require_int64(p, a)
     q = p ** a
     A = _mod(np.asarray(A, dtype=np.int64), p, q)
     if A.shape[0] == 0 or not A.any():
@@ -206,6 +214,7 @@ def diagonalize_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[i
     Returns (U, diag_valuations, V); diagonal entries are p**v in ascending
     valuation, truncated at the first missing pivot.
     """
+    _require_int64(p, a)
     q = p ** a
     M = np.asarray(A, dtype=np.int64).copy() % q
     m, c = M.shape
@@ -259,6 +268,7 @@ def kernel_mod_q(A: np.ndarray, p: int, a: int) -> np.ndarray:
     is zero span their kernel.  The lifted generators are put in Howell
     form, which depends only on the kernel.
     """
+    _require_int64(p, a, A.shape[1])
     R, piv = eliminate_mod_q(A, p, a)
     unit = np.array([v == 0 for _, v in piv], dtype=bool)
     rest = np.ones(R.shape[1], dtype=bool)
@@ -296,6 +306,7 @@ def coeffs_in_basis(basis: np.ndarray, piv: Sequence[tuple[int, int]], v: np.nda
 
 def invert_mod_q(M: np.ndarray, p: int, a: int) -> np.ndarray:
     """Inverse of a square matrix invertible mod p**a."""
+    _require_int64(p, a, len(M))
     q = p ** a
     M = np.asarray(M, dtype=np.int64) % q
     m = M.shape[0]
@@ -373,6 +384,7 @@ def solve_mod(A, b: Sequence[int], n: int) -> ModSolution:
     # reduce the augmented system first so transforms stay (c+1)-sized
     aug = np.hstack([mat, bvec[:, None]])
     for p, a in prime_power_factors(n):
+        _require_int64(p, a, c + 1)
         q = p ** a
         red, _ = eliminate_mod_q(aug, p, a)
         Ared, bred = red[:, :c], red[:, c]

@@ -25,6 +25,7 @@ from .cocycles import (
     is_cohomologous,
     random_cocycle,
     schur_multiplier,
+    verify_witness,
 )
 from .errors import InvariantViolation, MotiveLabError, NotACocycle, check_invariant
 from .groups import (
@@ -341,7 +342,8 @@ def property_suites(cases: int = 200, seed: int = 0) -> None:
             beta = random_cocycle(G, n, rng)
             same_class = M.class_of(alpha) == M.class_of(beta)
             witness = is_cohomologous(alpha, beta)
-            check_invariant(same_class == (witness is not None), f"{G.label}: class_of")
+            check_invariant(same_class == (witness is not None) and (
+                witness is None or verify_witness(alpha, beta, witness)), f"{G.label}: class_of")
             # center dimension = regular class count (exact both sides)
             reg = alpha_regular(G, alpha)
             check_invariant(len(center_basis(algebra)) == reg.count, f"{G.label}: center")

@@ -8,6 +8,9 @@ is in the system.
 
 FullBasisMultiplier reads H^2(G, C^x) off that whole basis, with every
 coboundary and the carry of every character as relations.
+
+dense_is_cohomologous decides [alpha] = [beta] from the whole coboundary
+system, one row per pair (rho, sigma), with no gauge fixed.
 """
 
 import itertools
@@ -15,6 +18,8 @@ from math import gcd
 
 import numpy as np
 
+from motivelab.cocycles import CoboundaryWitness
+from motivelab.errors import Unsolvable
 from motivelab.groups import abelianization
 from motivelab.intlinalg import (
     coeffs_in_basis,
@@ -24,6 +29,7 @@ from motivelab.intlinalg import (
     merge_primary,
     primary_slots,
     prime_power_factors,
+    solve_mod,
 )
 
 
@@ -137,6 +143,8 @@ class FullBasisMultiplier:
         self.group = G
         self.recon = recon = _Reconstruction(G)
         self.components = []
+        n = G.order
+        cob = recon.coboundaries(np.eye(n, dtype=np.int64)[:, 1:]).reshape(n - 1, recon.dim)
         for p, a in prime_power_factors(G.order):
             q = p ** a
             if (G.element_orders() % q == 0).any():
@@ -149,7 +157,7 @@ class FullBasisMultiplier:
                     row = -coeffs_in_basis(basis, piv, (p ** (a - val)) * basis[i], p, a)
                     row[i] += p ** (a - val)
                     relations.append(row % q)
-            for x in [*recon.coboundary_xvecs(q), *carry_xvecs(recon, q)]:
+            for x in [*cob, *carry_xvecs(recon, q)]:
                 relations.append(coeffs_in_basis(basis, piv, x, p, a))
             R = np.array(relations, dtype=np.int64).reshape(-1, r)
             _, vals, V = diagonalize_mod_q(R, p, a)
@@ -176,3 +184,28 @@ class FullBasisMultiplier:
             x = rng.integers(0, q, len(basis)) @ basis % q
             acc += crt_idempotent(n, q) * self.recon.expand(x, q)
         return acc % n
+
+
+def dense_is_cohomologous(alpha, beta):
+    """A witness delta for [alpha] = [beta] in H^2(G, C^x), or None: the
+    (|G|^2 + 1) x |G| system delta(rho sigma) - delta(rho) - delta(sigma) =
+    beta(rho, sigma) - alpha(rho, sigma) on every pair, with delta(1) = 0,
+    solved over the witness modulus modulus * exp(G)."""
+    G = alpha.group
+    n = G.order
+    big = alpha.modulus * G.exponent()
+    ea = alpha.promote(big).as_array()
+    eb = beta.promote(big).as_array()
+    k = np.arange(n * n)
+    rho, sigma = np.divmod(k, n)
+    rows = np.zeros((n * n + 1, n), dtype=np.int64)
+    np.add.at(rows, (k, G.cayley[rho, sigma]), 1)
+    np.add.at(rows, (k, rho), -1)
+    np.add.at(rows, (k, sigma), -1)
+    rows[n * n, 0] = 1
+    rhs = np.append((eb - ea).reshape(-1) % big, 0)
+    try:
+        sol = solve_mod(rows, rhs, big)
+    except Unsolvable:
+        return None
+    return CoboundaryWitness(big, sol.particular)

@@ -17,6 +17,7 @@ from motivelab.cocycles import (
     is_cohomologous,
     random_cocycle,
     schur_multiplier,
+    verify_witness,
 )
 from motivelab.characters import character_table
 from motivelab.errors import NotACocycle
@@ -134,8 +135,11 @@ def test_criterion_10b_class_of_respects_cohomology(property_clock):
         for _ in range(per):
             a = random_cocycle(G, G.order, rng)
             b = random_cocycle(G, G.order, rng)
-            assert (M.class_of(a) == M.class_of(b)) == \
-                (is_cohomologous(a, b) is not None)
+            w = is_cohomologous(a, b)
+            assert (M.class_of(a) == M.class_of(b)) == (w is not None)
+            # class_of and is_cohomologous share the gauge fix; the witness
+            # is checked on every pair
+            assert w is None or verify_witness(a, b, w)
             checked += 1
     assert checked >= PROPERTY_CASES
     _report("criterion 10b: class projection matches coboundary equivalence")

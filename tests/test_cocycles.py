@@ -314,6 +314,45 @@ def test_verify_witness_rejects_a_wrong_value():
         assert not verify_witness(alpha, beta, CoboundaryWitness(w.modulus, tuple(values)))
 
 
+def test_trivial_group_witness_is_zero():
+    G = cyclic_group(1)
+    for m in (1, 5):
+        alpha = TwoCocycle.trivial(G, m)
+        assert is_cohomologous(alpha, alpha) == CoboundaryWitness(m, (0,))
+
+
+def test_witness_near_2_62_is_reduced_along_the_tree():
+    """On C32 the witness modulus 3 * 2^55 * 32 = 3 * 2^60 leaves no int64
+    room for a potential summed unreduced along the 31 tree steps."""
+    G = cyclic_group(32)
+    m = 3 * 2**55
+    rng = np.random.default_rng(4)
+    trivial = TwoCocycle.trivial(G, m)
+    for _ in range(5):
+        df = _coboundary(G, m, rng)
+        w = is_cohomologous(df, trivial)
+        assert w is not None and verify_witness(df, trivial, w)
+
+
+@pytest.mark.parametrize("make, m", [(lambda: cyclic_group(3), 3**20),
+                                     (lambda: symmetric_group(3), 3**20),
+                                     (lambda: cyclic_group(5), 5**14)],
+                         ids=["C3", "S3", "C5"])
+def test_large_odd_witness_moduli_never_answer_none(make, m):
+    """A coboundary mod a large odd prime power gets a verified witness or
+    BadModulus, never None: int64 products mod 3^21 and 5^15 would wrap."""
+    G = make()
+    rng = np.random.default_rng(6)
+    trivial = TwoCocycle.trivial(G, m)
+    for _ in range(5):
+        df = _coboundary(G, m, rng)
+        try:
+            w = is_cohomologous(df, trivial)
+        except BadModulus:
+            continue
+        assert w is not None and verify_witness(df, trivial, w)
+
+
 def test_schur_multiplier_table():
     cases = [
         (cyclic_group(6), ()),
@@ -760,6 +799,41 @@ def test_project_round_trips(name):
             assert is_cohomologous(alpha, rep) is not None
 
 
+_WITNESS_BATTERY = {
+    **{name: make for name, (make, _) in _LITERATURE.items() if name != "A6"},
+    "S3xS4": lambda: product_group(symmetric_group(3), symmetric_group(4)),
+}
+
+
+def _draw_cocycle(M, rng):
+    """A random cocycle mod |G|: from the whole cocycle space up to order
+    48, and above that a random class times a random coboundary."""
+    G, n = M.group, M.modulus
+    if n <= 48:
+        return random_cocycle(G, n, rng)
+    coords = tuple(int(rng.integers(0, d)) for d in M.invariant_factors)
+    return M.class_from_coords(coords).representative.mul(_coboundary(G, n, rng))
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_BATTERY))
+def test_is_cohomologous_matches_the_dense_solve(name):
+    """The gauge-fixed decision equals the (|G|^2 + 1)-row solve, on pairs
+    beta = alpha + df and on independent pairs, and every witness of either
+    passes verify_witness."""
+    from multiplier_oracle import dense_is_cohomologous
+    G = _WITNESS_BATTERY[name]()
+    M = schur_multiplier(G, max_group_order=G.order)
+    rng = np.random.default_rng(11)
+    for same in (True, True, True, False, False, False):
+        alpha = _draw_cocycle(M, rng)
+        beta = alpha.mul(_coboundary(G, M.modulus, rng)) if same else _draw_cocycle(M, rng)
+        got, want = is_cohomologous(alpha, beta), dense_is_cohomologous(alpha, beta)
+        assert (got is None) == (want is None)
+        assert got is not None or not same
+        for w in (got, want):
+            assert w is None or verify_witness(alpha, beta, w)
+
+
 # ---------------------------------------------------------------------------
 # Gauge-fixed solve against the full system
 # ---------------------------------------------------------------------------
@@ -808,7 +882,8 @@ def test_reconstruction_maps_match_entrywise_references(name):
     recon = _Reconstruction(G)
     free = recon.free
     for q in (2, 3, 8):
-        assert np.array_equal(recon.coboundary_xvecs(q),
+        cob = recon.coboundaries(np.eye(G.order, dtype=np.int64)[:, 1:]) % q
+        assert np.array_equal(cob.reshape(G.order - 1, recon.dim),
                               multiplier_oracle.coboundary_xvecs(recon, q))
         dense = multiplier_oracle.identity_blocks(recon, q)[free][:, :, free]
         assert np.array_equal(recon.blocks(np.arange(len(free)), q),

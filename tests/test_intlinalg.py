@@ -8,8 +8,10 @@ from motivelab.errors import BadModulus, Unsolvable
 from motivelab.intlinalg import (
     crt_idempotent,
     crt_zip,
+    diagonalize_mod_q,
     eliminate_mod_q,
     in_span_mod,
+    invert_mod_q,
     kernel_mod_q,
     merge_primary,
     primary_slots,
@@ -93,6 +95,42 @@ def test_bad_modulus_is_typed():
             solve_mod([[1]], [1], n)
         with pytest.raises(BadModulus):
             in_span_mod([[1]], [1], n)
+
+
+@pytest.mark.parametrize("p, a", [(3, 20), (3, 25), (5, 15)])
+def test_odd_prime_powers_beyond_int64_are_refused(p, a):
+    """Products of residues mod these q wrap int64, which puts kernel_mod_q's
+    vectors on seeded 3 x 5 systems outside the kernel: every entry to the
+    Z/p^a core refuses them."""
+    q = p ** a
+    A = np.random.default_rng(a).integers(0, q, size=(3, 5))
+    calls = (lambda: eliminate_mod_q(A, p, a), lambda: diagonalize_mod_q(A, p, a),
+             lambda: kernel_mod_q(A, p, a), lambda: invert_mod_q(np.eye(3, dtype=np.int64), p, a),
+             lambda: solve_mod(A, [0, 0, 0], q), lambda: solve_mod(A, [0, 0, 0], 2 * q),
+             lambda: in_span_mod(A, A[0], q))
+    for call in calls:
+        with pytest.raises(BadModulus):
+            call()
+
+
+def test_largest_kept_odd_prime_power_is_exact():
+    """3^19 is the largest power of 3 with 6 q^2 < 2^63: the matmul sums of
+    kernel_mod_q on five columns, of solve_mod and of invert_mod_q stay
+    exact, checked in Python integers."""
+    p, a = 3, 19
+    q = p ** a
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        A = rng.integers(0, q, size=(3, 5))
+        K = kernel_mod_q(A, p, a)
+        assert len(K) and not (A.astype(object) @ K.T.astype(object) % q).any()
+        x = rng.integers(0, q, size=5).astype(object)
+        b = A.astype(object) @ x % q
+        y = np.array(solve_mod(A, b, q).particular, dtype=object)
+        assert np.array_equal(A.astype(object) @ y % q, b)
+    M = np.array([[1, q - 1, 5], [0, q - 2, 7], [3, 1, q - 1]], dtype=np.int64)
+    Minv = invert_mod_q(M, p, a)
+    assert np.array_equal(M.astype(object) @ Minv.astype(object) % q, np.eye(3, dtype=object))
 
 
 def test_solve_identity():
