@@ -160,9 +160,9 @@ def cocycle_validate(G: FiniteGroup, modulus: int, table) -> ValidationReport:
     """Check normalization and the cocycle identity mod modulus on every
     triple of a raw exponent table; BadModulus for a modulus outside
     [1, 2^62), NotACocycle for a table that is not |G| x |G| integers."""
-    require_modulus(modulus)
     if modulus >= MODULUS_BOUND:
         raise BadModulus(f"cocycle modulus must be below 2^62, got {modulus}")
+    require_modulus(modulus)
     n, m = G.order, modulus
     try:
         if len(table) != n or any(len(r) != n for r in table):
@@ -568,20 +568,22 @@ class SchurMultiplier:
         return tuple(merge_primary(parts, 1)[2][0].tolist())
 
     def class_of(self, alpha: TwoCocycle) -> "CohomClass":
-        coords = self.project(alpha)
-        return CohomClass(self.group, self.modulus, coords,
-                          alpha.promote(self.modulus), self)
+        return self._class(self.project(alpha), alpha.promote(self.modulus))
+
+    def _class(self, coords, rep: TwoCocycle) -> "CohomClass":
+        """The class with coordinates coords, reduced mod the invariant
+        factors, and representative rep."""
+        return CohomClass(self.group, self.modulus, tuple(
+            int(c) % d for c, d in zip(coords, self.invariant_factors)), rep, self)
 
     def class_from_coords(self, coords: Sequence[int]) -> "CohomClass":
         if len(coords) != len(self.invariant_factors):
             raise ValueError("coordinate arity does not match invariant factors")
         rep = TwoCocycle.trivial(self.group, self.modulus)
         for c, gen in zip(coords, self.section):
-            rep = rep.mul(gen.power(int(c)))
-        cls = CohomClass(self.group, self.modulus,
-                         tuple(int(c) % d for c, d in zip(coords, self.invariant_factors)),
-                         rep, self)
-        return cls
+            if c:                       # a zero power adds nothing to the table
+                rep = rep.mul(gen.power(int(c)))
+        return self._class(coords, rep)
 
     def trivial_class(self) -> "CohomClass":
         return self.class_from_coords((0,) * len(self.invariant_factors))
@@ -666,17 +668,22 @@ class CohomClass:
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
 
+    # project is a homomorphism onto the canonical coordinates, so class
+    # arithmetic is coordinate arithmetic mod the invariant factors
+
     def mul(self, other: "CohomClass") -> "CohomClass":
         if not same_group(self.group, other.group):
             raise GroupMismatch("classes on different groups")
-        rep = self.representative.mul(other.representative)
-        return self.multiplier.class_of(rep)
+        return self.multiplier._class([a + b for a, b in zip(self.coords, other.coords)],
+                                      self.representative.mul(other.representative))
 
     def inverse(self) -> "CohomClass":
-        return self.multiplier.class_of(self.representative.inverse_cocycle())
+        return self.multiplier._class([-c for c in self.coords],
+                                      self.representative.inverse_cocycle())
 
     def power(self, k: int) -> "CohomClass":
-        return self.multiplier.class_of(self.representative.power(k))
+        return self.multiplier._class([k * c for c in self.coords],
+                                      self.representative.power(k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohomClass):

@@ -361,13 +361,16 @@ class Subgroup:
                 f"element {outside[0]} is outside the group of order {parent.order}")
         if 0 not in members:
             raise NotASubgroup("missing identity")
-        mset = set(members)
-        for a in members:
-            if parent.inv(a) not in mset:
-                raise NotASubgroup(f"missing inverse of {a}")
-            for b in members:
-                if parent.mul(a, b) not in mset:
-                    raise NotASubgroup(f"not closed: {a}*{b}")
+        m = np.array(members)
+        inside = np.zeros(parent.order, dtype=bool)
+        inside[m] = True
+        # row a: [a^-1 in H, a*b in H for b in H]; the first failure in row-major order
+        ok = np.column_stack([inside[parent.inverses[m]], inside[parent.cayley[m[:, None], m]]])
+        if not ok.all():
+            i, j = (int(x) for x in np.argwhere(~ok)[0])
+            if j == 0:
+                raise NotASubgroup(f"missing inverse of {members[i]}")
+            raise NotASubgroup(f"not closed: {members[i]}*{members[j - 1]}")
         self.parent = parent
         self.members = members
         self._as_group: tuple[FiniteGroup, list[int]] | None = None
@@ -383,38 +386,24 @@ class Subgroup:
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
 
-    def contains(self, g: int) -> bool:
-        return g in set(self.members)
-
     def as_group(self) -> tuple[FiniteGroup, list[int]]:
         """Re-number members 0..|H|-1; returns (group, member list)."""
         if self._as_group is None:
-            idx = {m: i for i, m in enumerate(self.members)}
-            n = len(self.members)
-            table = np.zeros((n, n), dtype=np.int32)
-            for i, a in enumerate(self.members):
-                for j, b in enumerate(self.members):
-                    table[i, j] = idx[self.parent.mul(a, b)]
+            m = np.array(self.members)
+            n = len(m)
+            position = np.zeros(self.parent.order, dtype=np.int32)
+            position[m] = np.arange(n)
+            table = position[self.parent.cayley[m[:, None], m]]
             grp = FiniteGroup(table, label=f"{self.parent.label}|sub{n}")
             self._as_group = (grp, list(self.members))
         return self._as_group
 
-    def conjugate_by(self, g: int) -> "Subgroup":
-        p = self.parent
-        return Subgroup(p, tuple(sorted(p.conjugate(g, m) for m in self.members)))
-
     def canonical_conjugate(self) -> tuple[int, ...]:
         """Lexicographically least member tuple among all conjugates."""
         p = self.parent
-        best = self.members
-        for g in p.elements():
-            cand = tuple(sorted(p.conjugate(g, m) for m in self.members))
-            if cand < best:
-                best = cand
-        return best
-
-    def key(self) -> tuple[int, ...]:
-        return self.members
+        # conjugates[g, i] = g m_i g^-1, each row sorted
+        conjugates = np.sort(p.cayley[p.cayley[:, self.members], p.inverses[:, None]], axis=1)
+        return tuple(conjugates[np.lexsort(conjugates.T[::-1])[0]].tolist())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.label})"
@@ -435,21 +424,12 @@ def coset_space(G: FiniteGroup, H: Subgroup) -> CosetSpace:
     """Left cosets gH with the left-translation action of G."""
     if H.parent is not G and not same_group(H.parent, G):
         raise NotASubgroup("subgroup belongs to a different group")
-    members = H.members
-    seen = {}
-    cosets: list[tuple[int, ...]] = []
-    for g in G.elements():
-        coset = tuple(sorted(G.mul(g, m) for m in members))
-        if coset[0] not in seen:
-            for x in coset:
-                seen[x] = len(cosets)
-            cosets.append(coset)
-    coset_of = [seen[g] for g in G.elements()]
-    action = []
-    for g in G.elements():
-        perm = tuple(coset_of[G.mul(g, c[0])] for c in cosets)
-        action.append(perm)
-    space = CosetSpace(H, tuple(cosets), tuple(action))
+    # cosets in the order of their least elements, which form a transversal
+    members = np.array(H.members)
+    reps, coset_of = np.unique(G.cayley[:, members].min(axis=1), return_inverse=True)
+    cosets = np.sort(G.cayley[reps[:, None], members], axis=1)
+    space = CosetSpace(H, tuple(map(tuple, cosets.tolist())),
+                       tuple(map(tuple, coset_of[G.cayley[:, reps]].tolist())))
     _check_coset_space(G, H, space)
     return space
 

@@ -62,8 +62,11 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
 
 
 def require_modulus(n: int) -> None:
+    """BadModulus unless 1 <= n < 2^63, before n meets an int64 array."""
     if n < 1:
         raise BadModulus(f"modulus must be a positive integer, got {n}")
+    if n >= 1 << 63:
+        raise BadModulus(f"modulus must be below 2^63, got {n}")
 
 
 def _require_int64(p: int, a: int, width: int = 1) -> None:

@@ -187,23 +187,25 @@ def _restricted_regular_count(cls: CohomClass, H: Subgroup) -> int:
 
 
 def _induced_pair_rank(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> int:
-    """Sum of conjugacy-class counts of the double-coset stabilizers: the
-    orbits of H1 on G/H2 have point stabilizers K = H1 n gH2g^-1, and K has
-    #{(x, y) in K^2 : xy = yx} / |K| classes."""
+    """Mackey's double-coset formula: the sum of the class numbers of the
+    stabilizers K_g = H1 n gH2g^-1 over the orbits of H1 on G/H2.
+
+    K_g has #{(x, y) in K_g^2 : xy = yx} / |K_g| classes and its orbit
+    |H1| / |K_g| points, so the sum is the commuting pairs of every K_g, g
+    over a transversal T of G/H2, divided by |H1|.  With M[g, x] = [x in K_g]
+    and C[x, y] = [xy = yx] on H1 that is sum((M C) * M) / |H1|, at a cost of
+    |T| |H1|^2; the sum is symmetric, so H1 is the smaller subgroup."""
+    if H1.order > H2.order:
+        H1, H2 = H2, H1
     cay = G.cayley
     h1, h2 = np.array(H1.members), np.array(H2.members)
     in_h2 = np.zeros(G.order, dtype=bool)
     in_h2[h2] = True
-    seen = np.zeros(G.order, dtype=bool)
-    total = 0
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        seen[cay[np.ix_(cay[h1, g], h2)]] = True                 # the double coset H1 g H2
-        K = h1[in_h2[cay[cay[G.inverses[g], h1], g]]]            # g^-1 h g in H2
-        T = cay[np.ix_(K, K)]
-        total += int((T == T.T).sum()) // len(K)
-    return total
+    T = np.flatnonzero(cay[:, h2].min(axis=1) == np.arange(G.order))   # least of each gH2
+    # int64, not bool: a bool matmul returns logical values, not counts
+    M = in_h2[cay[cay[G.inverses[T][:, None], h1], T[:, None]]].astype(np.int64)
+    P = cay[h1[:, None], h1]
+    return int(((M @ (P == P.T)) * M).sum()) // len(h1)
 
 
 def skeleton_hom_rank(A: MotiveSkeleton, B: MotiveSkeleton) -> int:

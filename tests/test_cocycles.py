@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -224,7 +225,7 @@ def test_cocycle_space_composite_modulus_spans_every_cocycle():
 
 def test_bad_modulus_is_typed():
     G = cyclic_group(2)
-    for n in (0, -2):
+    for n in (0, -2, 2**64):
         with pytest.raises(BadModulus):
             TwoCocycle.trivial(G, n)
         with pytest.raises(BadModulus):
@@ -1128,3 +1129,62 @@ def test_central_pairing_cocycle_is_of_central_type(make):
     assert alpha_regular(G, alpha).count == 1
     if G.order <= BLOCK_ORDER_GUARD:
         assert wedderburn_dims(build_twisted(G, alpha), seed=0).dims == (H.order,)
+
+
+# ---------------------------------------------------------------------------
+# Class arithmetic on coordinates against projection
+# ---------------------------------------------------------------------------
+
+
+def _product_of_sections(M, coords):
+    """The representative class_from_coords built before it skipped zero
+    coordinates: the trivial cocycle times every section power in turn."""
+    rep = TwoCocycle.trivial(M.group, M.modulus)
+    for c, gen in zip(coords, M.section):
+        rep = rep.mul(gen.power(int(c)))
+    return rep
+
+
+_CLASS_ARITH_GROUPS = {name: _WORKLOAD_GROUPS[name] for name in ("C4xC4", "D8xC2", "E4xA4")}
+_CLASS_ARITH_GROUPS["E8"] = lambda: elementary_abelian_group(2, 3)
+
+
+@pytest.mark.parametrize("name", list(_CLASS_ARITH_GROUPS))
+def test_class_arithmetic_on_coordinates_matches_projection(name):
+    """power, inverse and mul compute coordinates as k c, -c and c + c' mod
+    the invariant factors; on every class, for k from -3 to 2 exp(G), they
+    equal the projection of the representative, which is still the
+    cocycle-level power, inverse and product."""
+    G, twin = _CLASS_ARITH_GROUPS[name](), _CLASS_ARITH_GROUPS[name]()
+    M, M_twin = schur_multiplier(G), schur_multiplier(twin)
+    assert M is not M_twin
+    every = list(itertools.product(*(range(d) for d in M.invariant_factors)))
+    classes = [M.class_from_coords(c) for c in every]
+    for cls in classes:
+        for k in range(-3, 2 * G.exponent() + 1):
+            p = cls.power(k)
+            assert p.coords == M.project(p.representative)
+            assert p.representative.table == cls.representative.power(k).table
+        inv = cls.inverse()
+        assert inv.coords == M.project(inv.representative)
+        assert inv.representative.table == cls.representative.inverse_cocycle().table
+        for other in classes + [M_twin.class_from_coords(c) for c in every]:
+            prod = cls.mul(other)
+            assert prod.coords == M.project(prod.representative)
+            assert prod.representative.table == \
+                cls.representative.mul(other.representative).table
+            assert prod.multiplier is M and prod.group is G
+
+
+@pytest.mark.parametrize("name", list(_CLASS_ARITH_GROUPS))
+def test_class_from_coords_skips_zero_powers_bit_identically(name):
+    """Skipping the zero coordinates leaves every representative table as the
+    full product of section powers, for unreduced and negative coordinates
+    and for the trivial class too."""
+    M = schur_multiplier(_CLASS_ARITH_GROUPS[name]())
+    assert M.trivial_class().representative.table == \
+        _product_of_sections(M, (0,) * len(M.invariant_factors)).table
+    for coords in itertools.product(*(range(-d, 2 * d + 1) for d in M.invariant_factors)):
+        cls = M.class_from_coords(coords)
+        assert cls.representative.table == _product_of_sections(M, coords).table
+        assert cls.coords == M.project(cls.representative)

@@ -517,3 +517,77 @@ def test_reconstruction_and_abelianization_share_the_word_tree():
         seen.add(g)
     assert len(seen) == G.order
 
+
+# ---------------------------------------------------------------------------
+# Subgroup array passes against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _subgroup_failure_by_loops(G, members):
+    """The NotASubgroup message of the old element-by-element check, or None."""
+    members = tuple(sorted(set(members)))
+    outside = [m for m in members if not 0 <= m < G.order]
+    if outside:
+        return f"element {outside[0]} is outside the group of order {G.order}"
+    if 0 not in members:
+        return "missing identity"
+    mset = set(members)
+    for a in members:
+        if G.inv(a) not in mset:
+            return f"missing inverse of {a}"
+        for b in members:
+            if G.mul(a, b) not in mset:
+                return f"not closed: {a}*{b}"
+    return None
+
+
+def _subgroup_failure(G, members):
+    try:
+        Subgroup(G, members)
+    except NotASubgroup as exc:
+        return str(exc)
+    return None
+
+
+def test_subgroup_messages_name_the_first_failure():
+    S3, C4 = symmetric_group(3), cyclic_group(4)
+    assert _subgroup_failure(C4, (0, 9)) == "element 9 is outside the group of order 4"
+    assert _subgroup_failure(C4, (2, 3)) == "missing identity"
+    assert _subgroup_failure(C4, (0, 1)) == "missing inverse of 1"      # 1^-1 = 3
+    assert _subgroup_failure(C4, (0, 1, 3)) == "not closed: 1*1"
+    # in S3 the transpositions 1 and 2 are their own inverses; 1*2 is a 3-cycle
+    assert _subgroup_failure(S3, (0, 1, 2)) == "not closed: 1*2"
+    for members in [(0, 1), (0, 1, 3), (0, 2, 3), (0, 1, 2), (0, 3, 4)]:
+        assert _subgroup_failure(S3, members) == _subgroup_failure_by_loops(S3, members)
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4), lambda: dihedral_group(24)],
+                         ids=["S4", "D24"])
+def test_subgroup_check_matches_the_loops_on_random_subsets(make):
+    """The inverse and closure gathers raise the loop's message, at the loop's
+    first failing (a, b) with the inverse of a checked first."""
+    G = make()
+    rng = np.random.default_rng(5)
+    failures = set()
+    for _ in range(300):
+        size = int(rng.integers(1, G.order + 1))
+        members = tuple(int(x) for x in rng.choice(G.order, size, replace=False))
+        if rng.random() < 0.8:
+            members += (0,)
+        expected = _subgroup_failure_by_loops(G, members)
+        assert _subgroup_failure(G, members) == expected, members
+        failures.add(" ".join(expected.split(" ")[:2]) if expected else None)
+    assert failures >= {"missing identity", "missing inverse", "not closed:"}
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4), lambda: dihedral_group(24)],
+                         ids=["S4", "D24"])
+def test_subgroup_tables_and_canonical_conjugates_match_the_loops(make):
+    G = make()
+    for H in all_subgroups(G):
+        idx = {m: i for i, m in enumerate(H.members)}
+        table = [[idx[G.mul(a, b)] for b in H.members] for a in H.members]
+        sub, members = H.as_group()
+        assert sub.cayley.tolist() == table and members == list(H.members)
+        best = min(tuple(sorted(G.conjugate(g, m) for m in H.members)) for g in G.elements())
+        assert H.canonical_conjugate() == best

@@ -97,6 +97,18 @@ def test_bad_modulus_is_typed():
             in_span_mod([[1]], [1], n)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve_mod([[1]], [1], 3**40),
+    lambda: solve_mod([[1]], [1], 2**64),
+    lambda: in_span_mod([[1]], [1], 2**64),
+], ids=["solve-3^40", "solve-2^64", "span-2^64"])
+def test_moduli_beyond_int64_are_bad_modulus(call):
+    """A modulus of 2^63 or more is refused before it meets an int64 array,
+    never an OverflowError."""
+    with pytest.raises(BadModulus, match="below 2\\^63"):
+        call()
+
+
 @pytest.mark.parametrize("p, a", [(3, 20), (3, 25), (5, 15)])
 def test_odd_prime_powers_beyond_int64_are_refused(p, a):
     """Products of residues mod these q wrap int64, which puts kernel_mod_q's

@@ -17,6 +17,7 @@ from motivelab.groups import (
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
+    group_from_permutations,
     product_group,
     symmetric_group,
 )
@@ -25,6 +26,7 @@ from motivelab.motives import (
     ChowSkeleton,
     CollectionSpec,
     MotiveSkeleton,
+    _induced_pair_rank,
     check_via,
     chow_skeleton,
     decompose_collection,
@@ -36,6 +38,7 @@ from motivelab.motives import (
     tensor_skeletons,
     twisted_unit,
 )
+from mackey_oracle import double_coset_pair_rank
 
 
 def _unit(G, coords=None):
@@ -151,6 +154,29 @@ def test_hom_rank_induced_pair_oracle():
             for H2 in subs:
                 got = hom_rank(induced_atom(H1), induced_atom(H2))
                 assert got == _oracle(G, H1, H2), (G.label, H1.members, H2.members)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symmetric_group(4),
+    lambda: dihedral_group(24),
+    lambda: product_group(symmetric_group(3), symmetric_group(3)),
+    lambda: product_group(cyclic_group(4), cyclic_group(4)),
+    lambda: group_from_permutations(5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]),
+], ids=["S4", "D24", "S3xS3", "C4xC4", "A5"])
+def test_induced_pair_rank_matches_the_double_coset_loop(make):
+    """The transversal contraction equals the double-coset loop on every
+    ordered pair of subgroups, the whole group included; hom ranks between
+    induced atoms are symmetric."""
+    G = make()
+    subs = all_subgroups(G)
+    for H1 in subs:
+        for H2 in subs:
+            assert _induced_pair_rank(G, H1, H2) == double_coset_pair_rank(G, H1, H2), \
+                (H1.members, H2.members)
+    atoms = [induced_atom(H) for H in subs if not H.is_whole_group()]
+    for a in atoms:
+        for b in atoms:
+            assert hom_rank(a, b) == hom_rank(b, a)
 
 
 def _oracle(G, H1, H2):
