@@ -11,9 +11,12 @@ The split runs on the Z/p^a core at a = 1 (`intlinalg`).  Each eigenspace
 is a basis S with S[rows] = I, so a random combination B restricts to
 A = (B S)[rows].  The minimal polynomial of A is the least relation among
 the Krylov rows phi A^t of the unit-class coordinate phi = S[0], read off
-one kernel.  With as many roots as dim S, every eigenline comes from one
-inverse of the Krylov matrix times a Vandermonde matrix; otherwise each
-root's eigenspace is read off the reduced rows of A - lam.
+one kernel, and its roots are read off its values on every point of F_p,
+computed at once by Horner's rule (p < 2^27).  With as many roots as dim S,
+every eigenline comes from one inverse of the Krylov matrix times a
+Vandermonde matrix; otherwise each root's eigenspace is read off the
+reduced rows of A - lam.  No draw goes into root finding: the minimal
+polynomial of a split semisimple A has only simple roots in F_p.
 
 Each table keeps its values as an int64 array V[i, c, u], the multiplicity
 of the eigenvalue zeta_e^u of the i-th irreducible on the class c, so that
@@ -58,6 +61,7 @@ PRIME_SEARCH_LIMIT = 1_000_000
 # k <= 256 classes and p < 2^27 keep k p^2 below 2^63
 SPLIT_PRIME_LIMIT = 1 << 27
 _ORTHOGONALITY_CHECK_BOUND = 48
+_ROOT_CHUNK = 1 << 16               # points of F_p per Horner pass of _poly_roots
 
 
 @dataclass(frozen=True)
@@ -239,9 +243,7 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
 
     # class algebra structure constants a[i][j][l]: C_i C_j = sum_l a_ijl C_l,
     # a_ijl counting the x in C_i with x^-1 r_l in C_j for the representative r_l
-    class_of = np.empty(n, dtype=np.int64)
-    for c, cls in enumerate(classes):
-        class_of[list(cls.members)] = c
+    class_of = G.class_index()
     x = np.arange(n)[:, None]
     a = np.zeros((k, k, k), dtype=np.int64)
     np.add.at(a, (class_of[x], class_of[G.cayley[G.inverses[x], reps]], np.arange(k)), 1)
@@ -309,7 +311,7 @@ def split_class_algebra(a: np.ndarray, partner: list[int], n: int, p: int,
             if len(rows) == 1:
                 new_spaces.append((S, rows))
                 continue
-            new_spaces.extend(_split_space(B, S, rows, p, rng))
+            new_spaces.extend(_split_space(B, S, rows, p))
         spaces = new_spaces
 
     inv_pairs = [pow(int(a[i, partner[i], 0]) % p, p - 2, p) for i in range(k)]
@@ -367,8 +369,8 @@ def _tensor_constants(table: CharacterTable) -> np.ndarray:
     return N
 
 
-def _split_space(B: np.ndarray, S: np.ndarray, rows: np.ndarray, p: int,
-                 rng) -> list[tuple[np.ndarray, np.ndarray]]:
+def _split_space(B: np.ndarray, S: np.ndarray, rows: np.ndarray,
+                 p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the column space of S, with S[rows] = I, into eigenspaces of B
     (all mod p), each returned as such a pair.
 
@@ -389,7 +391,7 @@ def _split_space(B: np.ndarray, S: np.ndarray, rows: np.ndarray, p: int,
     # kernel rows of the Krylov rows taken highest power first are echelon
     # in falling degree: the last is the monic relation of least degree
     relation = kernel_mod_q(krylov[::-1].T, p, 1)[-1]
-    roots = _poly_roots(relation[::-1].tolist(), p, rng)
+    roots = _poly_roots(relation, p)
     if len(roots) == r:
         W = np.ones((r, r), dtype=np.int64)
         for t in range(1, r):
@@ -410,122 +412,29 @@ def _split_space(B: np.ndarray, S: np.ndarray, rows: np.ndarray, p: int,
     return out
 
 
-def _poly_roots(poly: list[int], p: int, rng) -> list[int]:
-    """Distinct roots in F_p of a monic-able polynomial."""
-    poly = [c % p for c in poly]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    check_invariant(bool(poly), "zero polynomial has no canonical roots")
-    inv_lead = pow(poly[-1], p - 2, p)
-    poly = [c * inv_lead % p for c in poly]
-    # linear-factor part: gcd(x^p - x, poly)
-    xp = _poly_powmod([0, 1], p, poly, p)
-    lin = _poly_gcd(_poly_sub_mod(xp, [0, 1], p), poly, p)
-    roots: list[int] = []
-    _collect_roots(lin, p, rng, roots)
-    return sorted(roots)
-
-
-def _collect_roots(f: list[int], p: int, rng, out: list[int]) -> None:
-    f = _poly_monic(f, p)
-    deg = len(f) - 1
-    if deg == 0:
-        return
-    if deg == 1:
-        out.append((-f[0]) % p)
-        return
-    if f[0] == 0:
-        out.append(0)
-        _collect_roots(_poly_monic(f[1:], p), p, rng, out)
-        return
-    while True:
-        c = rng.randrange(p)
-        # gcd((x+c)^((p-1)/2) - 1, f) splits the roots with prob ~ 1/2
-        h = _poly_powmod([c, 1], (p - 1) // 2, f, p)
-        h = _poly_sub_mod(h, [1], p)
-        g = _poly_gcd(h, f, p)
-        if 0 < len(g) - 1 < deg:
-            _collect_roots(g, p, rng, out)
-            _collect_roots(_poly_div_mod(f, g, p), p, rng, out)
-            return
-
-
-def _poly_monic(f: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    if not f:
-        return []
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
-
-
-def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_rem(out, mod, p)
-
-
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    """a mod `mod` over F_p; zero leading coefficients of mod are dropped."""
-    a = [c % p for c in a]
-    mod = list(mod)
-    while mod[-1] % p == 0:
-        mod.pop()
-    dm = len(mod) - 1
-    inv = pow(mod[-1], p - 2, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            f = c * inv % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
-    out = a[:dm]
-    while out and out[-1] == 0:
-        out.pop()
-    return out or [0]
-
-
-def _poly_powmod(base: list[int], k: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_rem(base, mod, p)
-    while k:
-        if k & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        k >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in a], [c % p for c in b]
-    while any(b):
-        a, b = b, _poly_rem(a, b, p)
-    return _poly_monic(a, p)
-
-
-def _poly_div_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Exact quotient a / b mod p."""
-    a = [c % p for c in a]
-    b = _poly_monic(b, p)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
-        if c:
-            out[i - len(b) + 1] = c
-            for j in range(len(b)):
-                a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - c * b[j]) % p
-    return out
-
-
-def _poly_sub_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    m = max(len(a), len(b))
-    a = list(a) + [0] * (m - len(a))
-    b = list(b) + [0] * (m - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
+def _poly_roots(f: np.ndarray, p: int) -> np.ndarray:
+    """The distinct roots in F_p, ascending, of the nonzero polynomial with
+    coefficients f, highest degree first: f is evaluated on every point of
+    F_p at once by Horner's rule, in chunks of _ROOT_CHUNK points.  From a
+    residue, t steps v -> v x + c stay below p^(t + 1), so v is reduced only
+    every `steps` steps, the most with p^(steps + 1) < 2^63 (p < 2^27: at
+    least one)."""
+    f = np.trim_zeros(np.asarray(f, dtype=np.int64) % p, "f")
+    check_invariant(f.size > 0, "zero polynomial has no canonical roots")
+    steps = 1
+    while p ** (steps + 2) < 1 << 63:
+        steps += 1
+    roots = []
+    for lo in range(0, p, _ROOT_CHUNK):
+        x = np.arange(lo, min(lo + _ROOT_CHUNK, p), dtype=np.int64)
+        v = np.full_like(x, f[0])
+        for i, c in enumerate(f[1:], 1):
+            v *= x
+            v += c
+            if i % steps == 0:
+                v %= p
+        roots.append(x[v % p == 0])
+    return np.concatenate(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Normalized 2-cocycles on a finite group with root-of-unity values.
 
-A cocycle alpha: G x G -> mu_n is stored as its exponent table mod n.  The
-class group H^2(G, C^x) is computed as H^2(G, Z/n) with n = |G| (cocycles
-modulo coboundaries), further quotiented by the carry classes coming from
-the refinement exact sequence 0 -> Z/n -> Q/Z -> Q/Z -> 0: a character
-chi: G -> Z/n with representative values a contributes the class
+A cocycle alpha: G x G -> mu_n is stored as its exponent table mod n, a
+read-only C-contiguous int64 array; n < 2^62, so the sum of two entries
+cannot wrap, and products that could (powers where (n - 1)^2 >= 2^63) are
+taken in Python integers.  Products, inverses, powers, promotions and
+restrictions are single array expressions.  Construction checks the table
+exactly, but only with a generator first: by the cocycle identity of the
+coboundary c = delta e, c(s tau, -, -) is a combination of c(tau, -, -) and
+values c(s, -, -), so c vanishes everywhere once it vanishes with every
+generator first and e is normalized (induction on word length).  That costs
+|S| |G|^2 entries instead of |G|^3; a table that fails is scanned in
+(tau, rho, sigma) order for its first failing triple.
+
+The class group H^2(G, C^x) is computed as H^2(G, Z/n) with n = |G|
+(cocycles modulo coboundaries), further quotiented by the carry classes
+coming from the refinement exact sequence 0 -> Z/n -> Q/Z -> Q/Z -> 0: a
+character chi: G -> Z/n with representative values a contributes the class
 (sigma, rho) -> (a(sigma) + a(rho) - a(sigma rho)) div n.
 
 The cocycle solution space is parametrized by restriction to generator rows:
@@ -71,44 +82,56 @@ _CERTIFICATE_CHUNK = 1 << 21        # |G|^2 x rows table entries per certificate
 MODULUS_BOUND = 1 << 62             # int64 sums of two reduced exponents stay exact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoCocycle:
-    """Normalized 2-cocycle with values in mu_modulus, stored as exponents.
-    Construction checks the table exactly; identity-preserving operations
-    build through _trusted."""
+    """Normalized 2-cocycle with values in mu_modulus, stored as exponents: a
+    read-only int64 array reduced mod modulus.  Construction checks the table
+    exactly; identity-preserving operations build through _trusted.  Two
+    cocycles are equal on the same group object, with the same modulus and
+    the same entries."""
 
     group: FiniteGroup
     modulus: int
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        report = cocycle_validate(self.group, self.modulus, self.table)
+        E = _exponent_array(self.group, self.modulus, self.table)
+        report = _first_failure(self.group, self.modulus, E)
         if not report.ok:
             raise NotACocycle(report.message)
-        m = self.modulus
-        object.__setattr__(self, "table", tuple(tuple(int(x) % m for x in row)
-                                                for row in self.table))
+        E.flags.writeable = False
+        object.__setattr__(self, "table", E)
 
     @classmethod
-    def _trusted(cls, G: FiniteGroup, modulus: int, table) -> "TwoCocycle":
-        """A cocycle from a table already reduced mod modulus and known to
-        satisfy the identity: no check, no reduction."""
+    def _trusted(cls, G: FiniteGroup, modulus: int, table: np.ndarray) -> "TwoCocycle":
+        """A cocycle from a fresh C-contiguous int64 array, already reduced
+        mod modulus and known to satisfy the identity: no check, no
+        reduction, no copy; the array is made read-only."""
+        table.flags.writeable = False
         alpha = object.__new__(cls)
         alpha.__dict__.update(group=G, modulus=modulus, table=table)
         return alpha
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TwoCocycle):
+            return NotImplemented
+        return (self.group is other.group and self.modulus == other.modulus
+                and np.array_equal(self.table, other.table))
+
+    def __hash__(self):
+        return hash((self.modulus, self.table.tobytes()))
+
     @staticmethod
     def trivial(G: FiniteGroup, modulus: int) -> "TwoCocycle":
         require_modulus(modulus)
-        row = (0,) * G.order
-        return TwoCocycle._trusted(G, modulus, (row,) * G.order)
+        return TwoCocycle._trusted(G, modulus, np.zeros((G.order, G.order), dtype=np.int64))
 
     @staticmethod
     def from_exponents(G: FiniteGroup, modulus: int, table) -> "TwoCocycle":
         return TwoCocycle(G, modulus, table)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
+        return self.table
 
     def promote(self, m: int) -> "TwoCocycle":
         """View the same mu_modulus-valued cocycle inside mu_m (modulus | m < 2^62)."""
@@ -118,35 +141,35 @@ class TwoCocycle:
             return self
         if m % self.modulus:
             raise ModulusMismatch("can only promote to a multiple of the modulus")
-        f = m // self.modulus
-        return TwoCocycle._trusted(self.group, m,
-                                   tuple(tuple(x * f for x in row) for row in self.table))
+        return TwoCocycle._trusted(self.group, m, self.table * (m // self.modulus))
+
+    # entries are below the modulus < 2^62, so the sum of two cannot wrap int64
 
     def mul(self, other: "TwoCocycle") -> "TwoCocycle":
         if not same_group(self.group, other.group):
             raise GroupMismatch("cocycles live on different groups")
         if self.modulus != other.modulus:
             raise ModulusMismatch("cocycle moduli differ")
-        n = self.modulus
-        return TwoCocycle._trusted(self.group, n, tuple(
-            tuple((a + b) % n for a, b in zip(ra, rb))
-            for ra, rb in zip(self.table, other.table)))
+        return TwoCocycle._trusted(self.group, self.modulus,
+                                   (self.table + other.table) % self.modulus)
 
     def inverse_cocycle(self) -> "TwoCocycle":
-        n = self.modulus
-        return TwoCocycle._trusted(self.group, n,
-                                   tuple(tuple(-x % n for x in row) for row in self.table))
+        return TwoCocycle._trusted(self.group, self.modulus, -self.table % self.modulus)
 
     def power(self, k: int) -> "TwoCocycle":
         n = self.modulus
+        k %= n
+        if (n - 1) * (n - 1) < 1 << 63:
+            return TwoCocycle._trusted(self.group, n, self.table * k % n)
+        # products of two residues can pass 2^63: exact in Python integers
         return TwoCocycle._trusted(self.group, n,
-                                   tuple(tuple(x * k % n for x in row) for row in self.table))
+                                   (self.table.astype(object) * k % n).astype(np.int64))
 
     def restrict(self, H: Subgroup) -> "TwoCocycle":
         """Restriction along a subgroup, on the subgroup's own numbering."""
         grp, members = H.as_group()
-        tab = tuple(tuple(self.table[a][b] for b in members) for a in members)
-        return TwoCocycle._trusted(grp, self.modulus, tab)
+        m = np.asarray(members)
+        return TwoCocycle._trusted(grp, self.modulus, self.table[m[:, None], m])
 
 
 @dataclass(frozen=True)
@@ -157,37 +180,69 @@ class ValidationReport:
 
 
 def cocycle_validate(G: FiniteGroup, modulus: int, table) -> ValidationReport:
-    """Check normalization and the cocycle identity mod modulus on every
-    triple of a raw exponent table; BadModulus for a modulus outside
-    [1, 2^62), NotACocycle for a table that is not |G| x |G| integers."""
+    """Check normalization and the cocycle identity mod modulus of a raw
+    exponent table, reporting the first failing triple in (tau, rho, sigma)
+    order; BadModulus for a modulus outside [1, 2^62), NotACocycle for a
+    table that is not |G| x |G| integers."""
+    return _first_failure(G, modulus, _exponent_array(G, modulus, table))
+
+
+def _exponent_array(G: FiniteGroup, modulus: int, table) -> np.ndarray:
+    """The raw table reduced mod modulus, as a fresh int64 array: one array
+    pass for a signed integer array (or a list of int64-sized integers),
+    else entry by entry through int()."""
     if modulus >= MODULUS_BOUND:
         raise BadModulus(f"cocycle modulus must be below 2^62, got {modulus}")
     require_modulus(modulus)
     n, m = G.order, modulus
     try:
+        E = np.asarray(table)
+    except (TypeError, ValueError):
+        E = None
+    if E is not None and E.dtype.kind == "i" and E.shape == (n, n):
+        return E.astype(np.int64, copy=False) % m
+    try:
         if len(table) != n or any(len(r) != n for r in table):
             raise NotACocycle("table dimensions must match the group order")
-        E = np.array([[int(x) % m for x in row] for row in table], dtype=np.int64)
+        return np.array([[int(x) % m for x in row] for row in table], dtype=np.int64)
     except (TypeError, ValueError):
         raise NotACocycle("table must be a list of integer rows") from None
+
+
+def _violations(G: FiniteGroup, m: int, E: np.ndarray, tau: int) -> np.ndarray:
+    """bad[rho, sigma]: the cocycle identity at (tau, rho, sigma) fails mod m."""
+    t = G.cayley
+    # e(rho,sigma) + e(tau,rho sigma) - e(tau,rho) - e(tau rho,sigma), over reduced
+    # entries, lies in (-2m, 2m): it is 0 mod m exactly when its absolute value is 0 or m
+    d = E[tau, t]                                     # [rho, sigma]
+    d += E
+    d -= E[t[tau]]
+    d -= E[tau, :, None]
+    np.abs(d, out=d)
+    return (d != 0) & (d != m)
+
+
+def _first_failure(G: FiniteGroup, m: int, E: np.ndarray) -> ValidationReport:
+    """Normalization, then the identity with a generator first, for E reduced
+    mod m.  With c = delta e the identity delta c = 0 gives c(s tau, rho, sigma)
+    = c(tau, rho, sigma) + c(s, tau rho, sigma) - c(s, tau, rho sigma) + c(s,
+    tau, rho), and normalization gives c(1, -, -) = 0; so c vanishes on the
+    generators' triples only if it vanishes on all, by induction on word
+    length (Brown, Cohomology of Groups, ch. IV).  Only a table that fails
+    is scanned in full, for its first failing triple."""
     if E[0].any() or E[:, 0].any():
         s = int(np.flatnonzero(E[0] | E[:, 0])[0])
         return ValidationReport(False, f"normalization fails at element {s}", (0, s, 0))
-    t = G.cayley
-    # e(rho,sigma) + e(tau,rho sigma) - e(tau,rho) - e(tau rho,sigma), batched over
-    # tau, lies in (-2m, 2m): it is 0 mod m exactly when its absolute value is 0 or m
-    for tau in range(n):
-        d = E[tau, t]                                 # [rho, sigma]
-        d += E
-        d -= E[t[tau]]
-        d -= E[tau, :, None]
-        np.abs(d, out=d)
-        bad = (d != 0) & (d != m)
-        if bad.any():
-            rho, sigma = (int(x) for x in np.argwhere(bad)[0])
-            return ValidationReport(
-                False, f"cocycle identity fails at ({tau}, {rho}, {sigma})",
-                (tau, rho, sigma))
+    for s in G.generating_set():
+        if _violations(G, m, E, s).any():
+            # the first failing triple has tau <= s: the scan stops by tau = s
+            for tau in range(s + 1):
+                bad = _violations(G, m, E, tau)
+                if bad.any():
+                    rho, sigma = (int(x) for x in np.argwhere(bad)[0])
+                    return ValidationReport(
+                        False, f"cocycle identity fails at ({tau}, {rho}, {sigma})",
+                        (tau, rho, sigma))
     return ValidationReport(True)
 
 
@@ -212,7 +267,7 @@ def central_pairing_cocycle(H: FiniteGroup) -> TwoCocycle:
     pairing = (P * (e // d)) @ P.T % e                       # [b, c] = chi_b(c)
     g = np.arange(H.order * H.order)
     table = pairing[np.ix_(g % H.order, g // H.order)]
-    return TwoCocycle._trusted(product_group(H, H), e, tuple(map(tuple, table.tolist())))
+    return TwoCocycle._trusted(product_group(H, H), e, table)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +465,7 @@ def cocycle_space(G: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
 
 def cocycle_in_space(space: Sequence[Sequence[int]], alpha: TwoCocycle) -> bool:
     """Membership of alpha in the space cocycle_space(alpha.group, alpha.modulus)."""
-    return in_span_mod(space, [x for row in alpha.table for x in row], alpha.modulus)
+    return in_span_mod(space, alpha.table.ravel().tolist(), alpha.modulus)
 
 
 def random_cocycle(G: FiniteGroup, n: int, rng: np.random.Generator) -> TwoCocycle:
@@ -420,7 +475,7 @@ def random_cocycle(G: FiniteGroup, n: int, rng: np.random.Generator) -> TwoCocyc
     acc = np.zeros(size * size, dtype=np.int64)
     for row in space:
         acc = (acc + int(rng.integers(0, n)) * np.asarray(row, dtype=np.int64)) % n
-    return TwoCocycle._trusted(G, n, tuple(map(tuple, acc.reshape(size, size).tolist())))
+    return TwoCocycle._trusted(G, n, acc.reshape(size, size))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +601,7 @@ class SchurMultiplier:
             x[self._recon.free] = Vinv[ci][comp.positions[t]] @ comp.basis
             table = self._recon.expand(x, q)
             acc = (acc + crt_idempotent(n, q) * table) % n
-        return TwoCocycle._trusted(G, n, tuple(map(tuple, acc.tolist())))
+        return TwoCocycle._trusted(G, n, acc)
 
     def project(self, alpha: TwoCocycle) -> tuple[int, ...]:
         """Canonical coordinates of [alpha] in the invariant-factor basis."""
@@ -615,17 +670,15 @@ def schur_multiplier(G: FiniteGroup, max_group_order: int = SCHUR_DEFAULT_MAX_OR
 
 def _schur_multiplier(G: FiniteGroup) -> SchurMultiplier:
     n = G.order
-    if n == 1:
-        return SchurMultiplier(G, 1, [], None)
-    recon = _Reconstruction(G)
     orders = G.element_orders()
+    # a cyclic Sylow p-subgroup P has M(P) = 0, and restriction embeds the
+    # p-part of M(G) into M(P): only the other primes are solved for, and a
+    # group with none (every cyclic group among them) needs no word tree
+    primes = [(p, a) for p, a in prime_power_factors(n) if not (orders % p ** a == 0).any()]
+    recon = _Reconstruction(G) if primes else None
     components = []
-    for p, a in prime_power_factors(n):
+    for p, a in primes:
         q = p ** a
-        if (orders % q == 0).any():
-            # a cyclic Sylow p-subgroup P has M(P) = 0, and restriction embeds
-            # the p-part of M(G) into M(P): nothing to solve for
-            continue
         basis, piv = eliminate_mod_q(_gauge_fixed_kernel(recon, p, a), p, a)
         r = len(piv)
         relations = []

@@ -279,10 +279,14 @@ class FiniteGroup:
             self._compute_classes()
         return list(self._classes)
 
-    def class_index_of(self, g: int) -> int:
+    def class_index(self) -> np.ndarray:
+        """Read-only array: the canonical class index of each element."""
         if self._class_of is None:
             self._compute_classes()
-        return int(self._class_of[g])
+        return self._class_of
+
+    def class_index_of(self, g: int) -> int:
+        return int(self.class_index()[g])
 
     def _compute_classes(self) -> None:
         n = self.order
@@ -305,6 +309,7 @@ class FiniteGroup:
             relabel[old_idx] = new_idx
         self._classes = classes
         self._class_of = relabel[assigned]
+        self._class_of.setflags(write=False)
 
     def centralizer(self, g: int) -> "Subgroup":
         if not 0 <= g < self.order:

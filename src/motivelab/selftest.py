@@ -328,7 +328,7 @@ def property_suites(cases: int = 200, seed: int = 0) -> None:
             # cocycle identity <-> associativity of the twisted product
             algebra = build_twisted(G, alpha)
             # corrupting one entry must break the identity
-            table = [list(r) for r in alpha.table]
+            table = alpha.table.tolist()
             i, j = (int(rng.integers(1, n)) for _ in range(2))
             table[i][j] = (table[i][j] + 1 + int(rng.integers(0, n - 1))) % n
             if n > 1:

@@ -52,24 +52,21 @@ class TwistedGroupAlgebra:
         at r, where t = 0.  Cross-checked against the regular-class test and
         against exact centrality."""
         G = self.group
-        E = self.cocycle.as_array()
-        cay, h, hi = G.cayley, np.arange(G.order), G.inverses
-        supports: list[dict[int, int]] = []
-        consistent_classes = []
-        for ci, cls in enumerate(G.conjugacy_classes()):
-            r = cls.representative
-            hr = cay[h, r]
-            y = cay[hr, hi]
-            gamma = (E[h, r] + E[hr, hi] - E[h, hi]) % self.cocycle.modulus
-            ty = np.zeros(G.order, dtype=np.int64)
-            ty[y] = gamma
-            if np.array_equal(ty[y], gamma):
-                supports.append({x: int(ty[x]) for x in cls.members})
-                consistent_classes.append(ci)
-        reg = alpha_regular(G, self.cocycle)
-        regular_classes = [i for i, f in enumerate(reg.flags) if f]
-        check_invariant(consistent_classes == regular_classes,
+        E = self.cocycle.table
+        classes = G.conjugacy_classes()
+        # every class at once: column c for the representative r of class c
+        r, c = np.array([cls.representative for cls in classes]), np.arange(len(classes))
+        h, hi = np.arange(G.order)[:, None], G.inverses[:, None]
+        hr = G.cayley[h, r]
+        y = G.cayley[hr, hi]                                          # [h, c]
+        gamma = (E[h, r] + E[hr, hi] - E[h, hi]) % self.cocycle.modulus
+        ty = np.zeros((G.order, len(classes)), dtype=np.int64)
+        ty[y, c] = gamma
+        consistent = (ty[y, c] == gamma).all(axis=0)
+        check_invariant(consistent.tolist() == list(alpha_regular(G, self.cocycle).flags),
                         "transport consistency must match the regular-class test")
+        supports = [dict(zip(cls.members, ty[list(cls.members), ci].tolist()))
+                    for ci, cls in enumerate(classes) if consistent[ci]]
         _check_central(G, self.cocycle, supports)
         return tuple(supports)
 
@@ -89,26 +86,28 @@ class RegularityReport:
 def alpha_regular(G: FiniteGroup, alpha: TwoCocycle) -> RegularityReport:
     """Classes whose elements commute with their centralizer under alpha:
     g is regular when alpha(g, h) == alpha(h, g) for every h with gh == hg."""
-    E = alpha.as_array()
+    E = alpha.table
     regular = ((G.cayley != G.cayley.T) | (E == E.T)).all(axis=1)
-    flags = []
-    for cls in G.conjugacy_classes():
-        values = set(regular[list(cls.members)].tolist())
-        check_invariant(len(values) == 1, "regularity must be constant on a conjugacy class")
-        flags.append(values.pop())
-    return RegularityReport(tuple(flags), sum(flags))
+    flags = regular[[cls.representative for cls in G.conjugacy_classes()]]
+    check_invariant((flags[G.class_index()] == regular).all(),
+                    "regularity must be constant on a conjugacy class")
+    return RegularityReport(tuple(flags.tolist()), int(flags.sum()))
 
 
 def center_basis(algebra: TwistedGroupAlgebra) -> list[list[Cyclotomic]]:
-    """Exact basis of the center, one twisted class sum per regular class."""
-    exps = algebra.center_exponents
+    """Exact basis of the center, one twisted class sum per regular class.
+    Cyclotomic values are immutable, so the vectors share one zero and one
+    value per root of unity."""
     n = algebra.cocycle.modulus
-    G = algebra.group
+    zero = Cyclotomic.zero(n if n > 1 else 1)
+    roots: dict[int, Cyclotomic] = {}
     out = []
-    for support in exps:
-        vec = [Cyclotomic.zero(n if n > 1 else 1) for _ in range(G.order)]
+    for support in algebra.center_exponents:
+        vec = [zero] * algebra.group.order
         for x, t in support.items():
-            vec[x] = Cyclotomic.root_of_unity(n, t) if n > 1 else Cyclotomic.one()
+            if t not in roots:
+                roots[t] = Cyclotomic.root_of_unity(n, t) if n > 1 else Cyclotomic.one()
+            vec[x] = roots[t]
         out.append(vec)
     return out
 
@@ -151,33 +150,37 @@ def wedderburn_dims(algebra: TwistedGroupAlgebra, seed: int = 0) -> WedderburnPr
     n = G.order
     if n > BLOCK_ORDER_GUARD:
         raise SizeBound(f"block dimensions limited to order {BLOCK_ORDER_GUARD}")
-    E = algebra.cocycle.table
     m = algebra.cocycle.modulus
-    c = [sum(row) % (m * n) for row in E]
+    # every term below is a sum of at most four terms under m n in absolute
+    # value: int64 is exact while m n < 2^61, Python integers beyond
+    E = algebra.cocycle.table.astype(np.int64 if m * n < 1 << 61 else object)
+    c = E.sum(axis=1)                                  # c(g) < m n
     p = _find_prime(n * G.exponent(), 2 * isqrt(n) + 1, SPLIT_PRIME_LIMIT)
     z = pow(_primitive_root(p), (p - 1) // n, p)
-    zeta = [pow(z, v, p) for v in range(n)]  # zeta_n^v -> z^v
+    zeta = np.array([pow(z, v, p) for v in range(n)], dtype=np.int64)  # zeta_n^v -> z^v
     # K_i at u_x is zeta_mn^(n t(x) + c(x) - c(r_i)), 1 at its representative r_i;
-    # where[x] = (i, s(x)) with s(x) = n t(x) - c(r_i)
-    where, reps = {}, []
-    for i, support in enumerate(algebra.center_exponents):
-        reps.append(next(iter(support)))
-        where.update((x, (i, n * t - c[reps[-1]])) for x, t in support.items())
-    k = len(reps)
-    # K_i K_j = sum_l a_ijl K_l, read off at u_r for the representative r of K_l;
-    # the term at u_x u_y is zeta_mn^(s(x) + s(y) + n alpha(x, y) + c(r)), an n-th root
+    # on the support of K_i, label(x) = i and s(x) = n t(x) - c(r_i)
+    supports = algebra.center_exponents
+    k = len(supports)
+    reps = np.array([next(iter(support)) for support in supports], dtype=np.int64)
+    label = np.full(n, -1, dtype=np.int64)
+    t = np.zeros(n, dtype=E.dtype)
+    for i, support in enumerate(supports):
+        label[list(support)] = i
+        t[list(support)] = list(support.values())
+    s = n * t - c[reps[label]]
+    # K_i K_j = sum_l a_ijl K_l, read off at u_r for the representative r of K_l:
+    # the term at u_x u_y, y = x^-1 r, is zeta_mn^(s(x) + s(y) + n alpha(x, y) + c(r)),
+    # an n-th root
+    x = np.flatnonzero(label >= 0)
+    y = G.cayley[G.inverses[x][:, None], reps]         # [x, l]
+    i, l = np.nonzero(label[y] >= 0)
+    x, y = x[i], y[i, l]
+    v = s[x] + s[y] + n * E[x, y] + c[reps[l]]
+    check_invariant(not (v % m).any(), "twisted class sums must rescale into mu_|G|")
     a = np.zeros((k, k, k), dtype=np.int64)
-    rem = 0
-    for l, r in enumerate(reps):
-        for x, (i, sx) in where.items():
-            y = G.mul(G.inv(x), r)
-            if y in where:
-                j, sy = where[y]
-                v, rv = divmod(sx + sy + n * E[x][y] + c[r], m)
-                a[i, j, l] += zeta[v % n]
-                rem |= rv
-    check_invariant(rem == 0, "twisted class sums must rescale into mu_|G|")
-    partner = [where[G.inv(r)][0] for r in reps]
+    np.add.at(a, (label[x], label[y], l), zeta[(v // m % n).astype(np.int64)])
+    partner = label[G.inverses[reps]].tolist()
     dims = sorted(d for _, d in split_class_algebra(a, partner, n, p, random.Random(seed)))
     check_invariant(sum(d * d for d in dims) == n, "block dimensions must square-sum to |G|")
     return WedderburnProfile(tuple(dims))

@@ -6,6 +6,9 @@ with multiplicity d^2.  The center is found here numerically, as the kernel
 of the commutation equations e_tau z = z e_tau, so the oracle shares no code
 with motivelab.twisted.  Eigenvalues are clustered at a tolerance; a gap
 between clusters inside (tol, 10 tol) is ambiguous and raises.
+
+The roots of polynomials over F_p, which the library finds by evaluating on
+every point of F_p, are found here by Cantor-Zassenhaus on coefficient lists.
 """
 
 import cmath
@@ -102,3 +105,129 @@ def _min_intercluster_gap(eigs, clusters):
         for j in range(i + 1, len(reps)):
             gap = min(gap, abs(reps[i] - reps[j]))
     return gap
+
+
+# ---------------------------------------------------------------------------
+# Roots over F_p by Cantor-Zassenhaus
+# ---------------------------------------------------------------------------
+
+
+def cantor_zassenhaus_roots(poly: list[int], p: int, rng) -> list[int]:
+    """Sorted distinct roots in F_p of a nonzero polynomial given by its
+    coefficients lowest degree first: the linear part gcd(x^p - x, poly),
+    split by gcds with (x + c)^((p - 1)/2) - 1 for random c (rng.randrange)."""
+    poly = [c % p for c in poly]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    if not poly:
+        raise ValueError("zero polynomial has no canonical roots")
+    inv_lead = pow(poly[-1], p - 2, p)
+    poly = [c * inv_lead % p for c in poly]
+    # linear-factor part: gcd(x^p - x, poly)
+    xp = _poly_powmod([0, 1], p, poly, p)
+    lin = _poly_gcd(_poly_sub_mod(xp, [0, 1], p), poly, p)
+    roots: list[int] = []
+    _collect_roots(lin, p, rng, roots)
+    return sorted(roots)
+
+
+def _collect_roots(f: list[int], p: int, rng, out: list[int]) -> None:
+    f = _poly_monic(f, p)
+    deg = len(f) - 1
+    if deg == 0:
+        return
+    if deg == 1:
+        out.append((-f[0]) % p)
+        return
+    if f[0] == 0:
+        out.append(0)
+        _collect_roots(_poly_monic(f[1:], p), p, rng, out)
+        return
+    while True:
+        c = rng.randrange(p)
+        # gcd((x+c)^((p-1)/2) - 1, f) splits the roots with prob ~ 1/2
+        h = _poly_powmod([c, 1], (p - 1) // 2, f, p)
+        h = _poly_sub_mod(h, [1], p)
+        g = _poly_gcd(h, f, p)
+        if 0 < len(g) - 1 < deg:
+            _collect_roots(g, p, rng, out)
+            _collect_roots(_poly_div_mod(f, g, p), p, rng, out)
+            return
+
+
+def _poly_monic(f: list[int], p: int) -> list[int]:
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        return []
+    inv = pow(f[-1], p - 2, p)
+    return [c * inv % p for c in f]
+
+
+def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _poly_rem(out, mod, p)
+
+
+def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+    """a mod `mod` over F_p; zero leading coefficients of mod are dropped."""
+    a = [c % p for c in a]
+    mod = list(mod)
+    while mod[-1] % p == 0:
+        mod.pop()
+    dm = len(mod) - 1
+    inv = pow(mod[-1], p - 2, p)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            f = c * inv % p
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - f * mod[j]) % p
+    out = a[:dm]
+    while out and out[-1] == 0:
+        out.pop()
+    return out or [0]
+
+
+def _poly_powmod(base: list[int], k: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
+    base = _poly_rem(base, mod, p)
+    while k:
+        if k & 1:
+            result = _poly_mul_mod(result, base, mod, p)
+        base = _poly_mul_mod(base, base, mod, p)
+        k >>= 1
+    return result
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = [c % p for c in a], [c % p for c in b]
+    while any(b):
+        a, b = b, _poly_rem(a, b, p)
+    return _poly_monic(a, p)
+
+
+def _poly_div_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Exact quotient a / b mod p."""
+    a = [c % p for c in a]
+    b = _poly_monic(b, p)
+    out = [0] * (len(a) - len(b) + 1)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        c = a[i]
+        if c:
+            out[i - len(b) + 1] = c
+            for j in range(len(b)):
+                a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - c * b[j]) % p
+    return out
+
+
+def _poly_sub_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    m = max(len(a), len(b))
+    a = list(a) + [0] * (m - len(a))
+    b = list(b) + [0] * (m - len(b))
+    return [(x - y) % p for x, y in zip(a, b)]

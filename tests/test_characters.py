@@ -1,12 +1,14 @@
 import dataclasses
 import gc
 import hashlib
+import random
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from orthogonality_oracle import cyclotomic_orthogonality
+from spectral_oracle import cantor_zassenhaus_roots
 
 from motivelab import characters, twisted
 from motivelab.characters import (
@@ -626,3 +628,36 @@ def test_split_line_path(monkeypatch, seed):
     [((a, _, n, p, _), out)] = calls
     assert _split_sha(out) == SPLIT_GOLDEN["C100"]
     _check_central_characters(a, n, p, out)
+
+
+def _poly_product(factors, p):
+    """Coefficients, highest degree first, of the product of the factors mod p."""
+    f = np.ones(1, dtype=np.int64)
+    for g in factors:
+        f = np.convolve(f, np.asarray(g, dtype=np.int64)) % p
+    return f
+
+
+@pytest.mark.parametrize("p", [17, 577, 18433, 70001, 1465231])
+def test_poly_roots_match_cantor_zassenhaus(p):
+    """The roots found by evaluation on all of F_p equal those Cantor-Zassenhaus
+    finds on coefficient lists, on seeded polynomials of degree up to 128: a
+    product of distinct linear factors, and one with a repeated root and
+    irreducible quadratic factors x^2 + b x + c (b^2 - 4c a non-residue);
+    scaled by a unit and with leading zeros."""
+    rng = np.random.default_rng(p)
+    nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    for degree in (1, 2, 9, 40, 128):
+        roots = [int(x) for x in rng.choice(p, size=min(degree, p), replace=False)]
+        linear = [[1, -x % p] for x in roots]
+        quadratics = []
+        for _ in range(degree // 8):
+            b, s = int(rng.integers(p)), int(rng.integers(1, p))
+            quadratics.append([1, b, (b * b - nonresidue * s * s) * pow(4, -1, p) % p])
+        mixed = linear[:max(1, len(linear) - 3 * len(quadratics))]
+        for factors, want in ((linear, roots), (mixed + mixed[:1] + quadratics, [-c % p for _, c in mixed])):
+            f = _poly_product(factors, p) * int(rng.integers(1, p)) % p
+            got = characters._poly_roots(np.concatenate([[0, p], f]), p).tolist()
+            assert got == sorted(want)
+            assert got == cantor_zassenhaus_roots(f[::-1].tolist(), p, random.Random(degree))
+

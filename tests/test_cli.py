@@ -113,7 +113,7 @@ def test_cocycle_roundtrip(tmp_path, capsys):
         "group": {"kind": "product", "a": {"kind": "cyclic", "n": 2},
                   "b": {"kind": "cyclic", "n": 2}},
         "modulus": alpha.modulus,
-        "exponents": [list(r) for r in alpha.table]}))
+        "exponents": alpha.table.tolist()}))
     code, out, _ = run(capsys, "cocycle", "check", str(f))
     assert code == 0
     code, out, _ = run(capsys, "cocycle", "classify", str(f), "--json")

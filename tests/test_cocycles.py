@@ -81,7 +81,7 @@ def test_validate_typed_errors_on_raw_data():
             TwoCocycle.from_exponents(G, 2, table)
     # exponents are reduced first: the identity is checked on residues
     assert cocycle_validate(G, 2, [[4, -2], [10**30, 7]]).ok
-    assert TwoCocycle.from_exponents(G, 2, [[4, -2], [10**30, 7]]).table == ((0, 0), (0, 1))
+    assert TwoCocycle.from_exponents(G, 2, [[4, -2], [10**30, 7]]).table.tolist() == [[0, 0], [0, 1]]
 
 
 def _first_failure(G, m, table):
@@ -123,8 +123,8 @@ def test_modulus_bound():
     big = (1 << 62) - 1
     f = [0, big - 1, big - 2, big - 3]
     table = [[(f[r] + f[s] - f[G.mul(r, s)]) % big for s in range(4)] for r in range(4)]
-    assert TwoCocycle.from_exponents(G, big, table).power(3).table == \
-        tuple(tuple(3 * x % big for x in row) for row in table)
+    assert TwoCocycle.from_exponents(G, big, table).power(3).table.tolist() == \
+        [[3 * x % big for x in row] for row in table]
     table[1][2] = (table[1][2] + big - 1) % big
     assert not cocycle_validate(G, big, table).ok
     for m in (1 << 62, 10**20):
@@ -148,13 +148,104 @@ def test_single_entry_corruptions_rejected_above_order_64(seed):
     table = [[(f[r] + f[s] - f[int(t[r, s])]) % m for s in range(G.order)]
              for r in range(G.order)]
     base = TwoCocycle.from_exponents(G, m, table)
-    assert base.table == tuple(map(tuple, table))
+    assert base.table.tolist() == table
     broken = [list(r) for r in table]
     i, j = (int(x) for x in rng.integers(1, G.order, size=2))
     broken[i][j] = (broken[i][j] + int(rng.integers(1, m))) % m
     assert not cocycle_validate(G, m, broken).ok
     with pytest.raises(NotACocycle):
         TwoCocycle.from_exponents(G, m, broken)
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4), lambda: dihedral_group(24),
+                                  lambda: product_group(cyclic_group(4), cyclic_group(4)),
+                                  lambda: elementary_abelian_group(2, 3)],
+                         ids=["S4", "D24", "C4xC4", "E8"])
+def test_generator_check_matches_triple_loop(make):
+    """The identity is checked only with a generator first; seeded cocycles,
+    valid and with one or two entries changed, get the reference's verdict
+    and first failing triple."""
+    rng = np.random.default_rng(13)
+    G = make()
+    for m in (2, G.order, 12):
+        for changes in (0, 0, 1, 1, 2):
+            table = random_cocycle(G, m, rng).table.tolist()
+            for _ in range(changes):
+                i, j = (int(x) for x in rng.integers(1, G.order, size=2))
+                table[i][j] = (table[i][j] + int(rng.integers(1, m))) % m
+            report = cocycle_validate(G, m, table)
+            assert report.triple == _first_failure(G, m, table)
+            assert report.ok == (report.triple is None)
+
+
+def test_table_is_a_read_only_int64_array():
+    """Every way to make a cocycle stores a read-only C-contiguous int64
+    table, which as_array returns; construction copies a caller's array."""
+    from motivelab.groups import all_subgroups
+    G = dihedral_group(8)
+    a = schur_multiplier(G).section[0]
+    raw = a.table.copy()
+    b = TwoCocycle.from_exponents(G, a.modulus, raw)
+    raw[1, 1] += 1
+    made = [a, b, TwoCocycle.trivial(G, 8), a.mul(b), a.power(3), a.inverse_cocycle(),
+            a.promote(24), random_cocycle(G, 8, np.random.default_rng(2)),
+            central_pairing_cocycle(cyclic_group(4))]
+    made += [a.restrict(H) for H in all_subgroups(G)]
+    for alpha in made:
+        assert alpha.table.dtype == np.int64 and alpha.table.flags.c_contiguous
+        assert alpha.as_array() is alpha.table
+        with pytest.raises(ValueError):
+            alpha.table[0, 0] = 1
+    assert raw.flags.writeable and np.array_equal(b.table, a.table)
+
+
+def test_equal_cocycles_hash_equal():
+    """Equality is the same group object, modulus and entries; equal
+    cocycles hash equal."""
+    G = dihedral_group(8)
+    a = schur_multiplier(G).section[0]
+    b = TwoCocycle.from_exponents(G, a.modulus, a.table.tolist())
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.power(a.modulus + 1) == a and hash(a.power(a.modulus + 1)) == hash(a)
+    assert a.mul(a.inverse_cocycle()) == TwoCocycle.trivial(G, a.modulus)
+    assert a != TwoCocycle.from_exponents(dihedral_group(8), a.modulus, a.table)
+    assert a != a.promote(2 * a.modulus) and a != TwoCocycle.trivial(G, a.modulus)
+
+
+def test_power_near_the_modulus_bound_is_exact():
+    """At modulus 2^62 - 1 products of two residues pass 2^63; powers agree
+    with Python integers for small, negative and huge k."""
+    G = dihedral_group(8)
+    big = (1 << 62) - 1
+    rng = np.random.default_rng(4)
+    f = [0] + [int(x) for x in rng.integers(0, big, size=G.order - 1)]
+    table = [[(f[r] + f[s] - f[G.mul(r, s)]) % big for s in G.elements()] for r in G.elements()]
+    alpha = TwoCocycle.from_exponents(G, big, table)
+    ks = [0, 1, 2, 3, -1, -5, big - 1, big + 7, (1 << 61) + 12345, 2**80 + 3]
+    ks += [int(x) for x in rng.integers(-(1 << 62), 1 << 62, size=6)]
+    for k in ks:
+        assert alpha.power(k).table.tolist() == [[x * k % big for x in row] for row in table]
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4), lambda: dihedral_group(24)],
+                         ids=["S4", "D24"])
+def test_restrict_matches_a_loop_on_every_subgroup(make):
+    """Restriction is one gather: on every subgroup it equals the table read
+    entry by entry on the subgroup's own numbering."""
+    from motivelab.groups import all_subgroups
+    G = make()
+    M = schur_multiplier(G)
+    alphas = [M.class_from_coords(c).representative
+              for c in itertools.product(*(range(d) for d in M.invariant_factors))]
+    alphas.append(random_cocycle(G, 12, np.random.default_rng(6)))
+    for H in all_subgroups(G):
+        grp, members = H.as_group()
+        for alpha in alphas:
+            res = alpha.restrict(H)
+            assert res.group is grp and res.modulus == alpha.modulus
+            assert res.table.tolist() == [[int(alpha.table[a, b]) for b in members]
+                                          for a in members]
+            assert _valid(res)
 
 
 def test_trusted_operations_yield_cocycles():
@@ -381,7 +472,7 @@ def test_multiplier_guard():
 def _solved(M):
     """Invariant factors, section tables and each prime's basis, pivots and
     diagonalizer."""
-    return (M.invariant_factors, [alpha.table for alpha in M.section],
+    return (M.invariant_factors, [alpha.table.tolist() for alpha in M.section],
             [(c.basis.tobytes(), c.piv, c.V.tobytes()) for c in M._components])
 
 
@@ -413,7 +504,7 @@ def test_dropped_group_is_freed_and_its_multiplier_still_works():
         del G
         assert alive() is M.group
         assert M.project(alpha) == (1,)
-        assert M.class_from_coords((1,)).representative.table == alpha.table
+        assert np.array_equal(M.class_from_coords((1,)).representative.table, alpha.table)
         del M, alpha
         assert alive() is None
     finally:
@@ -449,8 +540,8 @@ def test_cached_multiplier_answers_as_a_fresh_groups(make):
         assert cached.project(alpha) == M.project(beta)
         assert cached.class_of(alpha).coords == M.class_of(beta).coords
     for coords in [(1,) * len(M.invariant_factors), (0,) * len(M.invariant_factors)]:
-        assert (cached.class_from_coords(coords).representative.table
-                == M.class_from_coords(coords).representative.table)
+        assert np.array_equal(cached.class_from_coords(coords).representative.table,
+                              M.class_from_coords(coords).representative.table)
 
 
 def test_certificate_chunks_agree_with_one_pass(monkeypatch):
@@ -1086,11 +1177,8 @@ def test_multiplier_matches_full_basis_oracle(name):
         assert len(np.unique(every @ T % d, axis=0)) == len(every)
     rng = np.random.default_rng(5)
     for _ in range(4):
-        # the entry check is O(|G|^3): above order 120 (A6) the table, a
-        # combination of certified basis rows, is taken as it is
-        table = old.random_table(rng)
-        alpha = (TwoCocycle.from_exponents(G, n, table) if n <= 120 else
-                 TwoCocycle._trusted(G, n, tuple(map(tuple, table.tolist()))))
+        # the entry check runs with a generator first: A6's tables are checked too
+        alpha = TwoCocycle.from_exponents(G, n, old.random_table(rng))
         assert old.project(alpha) == tuple((np.array(M.project(alpha), dtype=np.int64)
                                             @ T % d).tolist())
     if n <= 48:
@@ -1164,15 +1252,16 @@ def test_class_arithmetic_on_coordinates_matches_projection(name):
         for k in range(-3, 2 * G.exponent() + 1):
             p = cls.power(k)
             assert p.coords == M.project(p.representative)
-            assert p.representative.table == cls.representative.power(k).table
+            assert np.array_equal(p.representative.table, cls.representative.power(k).table)
         inv = cls.inverse()
         assert inv.coords == M.project(inv.representative)
-        assert inv.representative.table == cls.representative.inverse_cocycle().table
+        assert np.array_equal(inv.representative.table,
+                              cls.representative.inverse_cocycle().table)
         for other in classes + [M_twin.class_from_coords(c) for c in every]:
             prod = cls.mul(other)
             assert prod.coords == M.project(prod.representative)
-            assert prod.representative.table == \
-                cls.representative.mul(other.representative).table
+            assert np.array_equal(prod.representative.table,
+                                  cls.representative.mul(other.representative).table)
             assert prod.multiplier is M and prod.group is G
 
 
@@ -1182,9 +1271,9 @@ def test_class_from_coords_skips_zero_powers_bit_identically(name):
     full product of section powers, for unreduced and negative coordinates
     and for the trivial class too."""
     M = schur_multiplier(_CLASS_ARITH_GROUPS[name]())
-    assert M.trivial_class().representative.table == \
-        _product_of_sections(M, (0,) * len(M.invariant_factors)).table
+    assert np.array_equal(M.trivial_class().representative.table,
+                          _product_of_sections(M, (0,) * len(M.invariant_factors)).table)
     for coords in itertools.product(*(range(-d, 2 * d + 1) for d in M.invariant_factors)):
         cls = M.class_from_coords(coords)
-        assert cls.representative.table == _product_of_sections(M, coords).table
+        assert np.array_equal(cls.representative.table, _product_of_sections(M, coords).table)
         assert cls.coords == M.project(cls.representative)

@@ -204,7 +204,7 @@ def _shift_to_modulus(alpha, m, rng):
     G = alpha.group
     s = m // alpha.modulus
     d = [0] + [int(x) for x in rng.integers(0, m, size=G.order - 1)]
-    table = [[(s * alpha.table[r][t] + d[r] + d[t] - d[G.mul(r, t)]) % m
+    table = [[(s * int(alpha.table[r, t]) + d[r] + d[t] - d[G.mul(r, t)]) % m
               for t in G.elements()] for r in G.elements()]
     return TwoCocycle.from_exponents(G, m, table)
 
@@ -225,6 +225,28 @@ def test_wedderburn_modulus_above_group_order(m):
             assert m // np.gcd.reduce(np.append(E, m)) > G.order
             dims = wedderburn_dims(build_twisted(G, alpha)).dims
             assert dims == spectral_dims(G, alpha)
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric_group(4), lambda: dihedral_group(8),
+                                  lambda: product_group(cyclic_group(4), cyclic_group(4)),
+                                  lambda: product_group(dihedral_group(8), cyclic_group(2))],
+                         ids=["S4", "D8", "C4xC4", "D8xC2"])
+def test_blocks_and_regular_classes_where_m_times_order_passes_int64(make):
+    """Every class's section cocycle, promoted to a modulus m < 2^62 with
+    m |G| >= 2^63 and also shifted there by a random coboundary, has the
+    block dimensions and regular classes it has at its own modulus."""
+    import itertools
+    rng = np.random.default_rng(8)
+    G = make()
+    M = schur_multiplier(G)
+    for coords in itertools.product(*(range(d) for d in M.invariant_factors)):
+        alpha = M.class_from_coords(coords).representative
+        m = alpha.modulus * (((1 << 62) - 1) // alpha.modulus)
+        assert m * G.order >= 1 << 63
+        want = wedderburn_dims(build_twisted(G, alpha)).dims
+        for beta in (alpha.promote(m), _shift_to_modulus(alpha, m, rng)):
+            assert wedderburn_dims(build_twisted(G, beta)).dims == want
+            assert alpha_regular(G, beta) == alpha_regular(G, alpha)
 
 
 def test_block_primes_exist_below_guard():
