@@ -14,9 +14,10 @@ the Krylov rows phi A^t of the unit-class coordinate phi = S[0], read off
 one kernel, and its roots are read off its values on every point of F_p,
 computed at once by Horner's rule (p < 2^27).  With as many roots as dim S,
 every eigenline comes from one inverse of the Krylov matrix times a
-Vandermonde matrix; otherwise each root's eigenspace is read off the
-reduced rows of A - lam.  No draw goes into root finding: the minimal
-polynomial of a split semisimple A has only simple roots in F_p.
+Vandermonde matrix; otherwise the eigenspaces of all roots are read off the
+reduced rows of the A - lam, stacked and eliminated together.  No draw goes
+into root finding: the minimal polynomial of a split semisimple A has only
+simple roots in F_p.
 
 Each table keeps its values as an int64 array V[i, c, u], the multiplicity
 of the eigenvalue zeta_e^u of the i-th irreducible on the class c, so that
@@ -52,7 +53,7 @@ from .errors import (
     check_invariant,
 )
 from .groups import FiniteGroup, Subgroup, abelianization, coset_space, same_group
-from .intlinalg import eliminate_mod_q, invert_mod_q, kernel_mod_q
+from .intlinalg import eliminate_stack_mod_p, invert_mod_q, kernel_mod_q
 
 PRIME_SEARCH_LIMIT = 1_000_000
 # split_class_algebra multiplies k x k matrices of residues mod p with int64
@@ -62,6 +63,7 @@ PRIME_SEARCH_LIMIT = 1_000_000
 SPLIT_PRIME_LIMIT = 1 << 27
 _ORTHOGONALITY_CHECK_BOUND = 48
 _ROOT_CHUNK = 1 << 16               # points of F_p per Horner pass of _poly_roots
+_STACK_CHUNK = 1 << 17              # int64 entries of A - lam per stacked elimination
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,8 @@ class CharacterTable:
         return self.irreducibles[irrep][class_index]
 
     def verify_orthogonality(self) -> None:
-        """Exact first orthogonality of rows, as one integer pass over V;
-        raises InvariantViolation on failure.
+        """Exact first orthogonality of rows, as one pass over V in exact
+        integer sums; raises InvariantViolation on failure.
 
         S[i, j, w] = sum_{c,u} |c| V[i, c, u] V[j, c, u - w] is the coefficient
         of zeta_e^w in sum_c |c| chi_i(c) conj(chi_j(c)), a cyclic convolution
@@ -100,13 +102,19 @@ class CharacterTable:
         k, _, e = V.shape
         n = self.order
         d = np.array(self.degrees, dtype=np.int64)
-        # with 0 <= V <= d_i every entry of S is below e |G| d_i d_j < 2^63
+        # with 0 <= V <= d_i every entry of S is a sum of nonnegative integers
+        # below e |G| d_i d_j: below 2^53 every partial sum, in whatever order
+        # the float64 (BLAS) matmuls take it, is an exact integer
         check_invariant(bool((V >= 0).all() and (V <= d[:, None, None]).all()),
                         "eigenvalue multiplicities must lie in [0, d_i]")
-        A = (V * np.array(self.sizes, dtype=np.int64)[:, None]).reshape(k, -1)
-        S = np.empty((k, k, e), dtype=np.int64)
+        check_invariant(e * n * int(d.max()) ** 2 < 1 << 53,
+                        "orthogonality sums must stay below 2^53")
+        A = (V * np.array(self.sizes, dtype=np.int64)[:, None]).reshape(k, -1).astype(np.float64)
+        Vf = V.astype(np.float64)
+        S = np.empty((k, k, e))
         for w in range(e):
-            S[:, :, w] = A @ np.roll(V, w, axis=2).reshape(k, -1).T
+            S[:, :, w] = A @ np.roll(Vf, w, axis=2).reshape(k, -1).T
+        S = S.astype(np.int64)
         check_invariant(bool((S <= n * np.outer(d, d)[:, :, None]).all()),
                         "orthogonality sums must be at most |G| d_i d_j")
         R = S @ power_reduction_matrix(e)                  # [i, j, power basis]
@@ -152,7 +160,7 @@ def _canonical_table(G: FiniteGroup, e: int, V: np.ndarray,
     V.setflags(write=False)
     return CharacterTable(
         G.order, tuple(c.size for c in G.conjugacy_classes()), e,
-        tuple(tuple(Cyclotomic(e, v) for v in W[i]) for i in order),
+        tuple(tuple(Cyclotomic._make(e, v) for v in W[i]) for i in order),
         tuple(degrees[i] for i in order),
         V)
 
@@ -237,13 +245,13 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
     n = G.order
     e = G.exponent()
     p = _find_prime(e, 2 * isqrt(n) + 1)
-    reps = [c.representative for c in classes]
+    reps = G.class_representatives()
     sizes = [c.size for c in classes]
-    inv_class = [G.class_index_of(G.inv(r)) for r in reps]
+    class_of = G.class_index()
+    inv_class = class_of[G.inverses[reps]].tolist()
 
     # class algebra structure constants a[i][j][l]: C_i C_j = sum_l a_ijl C_l,
     # a_ijl counting the x in C_i with x^-1 r_l in C_j for the representative r_l
-    class_of = G.class_index()
     x = np.arange(n)[:, None]
     a = np.zeros((k, k, k), dtype=np.int64)
     np.add.at(a, (class_of[x], class_of[G.cayley[G.inverses[x], reps]], np.arange(k)), 1)
@@ -262,12 +270,11 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
     # eigenvalue zeta_o^u = zeta_e^(u e/o) on an element g of order o: one DFT
     # mod p for all characters and all classes of that order
     z_e = pow(_primitive_root(p), (p - 1) // e, p)
-    z_ord = [G.element_order(r) for r in reps]
+    z_ord = G.element_orders()[reps]
     V = np.zeros((k, k, e), dtype=np.int64)
-    for o in sorted(set(z_ord)):
-        cls = [c for c in range(k) if z_ord[c] == o]
-        powers = np.array([[G.class_index_of(G.power(reps[c], t)) for t in range(o)]
-                           for c in cls], dtype=np.int64)          # [class, t]
+    for o in np.unique(z_ord).tolist():
+        cls = np.flatnonzero(z_ord == o)
+        powers = _power_classes(G, reps[cls], o)                   # [class, t]
         z_o = pow(z_e, e // o, p)
         t = np.arange(o)
         z_pows = np.array([pow(z_o, x, p) for x in range(o)], dtype=np.int64)
@@ -275,8 +282,20 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
         mu = chi[:, powers] @ F % p                               # [i, class, u]
         check_invariant(bool((mu <= d[:, None, None]).all()),
                         "eigenvalue multiplicity exceeds the degree")
-        V[:, np.array(cls)[:, None], t * (e // o)] = mu
+        V[:, cls[:, None], t * (e // o)] = mu
     return _canonical_table(G, e, V, degrees)
+
+
+def _power_classes(G: FiniteGroup, reps: np.ndarray, o: int) -> np.ndarray:
+    """int64 [r, t]: the class of r^t for t < o, for every r in reps at once,
+    by one Cayley walk cur <- cur r."""
+    class_of = G.class_index()
+    powers = np.empty((len(reps), o), dtype=np.int64)
+    cur = np.zeros(len(reps), dtype=np.int64)
+    for t in range(o):
+        powers[:, t] = class_of[cur]
+        cur = G.cayley[cur, reps]
+    return powers
 
 
 def split_class_algebra(a: np.ndarray, partner: list[int], n: int, p: int,
@@ -381,7 +400,9 @@ def _split_space(B: np.ndarray, S: np.ndarray, rows: np.ndarray,
     every eigenspace is a line u with phi A^t u = lam^t, so the lines are the
     columns of K^-1 W for the Krylov matrix K (t < r) and the Vandermonde
     matrix W[t, lam] = lam^t.  Otherwise each root's eigenspace is read off
-    the reduced rows of A - lam."""
+    the reduced rows of A - lam, which one stacked elimination gives for a
+    chunk of roots at a time (each chunk of at most _STACK_CHUNK entries is
+    built only when its turn comes)."""
     r = len(rows)
     A = (B @ S % p)[rows]
     krylov = np.empty((r + 1, r), dtype=np.int64)
@@ -400,14 +421,21 @@ def _split_space(B: np.ndarray, S: np.ndarray, rows: np.ndarray,
         unit_row = np.zeros(1, dtype=np.int64)
         return [(lines[:, [j]], unit_row) for j in range(r)]
     out = []
-    for lam in roots:
-        R, piv = eliminate_mod_q(A - lam * np.eye(r, dtype=np.int64), p, 1)
-        pivots = [c for c, _ in piv]
-        free = np.setdiff1d(np.arange(r), pivots)
-        N = np.zeros((r, free.size), dtype=np.int64)
-        N[free, np.arange(free.size)] = 1
-        N[pivots] = -R[:, free] % p
-        out.append((S @ N % p, rows[free]))
+    diag = np.arange(r)
+    step = max(1, _STACK_CHUNK // (r * r))
+    for lo in range(0, len(roots), step):
+        lams = roots[lo:lo + step]
+        stack = np.broadcast_to(A, (len(lams), r, r)).copy()
+        stack[:, diag, diag] -= lams[:, None]
+        for R, piv in eliminate_stack_mod_p(stack, p):
+            pivots = [c for c, _ in piv]
+            free = np.ones(r, dtype=bool)
+            free[pivots] = False
+            free = np.flatnonzero(free)
+            N = np.zeros((r, free.size), dtype=np.int64)
+            N[free, np.arange(free.size)] = 1
+            N[pivots] = -R[:, free] % p
+            out.append((S @ N % p, rows[free]))
     check_invariant(sum(len(f) for _, f in out) == r, "eigenspace split lost dimensions")
     return out
 

@@ -75,6 +75,7 @@ class FiniteGroup:
         self._short_gens: tuple[int, ...] | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: np.ndarray | None = None
+        self._class_reps: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._word_tree = None
         self._abelianization = None
@@ -138,14 +139,17 @@ class FiniteGroup:
         return int(self.element_orders()[g])
 
     def _compute_orders(self) -> np.ndarray:
-        n = self.order
-        orders = np.zeros(n, dtype=np.int64)
-        for g in range(n):
-            k, x = 1, g
-            while x != 0:
-                x = self.mul(x, g)
-                k += 1
-            orders[g] = k
+        """One Cayley walk x <- x g for every g at once; g leaves the live
+        set at the step k where g^k = 1, within exp(G) steps."""
+        orders = np.ones(self.order, dtype=np.int64)
+        live = np.arange(1, self.order)
+        x, k = live, 1
+        while live.size:
+            k += 1
+            x = self.cayley[x, live]
+            done = x == 0
+            orders[live[done]] = k
+            live, x = live[~done], x[~done]
         return orders
 
     def exponent(self) -> int:
@@ -285,6 +289,13 @@ class FiniteGroup:
             self._compute_classes()
         return self._class_of
 
+    def class_representatives(self) -> np.ndarray:
+        """Read-only int64 array: the representative of each class, in
+        canonical class order."""
+        if self._class_of is None:
+            self._compute_classes()
+        return self._class_reps
+
     def class_index_of(self, g: int) -> int:
         return int(self.class_index()[g])
 
@@ -308,6 +319,8 @@ class FiniteGroup:
             classes.append(ConjugacyClass(representative=members[0], members=members))
             relabel[old_idx] = new_idx
         self._classes = classes
+        self._class_reps = np.array([c.representative for c in classes], dtype=np.int64)
+        self._class_reps.setflags(write=False)
         self._class_of = relabel[assigned]
         self._class_of.setflags(write=False)
 

@@ -198,6 +198,55 @@ def _echelon_block(M: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tupl
     return M[:r], piv
 
 
+def eliminate_stack_mod_p(M: np.ndarray, p: int) -> list[tuple[np.ndarray, list[tuple[int, int]]]]:
+    """eliminate_mod_q(M[b], p, 1) for every slice of a stack M[b] of
+    matrices, as one list of (R, pivots).
+
+    Over the field F_p the reduced row echelon form is unique, so each
+    column is one step over the whole stack: every slice with a nonzero
+    entry at or below its rank takes the first as pivot, swaps it up and
+    scales it to 1, and clears the column in all its other rows on the
+    trailing columns.  The update runs in place over the whole stack, with
+    zero multipliers in the slices that have no pivot in the column, and is
+    reduced mod p only where it is read: the pivot row, and each column at
+    its own step, after which no update touches it.  An entry collects at
+    most one product below p^2 per pivot on its residue, so
+    min(rows, columns) + 1 such terms must stay below 2^63."""
+    M = np.asarray(M, dtype=np.int64) % p
+    b, m, ncols = M.shape
+    _require_int64(p, 1, min(m, ncols) + 1)
+    rank = np.zeros(b, dtype=np.int64)
+    pivot_cols = np.zeros((b, min(m, ncols)), dtype=np.int64)
+    below = np.arange(m)[None, :]
+    buf = np.empty_like(M)
+    for c in range(ncols):
+        col = M[:, :, c] % p
+        M[:, :, c] = col
+        hit = (col != 0) & (below >= rank[:, None])
+        has = hit.any(axis=1)
+        s = np.flatnonzero(has)
+        if not s.size:
+            continue
+        i, r = hit[s].argmax(axis=1), rank[s]
+        row = M[s, i] % p
+        M[s, i] = M[s, r]
+        inv = np.array([pow(x, -1, p) for x in row[:, c].tolist()], dtype=np.int64)
+        row = row * inv[:, None] % p
+        M[s, r] = row
+        f = M[:, :, c] * has[:, None]
+        f[s, r] = 0
+        pivot_rows = np.zeros((b, ncols - c), dtype=np.int64)
+        pivot_rows[s] = row[:, c:]
+        # rows from the rank on, the pivot row among them, are zero left of c
+        prod = buf[:, :, c:]
+        np.multiply(f[:, :, None], pivot_rows[:, None, :], out=prod)
+        M[:, :, c:] -= prod
+        pivot_cols[s, r] = c
+        rank[s] += 1
+    return [(M[t, :rank[t]], [(c, 0) for c in pivot_cols[t, :rank[t]].tolist()])
+            for t in range(b)]
+
+
 def _reduce_block_rows(B: np.ndarray, basis: np.ndarray, piv: list[tuple[int, int]],
                        p: int, q: int) -> np.ndarray:
     """B reduced against an echelon basis: each row's entry at a pivot

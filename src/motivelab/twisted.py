@@ -55,7 +55,7 @@ class TwistedGroupAlgebra:
         E = self.cocycle.table
         classes = G.conjugacy_classes()
         # every class at once: column c for the representative r of class c
-        r, c = np.array([cls.representative for cls in classes]), np.arange(len(classes))
+        r, c = G.class_representatives(), np.arange(len(classes))
         h, hi = np.arange(G.order)[:, None], G.inverses[:, None]
         hr = G.cayley[h, r]
         y = G.cayley[hr, hi]                                          # [h, c]
@@ -88,7 +88,7 @@ def alpha_regular(G: FiniteGroup, alpha: TwoCocycle) -> RegularityReport:
     g is regular when alpha(g, h) == alpha(h, g) for every h with gh == hg."""
     E = alpha.table
     regular = ((G.cayley != G.cayley.T) | (E == E.T)).all(axis=1)
-    flags = regular[[cls.representative for cls in G.conjugacy_classes()]]
+    flags = regular[G.class_representatives()]
     check_invariant((flags[G.class_index()] == regular).all(),
                     "regularity must be constant on a conjugacy class")
     return RegularityReport(tuple(flags.tolist()), int(flags.sum()))

@@ -14,6 +14,7 @@ from motivelab import characters, twisted
 from motivelab.characters import (
     VirtualCharacter,
     _canonical_table,
+    _power_classes,
     character_table,
     decompose_class_function,
     idempotents,
@@ -511,6 +512,14 @@ def test_multiplicities_out_of_range_fail():
             dataclasses.replace(table, multiplicities=W).verify_orthogonality()
 
 
+def test_orthogonality_refuses_sums_beyond_exact_float64():
+    """The float64 matmuls are exact while e |G| d^2 < 2^53: S4 (e = 12,
+    d <= 3) with an order of 2^50 claimed is past it and refused."""
+    table = character_table(symmetric_group(4))
+    with pytest.raises(InvariantViolation, match="2\\^53"):
+        dataclasses.replace(table, order=1 << 50).verify_orthogonality()
+
+
 def test_dropped_group_is_freed_and_its_table_still_works():
     """The group caches its table and the table keeps no reference back, so
     no reference cycle keeps a dropped group (and its Cayley table) alive, and
@@ -574,6 +583,7 @@ SPLIT_GOLDEN = {
     "S3xS4": "4d31683b47c4401f",
     "E16xS3": "9eaa4aa9784e1493",
     "C100": "bed41187ceb115d4",
+    "D64": "65ec7c1aba85df09",
 }
 
 
@@ -581,8 +591,9 @@ SPLIT_GOLDEN = {
 @pytest.mark.parametrize("make", [lambda: symmetric_group(6), lambda: dihedral_group(48),
                                   lambda: product_group(symmetric_group(3), symmetric_group(4)),
                                   lambda: product_group(elementary_abelian_group(2, 4),
-                                                        symmetric_group(3))],
-                         ids=["S6", "D48", "S3xS4", "E16xS3"])
+                                                        symmetric_group(3)),
+                                  lambda: dihedral_group(64)],
+                         ids=["S6", "D48", "S3xS4", "E16xS3", "D64"])
 def test_dixon_split_unchanged(monkeypatch, make, seed):
     calls = _recorded_splits(monkeypatch, characters)
     G = make()
@@ -595,21 +606,37 @@ def test_dixon_split_unchanged(monkeypatch, make, seed):
 def test_split_cluster_path(monkeypatch):
     """E16xS3 has 48 classes but Dixon's prime is 31: no draw can separate
     48 eigenvalues in F_31, so eigenspaces are read off reduced rows over
-    several rounds."""
+    several rounds, every root's A - lam in one stacked elimination."""
     calls = _recorded_splits(monkeypatch, characters)
-    eliminate, eliminations = characters.eliminate_mod_q, []
+    eliminate, stacks = characters.eliminate_stack_mod_p, []
 
-    def counting(A, p, a):
-        eliminations.append(A.shape)
-        return eliminate(A, p, a)
+    def counting(M, p):
+        stacks.append(M.shape)
+        return eliminate(M, p)
 
-    monkeypatch.setattr(characters, "eliminate_mod_q", counting)
+    monkeypatch.setattr(characters, "eliminate_stack_mod_p", counting)
     G = product_group(elementary_abelian_group(2, 4), symmetric_group(3))
     character_table(G)
     [((a, _, n, p, _), out)] = calls
     assert p == 31 and len(out) == 48
-    assert eliminations and eliminations[0] == (48, 48)
+    assert stacks and stacks[0][1:] == (48, 48)
     _check_central_characters(a, n, p, out)
+
+
+@pytest.mark.parametrize("chunk", [1, 3 * 19 * 19, 3 * 48 * 48])
+@pytest.mark.parametrize("make", [lambda: dihedral_group(64),
+                                  lambda: product_group(elementary_abelian_group(2, 4),
+                                                        symmetric_group(3))],
+                         ids=["D64", "E16xS3"])
+def test_split_chunks_do_not_show(monkeypatch, make, chunk):
+    """One root per stacked elimination, or three on a space of dimension 19
+    or 48, splits in the same order as the default chunk."""
+    calls = _recorded_splits(monkeypatch, characters)
+    character_table(make(), 3)
+    monkeypatch.setattr(characters, "_STACK_CHUNK", chunk)
+    character_table(make(), 3)
+    [(_, default), (_, chunked)] = calls
+    assert chunked == default
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -622,12 +649,25 @@ def test_split_line_path(monkeypatch, seed):
     def refuse(*args):
         raise AssertionError("the line path eliminates no A - lam")
 
-    monkeypatch.setattr(characters, "eliminate_mod_q", refuse)
+    monkeypatch.setattr(characters, "eliminate_stack_mod_p", refuse)
     C = cyclic_group(100)
     assert wedderburn_dims(build_twisted(C, TwoCocycle.trivial(C, 100)), seed).dims == (1,) * 100
     [((a, _, n, p, _), out)] = calls
     assert _split_sha(out) == SPLIT_GOLDEN["C100"]
     _check_central_characters(a, n, p, out)
+
+
+@pytest.mark.parametrize("G", _golden_groups() + _large_golden_groups(), ids=lambda G: G.label)
+def test_power_classes_match_the_power_loop(G):
+    """The Cayley walk of Dixon's table gives the class of r^t for t below
+    the order of each representative r, as G.power does one at a time."""
+    reps = G.class_representatives()
+    orders = G.element_orders()[reps]
+    for o in np.unique(orders).tolist():
+        rs = reps[orders == o]
+        want = [[G.class_index_of(G.power(int(r), t)) for t in range(o)] for r in rs]
+        got = _power_classes(G, rs, o)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def _poly_product(factors, p):

@@ -140,6 +140,47 @@ def test_conjugacy_against_brute_force():
         assert got == brute_classes(G)
 
 
+def loop_orders(G):
+    """The order of each element by repeated multiplication, one at a time."""
+    orders = []
+    for g in G.elements():
+        k, x = 1, g
+        while x != 0:
+            x = G.mul(x, g)
+            k += 1
+        orders.append(k)
+    return orders
+
+
+_ORDER_GROUPS = {
+    "Q8": lambda: group_from_permutations(8, [[1, 2, 3, 0, 5, 6, 7, 4], [4, 7, 6, 5, 2, 1, 0, 3]]),
+    "S6": lambda: symmetric_group(6),
+    "D64": lambda: dihedral_group(64),
+    "C96": lambda: cyclic_group(96),
+    "E32": lambda: elementary_abelian_group(2, 5),
+    "A5": lambda: group_from_permutations(5, [[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]),
+    "C1": lambda: cyclic_group(1),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORDER_GROUPS))
+def test_element_orders_match_the_multiplication_loop(name):
+    G = _ORDER_GROUPS[name]()
+    orders = G.element_orders()
+    assert orders.dtype == np.int64 and not orders.flags.writeable
+    assert orders.tolist() == loop_orders(G)
+
+
+@pytest.mark.parametrize("name", list(_ORDER_GROUPS))
+def test_class_representatives_are_cached_and_read_only(name):
+    G = _ORDER_GROUPS[name]()
+    reps = G.class_representatives()
+    assert reps is G.class_representatives()
+    assert reps.dtype == np.int64 and not reps.flags.writeable
+    assert reps.tolist() == [c.representative for c in G.conjugacy_classes()]
+    assert G.class_index()[reps].tolist() == list(range(len(reps)))
+
+
 def test_cyclic_4_singleton_classes():
     G = cyclic_group(4)
     assert [c.members for c in G.conjugacy_classes()] == [(0,), (1,), (2,), (3,)]

@@ -10,6 +10,7 @@ from motivelab.intlinalg import (
     crt_zip,
     diagonalize_mod_q,
     eliminate_mod_q,
+    eliminate_stack_mod_p,
     in_span_mod,
     invert_mod_q,
     kernel_mod_q,
@@ -304,6 +305,56 @@ def test_eliminate_mod_q_spans():
         from motivelab.intlinalg import _reduce_block_rows
         residual = _reduce_block_rows(A.copy(), basis, piv, p, q)
         assert not residual.any()
+
+
+def _stacks(p, rng):
+    """Seeded stacks mod p: random, unreduced and wide, rank-deficient (also
+    40 x 40 of rank 30, where unreduced pivot rows would wrap int64 at the
+    largest p), zero, identity, one slice, 1 x 1, and a mix of all kinds in
+    one stack."""
+    square = rng.integers(0, p, size=(5, 6, 6))
+    low = rng.integers(0, p, size=(4, 7, 2)) @ rng.integers(0, p, size=(4, 2, 5))
+    yield square
+    yield rng.integers(0, p, size=(2, 40, 30)) @ rng.integers(0, p, size=(2, 30, 40)) % p
+    yield rng.integers(-p * p, p * p, size=(3, 4, 7))
+    yield low
+    yield np.zeros((3, 4, 4), dtype=np.int64)
+    yield np.broadcast_to(np.eye(5, dtype=np.int64), (2, 5, 5))
+    yield rng.integers(0, p, size=(1, 8, 3))
+    yield rng.integers(0, p, size=(6, 1, 1))
+    shifted = square[0] - rng.integers(0, p, size=4)[:, None, None] * np.eye(6, dtype=np.int64)
+    yield np.stack([square[1], np.zeros((6, 6), dtype=np.int64), rng.integers(0, p, size=(6, 2)) @ rng.integers(0, p, size=(2, 6)),
+                    np.eye(6, dtype=np.int64), *shifted])
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 97, 18433, 1465231])
+def test_stacked_elimination_is_the_per_slice_elimination(p):
+    """Every slice's (R, pivots) equals eliminate_mod_q(slice, p, 1) bit for
+    bit, the input is left as it was, and a stack split in two gives the
+    same list as the whole."""
+    rng = np.random.default_rng(p)
+    for M in _stacks(p, rng):
+        before = M.copy()
+        out = eliminate_stack_mod_p(M, p)
+        assert np.array_equal(M, before) and len(out) == len(M)
+        for (R, piv), A in zip(out, M):
+            want, want_piv = eliminate_mod_q(A, p, 1)
+            assert R.dtype == np.int64 and R.shape == want.shape
+            assert np.array_equal(R, want) and piv == want_piv
+        cut = len(M) // 2
+        halves = eliminate_stack_mod_p(M[:cut], p) + eliminate_stack_mod_p(M[cut:], p)
+        assert all(np.array_equal(R, S) and piv == spiv
+                   for (R, piv), (S, spiv) in zip(out, halves))
+
+
+def test_stacked_elimination_refuses_sums_beyond_int64():
+    """An entry collects one product below p^2 per pivot: with p = 2^31 - 1
+    a 1 x 1 slice is exact, three pivots are not."""
+    p = (1 << 31) - 1
+    [(R, piv)] = eliminate_stack_mod_p(np.full((1, 1, 1), p + 5, dtype=np.int64), p)
+    assert R.tolist() == [[1]] and piv == [(0, 0)]
+    with pytest.raises(BadModulus):
+        eliminate_stack_mod_p(np.ones((1, 3, 3), dtype=np.int64), p)
 
 
 def test_primary_slots():
