@@ -28,7 +28,6 @@ from .cocycles import (
     central_pairing_cocycle,
     class_arith,
     class_of,
-    cocycle_space,
     cocycle_validate,
     is_cohomologous,
     schur_multiplier,

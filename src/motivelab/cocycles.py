@@ -37,7 +37,7 @@ the new blocks only on the current kernel's generators, never again on all
 free coordinates.  The multiplier is the certified kernel K modulo the |S|
 gauge-fixed coboundaries d(w.c), w(g) the generator counts of the tree word
 of g (Reidemeister-Schreier), and the gauge-fixed carries, diagonalized at
-the size of K.  cocycle_space adds every coboundary to K.
+the size of K.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ from .groups import FiniteGroup, Subgroup, abelianization, same_group
 from .intlinalg import (
     coeffs_in_basis,
     crt_idempotent,
-    crt_zip,
     diagonalize_mod_q,
     eliminate_mod_q,
-    in_span_mod,
     invert_mod_q,
     kernel_mod_q,
     merge_primary,
@@ -75,7 +73,6 @@ from .intlinalg import (
     solve_mod,
 )
 
-COCYCLE_SPACE_GUARD = 4096          # |G|^2 bound for full-table bases
 SCHUR_DEFAULT_MAX_ORDER = 48
 _FIRST_BATCH = 4                    # identity blocks before the first certificate
 _CERTIFICATE_CHUNK = 1 << 21        # |G|^2 x rows table entries per certificate chunk
@@ -429,53 +426,44 @@ def _gauge_fixed_kernel(recon: _Reconstruction, p: int, a: int) -> np.ndarray:
         K = kernel_mod_q(C, p, a) @ K % q
 
 
-def _solution_basis(recon: _Reconstruction, p: int, a: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Reduced basis of the normalized cocycle space in generator
-    coordinates: the gauge-fixed kernel plus the coboundaries span it, and
-    one elimination gives the basis, which depends only on the space."""
-    K = _gauge_fixed_kernel(recon, p, a)
-    full = np.zeros((len(K), recon.dim), dtype=np.int64)
-    full[:, recon.free] = K
-    cob = recon.coboundaries(np.eye(recon.group.order, dtype=np.int64)[:, 1:])
-    return eliminate_mod_q(np.vstack([full, cob.reshape(-1, recon.dim)]), p, a)
-
-
-# ---------------------------------------------------------------------------
-# Cocycle space as full tables
-# ---------------------------------------------------------------------------
-
-
-def cocycle_space(G: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of normalized Z^2(G, Z/n) on the |G|^2 table coordinates:
-    the reduced basis mod each p^a || n, joined row by row by crt_zip."""
-    require_modulus(n)
-    size = G.order * G.order
-    if size > COCYCLE_SPACE_GUARD:
-        raise SizeBound(f"|G|^2 = {size} exceeds {COCYCLE_SPACE_GUARD}")
-    if n == 1 or G.order == 1:
-        return ()
-    recon = _Reconstruction(G)
-    parts = []
-    for p, a in prime_power_factors(n):
-        q = p ** a
-        basis, _ = _solution_basis(recon, p, a)
-        parts.append((q, [recon.expand(x, q).reshape(-1) for x in basis]))
-    return crt_zip(parts, n, size)
-
-
-def cocycle_in_space(space: Sequence[Sequence[int]], alpha: TwoCocycle) -> bool:
-    """Membership of alpha in the space cocycle_space(alpha.group, alpha.modulus)."""
-    return in_span_mod(space, alpha.table.ravel().tolist(), alpha.modulus)
-
-
 def random_cocycle(G: FiniteGroup, n: int, rng: np.random.Generator) -> TwoCocycle:
-    """A random element of the normalized cocycle space (seeded)."""
-    space = cocycle_space(G, n)
+    """A uniform random normalized cocycle mod n (seeded): expand(sum c_i K_i)
+    + dh, with K the gauge-fixed kernel mod each p^a || n, c uniform mod p^a,
+    the primes joined by their CRT idempotents, and h uniform on G with
+    h(1) = 0.  Every cocycle is Y + dh with Y gauge-fixed (gauge_fix), so
+    (c, h) -> alpha is a surjective homomorphism and the draw is uniform on
+    Z^2(G, Z/n).  BadModulus for n outside [1, 2^62), before n is factored,
+    and for an odd p^a || n too large for the exact int64 core."""
+    if n >= MODULUS_BOUND:
+        raise BadModulus(f"cocycle modulus must be below 2^62, got {n}")
+    require_modulus(n)
     size = G.order
-    acc = np.zeros(size * size, dtype=np.int64)
-    for row in space:
-        acc = (acc + int(rng.integers(0, n)) * np.asarray(row, dtype=np.int64)) % n
-    return TwoCocycle._trusted(G, n, acc.reshape(size, size))
+    acc = np.zeros((size, size), dtype=np.int64)
+    # the trivial group has only the zero cocycle, and no word tree to solve on
+    recon = _Reconstruction(G) if size > 1 else None
+    for p, a in prime_power_factors(n) if recon else ():
+        q = p ** a
+        K = _gauge_fixed_kernel(recon, p, a)
+        x = np.zeros(recon.dim, dtype=np.int64)
+        # c @ K is exact mod q: for odd p kernel_mod_q has refused q unless its
+        # width, at least |K|, times q^2 is below 2^63, and for p = 2 the int64
+        # sum wraps mod 2^64, a multiple of q
+        x[recon.free] = rng.integers(0, q, size=len(K)) @ K % q
+        part = recon.expand(x, q)
+        e = crt_idempotent(n, q)
+        if (n - 1) * (n - 1) < 1 << 63:
+            acc = (acc + e * part % n) % n
+        else:
+            # e_q times a residue can pass 2^63: exact in Python integers
+            acc = ((acc.astype(object) + e * part.astype(object)) % n).astype(np.int64)
+    h = rng.integers(0, n, size=size)
+    h[0] = 0
+    # every term is reduced mod n < 2^62: the sum lies in (-n, 2n), no wrap
+    table = (h[:, None] + h) % n
+    table -= h[G.cayley]
+    table += acc
+    table %= n
+    return TwoCocycle._trusted(G, n, table)
 
 
 # ---------------------------------------------------------------------------

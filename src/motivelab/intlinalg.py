@@ -459,15 +459,3 @@ def solve_mod(A, b: Sequence[int], n: int) -> ModSolution:
     if not np.array_equal(check, bvec.astype(object)):
         raise Unsolvable("inconsistent system")
     return ModSolution(n, tuple(int(x) for x in particular), crt_zip(kernels, n, c))
-
-
-def in_span_mod(rows, v: Sequence[int], n: int) -> bool:
-    """Whether v lies in the Z/n-row span of rows, decided mod each p^a || n."""
-    require_modulus(n)
-    v = np.asarray(v, dtype=np.int64)
-    R = np.asarray(rows, dtype=np.int64).reshape(-1, v.size)
-    for p, a in prime_power_factors(n):
-        basis, piv = eliminate_mod_q(R, p, a)
-        if coeffs_in_basis(basis, piv, v, p, a) is None:
-            return False
-    return True

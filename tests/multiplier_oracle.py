@@ -6,6 +6,9 @@ eliminated mod p^a; its kernel is read off a diagonalization and reduced
 once more.  No gauge is fixed and nothing is certified: every constraint
 is in the system.
 
+_solution_basis is the library's side of the comparison: the certified
+gauge-fixed kernel plus every coboundary, eliminated once.
+
 FullBasisMultiplier reads H^2(G, C^x) off that whole basis, with every
 coboundary and the carry of every character as relations.
 
@@ -18,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from motivelab.cocycles import CoboundaryWitness
+from motivelab.cocycles import CoboundaryWitness, _gauge_fixed_kernel
 from motivelab.errors import Unsolvable
 from motivelab.groups import abelianization
 from motivelab.intlinalg import (
@@ -86,6 +89,18 @@ def solution_basis(recon, p, a):
     return eliminate_mod_q(np.array(gens, dtype=np.int64), p, a)
 
 
+def _solution_basis(recon, p, a):
+    """Reduced basis of the normalized cocycle space in generator
+    coordinates: the certified gauge-fixed kernel plus the coboundaries span
+    it, and one elimination gives the basis, which depends only on the
+    space."""
+    K = _gauge_fixed_kernel(recon, p, a)
+    full = np.zeros((len(K), recon.dim), dtype=np.int64)
+    full[:, recon.free] = K
+    cob = recon.coboundaries(np.eye(recon.group.order, dtype=np.int64)[:, 1:])
+    return eliminate_mod_q(np.vstack([full, cob.reshape(-1, recon.dim)]), p, a)
+
+
 def coboundary_xvecs(recon, q):
     """Generator-row restrictions of the coboundaries d_h, h != 1, entry by entry."""
     G = recon.group
@@ -139,7 +154,7 @@ class FullBasisMultiplier:
     are the relations, diagonalized at the rank r of the basis."""
 
     def __init__(self, G):
-        from motivelab.cocycles import _Reconstruction, _solution_basis
+        from motivelab.cocycles import _Reconstruction
         self.group = G
         self.recon = recon = _Reconstruction(G)
         self.components = []

@@ -12,8 +12,6 @@ from motivelab.cocycles import (
     central_pairing_cocycle,
     class_arith,
     class_of,
-    cocycle_in_space,
-    cocycle_space,
     cocycle_validate,
     is_cohomologous,
     random_cocycle,
@@ -35,7 +33,6 @@ from motivelab.groups import (
     product_group,
     symmetric_group,
 )
-from motivelab.intlinalg import in_span_mod
 
 
 def _valid(alpha):
@@ -268,50 +265,78 @@ def test_trusted_operations_yield_cocycles():
     assert all(_valid(alpha) for alpha in M.section)
 
 
-def test_cocycle_space_trivial_group():
-    space = cocycle_space(cyclic_group(1), 5)
-    assert space == ()
+def _brute_force_cocycles(G, n):
+    """Every valid normalized table mod n, by enumerating the entries off
+    the identity row and column."""
+    k = G.order - 1
+    out = set()
+    for entries in itertools.product(range(n), repeat=k * k):
+        table = np.zeros((G.order, G.order), dtype=np.int64)
+        table[1:, 1:] = np.reshape(entries, (k, k))
+        if cocycle_validate(G, n, table).ok:
+            out.add(table.tobytes())
+    return out
 
 
-def test_cocycle_space_c2_size_two():
-    space = cocycle_space(cyclic_group(2), 2)
-    assert len(space) == 1
-    # the whole space: trivial table and the nontrivial one
-    assert list(space[0]) == [0, 0, 0, 1]
-
-
-def test_cocycle_space_contains_pairing():
-    alpha = central_pairing_cocycle(cyclic_group(2))
-    space = cocycle_space(alpha.group, 2)
-    assert cocycle_in_space(space, alpha)
-
-
-def test_cocycle_space_contains_random_members():
+def test_random_cocycle_covers_c2xc2_uniformly():
+    """On C2 x C2 mod 2 seeded draws hit exactly the 16 valid normalized
+    tables among the 2^9, each about 4000 / 16 = 250 times (sd 15)."""
+    G = elementary_abelian_group(2, 2)
+    valid = _brute_force_cocycles(G, 2)
+    assert len(valid) == 16
     rng = np.random.default_rng(0)
-    for G in (cyclic_group(4), symmetric_group(3), elementary_abelian_group(2, 2)):
-        n = G.order
-        space = cocycle_space(G, n)
-        for _ in range(10):
-            alpha = random_cocycle(G, n, rng)
-            assert _valid(alpha)
-            assert cocycle_in_space(space, alpha)
+    counts = {}
+    for _ in range(4000):
+        key = random_cocycle(G, 2, rng).table.tobytes()
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) == valid
+    assert all(175 <= c <= 325 for c in counts.values()), sorted(counts.values())
 
 
-def test_cocycle_space_composite_modulus_spans_every_cocycle():
-    # the zipped generators mod 6 must reach every cocycle on S3 mod 6:
-    # each sum of a mod-2 and a mod-3 cocycle, built from the prime spaces
-    G = symmetric_group(3)
-    space = cocycle_space(G, 6)
+def test_random_cocycle_composite_modulus_reaches_every_value():
+    """Z^2(C2, Z/6) is all of Z/6 in the entry e(1, 1): the draws, joined
+    from the primes 2 and 3, reach every value."""
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        a2 = random_cocycle(G, 2, rng).promote(6)
-        a3 = random_cocycle(G, 3, rng).promote(6)
-        assert cocycle_in_space(space, a2.mul(a3))
+    G = cyclic_group(2)
+    seen = {int(random_cocycle(G, 6, rng).table[1, 1]) for _ in range(60)}
+    assert seen == set(range(6))
+
+
+def test_random_cocycle_trivial_group_and_modulus():
+    assert random_cocycle(cyclic_group(1), 5, np.random.default_rng(0)).table.tolist() == [[0]]
+    G = symmetric_group(3)
+    assert random_cocycle(G, 1, np.random.default_rng(0)) == TwoCocycle.trivial(G, 1)
+
+
+def test_broken_composite_table_is_not_a_cocycle():
+    G = symmetric_group(3)
     broken = [list(r) for r in TwoCocycle.trivial(G, 6).table]
     broken[1][2] = 1
-    assert not in_span_mod(space, [x for row in broken for x in row], 6)
     with pytest.raises(NotACocycle):
         TwoCocycle.from_exponents(G, 6, broken)
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral_group(66), lambda: symmetric_group(5)],
+                         ids=["D66", "S5"])
+def test_random_cocycle_above_order_64(make):
+    """Draws need no full-table basis, so groups past |G|^2 = 4096 draw too."""
+    G = make()
+    rng = np.random.default_rng(3)
+    for n in (2, G.order):
+        for _ in range(3):
+            alpha = random_cocycle(G, n, rng)
+            assert alpha.modulus == n and _valid(alpha)
+
+
+@pytest.mark.parametrize("n", [3 * 2**41, 2**61, 98415])
+def test_random_cocycle_at_large_moduli_is_valid(n):
+    """Composite moduli past 2^31.5 join the primes exactly: products e_q
+    times a residue would wrap int64."""
+    rng = np.random.default_rng(5)
+    for G in (cyclic_group(4), symmetric_group(3), dihedral_group(8)):
+        for _ in range(20):
+            alpha = random_cocycle(G, n, rng)
+            assert alpha.modulus == n and _valid(alpha)
 
 
 def test_bad_modulus_is_typed():
@@ -319,18 +344,14 @@ def test_bad_modulus_is_typed():
     for n in (0, -2, 2**64):
         with pytest.raises(BadModulus):
             TwoCocycle.trivial(G, n)
+    for n in (0, -2, 2**62, 2**62 + 1, 2**64):
         with pytest.raises(BadModulus):
-            cocycle_space(G, n)
+            random_cocycle(G, n, np.random.default_rng(0))
 
 
 def test_central_pairing_needs_abelian_group():
     with pytest.raises(NotAbelian):
         central_pairing_cocycle(symmetric_group(3))
-
-
-def test_cocycle_space_guard():
-    with pytest.raises(SizeBound):
-        cocycle_space(dihedral_group(256), 2)
 
 
 def test_is_cohomologous_reflexive():
@@ -778,14 +799,6 @@ def test_alternating_groups_via_permutations():
     assert schur_multiplier(A5, max_group_order=60).invariant_factors == (2,)
 
 
-def test_cocycle_space_composite_modulus():
-    space = cocycle_space(cyclic_group(2), 6)
-    # one free entry, unconstrained: the space is all of Z/6
-    assert len(space) == 1
-    nontrivial = TwoCocycle.from_exponents(cyclic_group(2), 6, [[0, 0], [0, 5]])
-    assert cocycle_in_space(space, nontrivial)
-
-
 def _a4():
     from motivelab.groups import group_from_permutations
     return group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
@@ -951,9 +964,9 @@ _SOLVE_BATTERY = {
 def test_solution_basis_matches_full_system(name):
     """The certified gauge-fixed solve returns the reduced basis and pivots
     of the full |S||G|^2-row system, bit for bit, for every prime of |G|."""
-    from motivelab.cocycles import _Reconstruction, _solution_basis
+    from motivelab.cocycles import _Reconstruction
     from motivelab.intlinalg import prime_power_factors
-    from multiplier_oracle import solution_basis
+    from multiplier_oracle import _solution_basis, solution_basis
     G = _SOLVE_BATTERY[name]()
     recon = _Reconstruction(G)
     for p, a in prime_power_factors(G.order):
@@ -969,7 +982,7 @@ def test_reconstruction_maps_match_entrywise_references(name):
     array passes agree with the entry-by-entry forms and with rows of the
     dense reconstruction tensor."""
     import multiplier_oracle
-    from motivelab.cocycles import _Reconstruction, _solution_basis
+    from motivelab.cocycles import _Reconstruction
     G = _SOLVE_BATTERY[name]()
     recon = _Reconstruction(G)
     free = recon.free
@@ -981,7 +994,7 @@ def test_reconstruction_maps_match_entrywise_references(name):
         assert np.array_equal(recon.blocks(np.arange(len(free)), q),
                               dense.reshape(-1, len(free)))
     p, a = 2, 3 if G.order % 8 == 0 else 1
-    basis, _ = _solution_basis(recon, p, a)
+    basis, _ = multiplier_oracle._solution_basis(recon, p, a)
     for x in basis:
         table = recon.expand(x, p ** a)
         assert np.array_equal(table, multiplier_oracle.expand(recon, x, p ** a))
@@ -1000,8 +1013,8 @@ def test_certificate_adds_blocks_until_nothing_is_violated(monkeypatch, make, p,
     basis is still the full system's.  S5 is certified by its first four
     blocks, so it starts from one here."""
     from motivelab import cocycles
-    from motivelab.cocycles import _Reconstruction, _solution_basis
-    from multiplier_oracle import solution_basis
+    from motivelab.cocycles import _Reconstruction
+    from multiplier_oracle import _solution_basis, solution_basis
     if first_batch is not None:
         monkeypatch.setattr(cocycles, "_FIRST_BATCH", first_batch)
     recon = _Reconstruction(make())
