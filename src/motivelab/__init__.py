@@ -19,15 +19,13 @@ from .groups import (
     coset_space,
     abelianization,
 )
-from .cyclotomic import Cyclotomic, cyclo_arith
+from .cyclotomic import Cyclotomic
 from .intlinalg import solve_mod
 from .cocycles import (
     TwoCocycle,
     CohomClass,
     SchurMultiplier,
     central_pairing_cocycle,
-    class_arith,
-    class_of,
     cocycle_validate,
     is_cohomologous,
     schur_multiplier,
@@ -42,7 +40,6 @@ from .characters import (
     permutation_character,
     rank,
     restrict,
-    rr_arith,
 )
 from .twisted import (
     TwistedGroupAlgebra,

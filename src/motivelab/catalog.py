@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cocycles import SCHUR_DEFAULT_MAX_ORDER, CohomClass, SchurMultiplier, schur_multiplier
+from .cocycles import SCHUR_DEFAULT_MAX_ORDER, schur_multiplier
 from .errors import InconsistentAction, ParamRange, UnknownEntry, check_invariant
 from .groups import FiniteGroup, Subgroup
 from .motives import Block, CollectionSpec
@@ -179,16 +179,6 @@ def _opt_pairs(x):
     return None if x is None else tuple((int(a), int(b)) for a, b in x)
 
 
-def _class_from_coords(M: SchurMultiplier, coords: tuple[int, ...]) -> CohomClass:
-    if not coords:
-        return M.trivial_class()
-    if len(coords) != len(M.invariant_factors):
-        raise InconsistentAction(
-            f"class coordinates {coords} do not match the multiplier "
-            f"{M.describe()}")
-    return M.class_from_coords(coords)
-
-
 def instantiate(entry: CatalogEntry, action: ActionSpec,
                 max_group_order: int = SCHUR_DEFAULT_MAX_ORDER) -> CollectionSpec:
     """Build the collection blocks the action induces on the entry."""
@@ -217,7 +207,7 @@ def instantiate(entry: CatalogEntry, action: ActionSpec,
                 raise InconsistentAction(
                     f"{entry.name} needs {entry.special_slots} special classes")
             for coords in classes:
-                blocks.append(Block(1, full, _class_from_coords(M, tuple(coords))))
+                blocks.append(Block(1, full, M.class_from_coords(coords)))
 
     if entry.point_slots:
         if action.point_orbits:
@@ -233,7 +223,7 @@ def instantiate(entry: CatalogEntry, action: ActionSpec,
             for _ in range(entry.point_slots):
                 blocks.append(Block(1, full, M.trivial_class()))
 
-    base = _class_from_coords(M, tuple(action.line_class))
+    base = M.class_from_coords(action.line_class)
     for r in entry.line_powers:
         blocks.append(Block(1, full, base.power(r)))
     return CollectionSpec(G, tuple(blocks))

@@ -4,8 +4,9 @@ Tables are computed by Dixon's modular method: class-sum structure constants
 are diagonalized over F_p for a prime p = 1 (mod exp(G)), p > 2*sqrt(|G|),
 and character values are lifted to exact cyclotomics through the discrete
 logarithm of a fixed primitive root of unity mod p.  Abelian groups take a
-direct dual-group path.  The table is canonicalized by sorting rows, so the
-splitting seed never shows in the output.
+direct dual-group path.  The split draws from random.Random(0), and the
+table is canonicalized by sorting rows, so the splitting order never shows
+in the output.
 
 The split runs on the Z/p^a core at a = 1 (`intlinalg`).  Each eigenspace
 is a basis S with S[rows] = I, so a random combination B restricts to
@@ -53,7 +54,13 @@ from .errors import (
     check_invariant,
 )
 from .groups import FiniteGroup, Subgroup, abelianization, coset_space, same_group
-from .intlinalg import eliminate_stack_mod_p, invert_mod_q, kernel_mod_q
+from .intlinalg import (
+    eliminate_stack_mod_p,
+    invert_mod_q,
+    is_prime,
+    kernel_mod_q,
+    prime_power_factors,
+)
 
 PRIME_SEARCH_LIMIT = 1_000_000
 # split_class_algebra multiplies k x k matrices of residues mod p with int64
@@ -83,12 +90,6 @@ class CharacterTable:
     @property
     def num_irreducibles(self) -> int:
         return len(self.irreducibles)
-
-    def class_sizes(self) -> list[int]:
-        return list(self.sizes)
-
-    def value(self, irrep: int, class_index: int) -> Cyclotomic:
-        return self.irreducibles[irrep][class_index]
 
     def verify_orthogonality(self) -> None:
         """Exact first orthogonality of rows, as one pass over V in exact
@@ -133,14 +134,14 @@ class CharacterTable:
         return N
 
 
-def character_table(G: FiniteGroup, seed: int = 0) -> CharacterTable:
+def character_table(G: FiniteGroup) -> CharacterTable:
     cached = getattr(G, "_char_table", None)
     if cached is not None:
         return cached
     if G.is_abelian():
         table = _abelian_table(G)
     else:
-        table = _dixon_table(G, seed)
+        table = _dixon_table(G)
     check_invariant(sum(d * d for d in table.degrees) == G.order, "degree sum check failed")
     if table.num_irreducibles <= _ORTHOGONALITY_CHECK_BOUND:
         table.verify_orthogonality()
@@ -192,54 +193,21 @@ def _find_prime(e: int, lower: int, limit: int = PRIME_SEARCH_LIMIT) -> int:
     """The least prime p = 1 (mod e) with lower < p < limit."""
     p = e + 1
     while p < limit:
-        if p > lower and _is_prime(p):
+        if p > lower and is_prime(p):
             return p
         p += e
     raise PrimeSearchFailed(f"no prime = 1 mod {e} above {lower} below {limit}")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primitive_root(p: int) -> int:
-    factors = set()
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
+    factors = [f for f, _ in prime_power_factors(p - 1)]
     for g in range(1, p):  # 1 only for p = 2, where p - 1 has no prime factor
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise PrimeSearchFailed("no primitive root found")
 
 
-def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
+def _dixon_table(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes()
     k = len(classes)
     n = G.order
@@ -258,8 +226,7 @@ def _dixon_table(G: FiniteGroup, seed: int) -> CharacterTable:
 
     # the stdlib generator spares the table build the import of numpy.random
     # (about 6 MB of resident memory)
-    rng = random.Random(seed)
-    chars = split_class_algebra(a, inv_class, n, p, rng)
+    chars = split_class_algebra(a, inv_class, n, p, random.Random(0))
     degrees = [d for _, d in chars]
     d = np.array(degrees, dtype=np.int64)
     # chi_i(c) = d_i omega_i(c) / |c| in F_p; p < 2^20 keeps products below 2^60
@@ -481,10 +448,6 @@ class VirtualCharacter:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @staticmethod
-    def from_coeffs(G: FiniteGroup, coeffs) -> "VirtualCharacter":
-        return VirtualCharacter(G, tuple(Fraction(c) for c in coeffs))
-
-    @staticmethod
     def irreducible(G: FiniteGroup, i: int) -> "VirtualCharacter":
         k = character_table(G).num_irreducibles
         return VirtualCharacter(G, tuple(Fraction(1 if j == i else 0) for j in range(k)))
@@ -568,14 +531,6 @@ def _trivial_index(table: CharacterTable) -> int:
     raise InvariantViolation("trivial character missing from the table")
 
 
-def rr_arith(op: str, a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
-    if op == "add":
-        return a.add(b)
-    if op == "mul":
-        return a.mul(b)
-    raise ValueError(f"unknown representation-ring operation {op!r}")
-
-
 def rank(a: VirtualCharacter) -> Fraction:
     """Value at the identity: the rank homomorphism R(G) -> Z."""
     table = character_table(a.group)
@@ -615,7 +570,7 @@ def decompose_class_function(G: FiniteGroup, values: list[Cyclotomic],
     products; raises NonIntegralCharacter for non-integral outputs unless
     rationals are allowed."""
     table = character_table(G)
-    sizes = table.class_sizes()
+    sizes = table.sizes
     n = G.order
     coeffs = []
     for row in table.irreducibles:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success (all asserted checks passed), 1 = input/usage error,
 2 = a validation or consistency check failed.  JSON output is deterministic
-given the inputs and seed.
+given the inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .characters import character_table
 from .cocycles import (
     TwoCocycle,
     cocycle_validate,
-    class_arith,
     schur_multiplier,
     SCHUR_DEFAULT_MAX_ORDER,
 )
@@ -30,6 +29,7 @@ from .errors import (
     NotASubgroup,
     WrongShape,
     json_integer,
+    json_integer_lists,
     json_integers,
 )
 from .groups import FiniteGroup, Subgroup, construct_group
@@ -86,17 +86,21 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
         else:
             raise ValueError(f"unknown action {raw!r}")
     raw = _object(raw, "action")
+
+    def rows(value, where):
+        return map(tuple, json_integer_lists(value, where))
+
+    def pairs(value, where):
+        return json_integers(value, where, pairs=True)
+
     return ActionSpec(
         G,
-        line_class=tuple(raw.get("line_class", ())),
-        special_classes=tuple(tuple(c) for c in raw.get("special_classes", ())),
-        special_orbit=(tuple(raw["special_orbit"])
-                       if raw.get("special_orbit") is not None else None),
-        point_orbits=tuple(tuple(o) for o in raw.get("point_orbits", ())),
-        fixed_locus=(tuple(json_integers(raw["fixed_locus"], "action field 'fixed_locus'"))
-                     if raw.get("fixed_locus") is not None else None),
-        sectors=(tuple(json_integers(raw["sectors"], "action field 'sectors'", pairs=True))
-                 if raw.get("sectors") is not None else None),
+        line_class=_optional(raw, "line_class", "action field"),
+        special_classes=_optional(raw, "special_classes", "action field", rows),
+        special_orbit=_optional(raw, "special_orbit", "action field", default=None),
+        point_orbits=_optional(raw, "point_orbits", "action field", rows),
+        fixed_locus=_optional(raw, "fixed_locus", "action field", default=None),
+        sectors=_optional(raw, "sectors", "action field", pairs, None),
     )
 
 
@@ -109,23 +113,18 @@ def cocycle_fields(path: str, G: FiniteGroup | None = None) -> tuple:
     return group, modulus, _field(data, "exponents", where)
 
 
-def load_cocycle(path: str, G: FiniteGroup | None = None) -> TwoCocycle:
-    return TwoCocycle.from_exponents(*cocycle_fields(path, G))
-
-
 def collection_spec_from_json(G: FiniteGroup, data,
                               max_group_order: int = SCHUR_DEFAULT_MAX_ORDER):
     from .motives import Block, CollectionSpec
     M = schur_multiplier(G, max_group_order)
     blocks = []
     for b in _field(data, "blocks", "collection"):
-        members = _object(b, "collection block").get("stabilizer")
-        H = (Subgroup(G, tuple(json_integers(members, "collection block 'stabilizer'")))
-             if members is not None else G.full_subgroup())
+        members = _optional(_object(b, "collection block"), "stabilizer", "collection block",
+                            default=None)
+        H = Subgroup(G, members) if members is not None else G.full_subgroup()
         cls = None
         if H.is_whole_group():
-            coords = b.get("cocycle_class")
-            cls = M.class_from_coords(tuple(coords)) if coords else M.trivial_class()
+            cls = M.class_from_coords(_optional(b, "cocycle_class", "collection block"))
         length = json_integer(_field(b, "length", "collection block"), "collection block 'length'")
         blocks.append(Block(length, H, cls))
     return CollectionSpec(G, tuple(blocks))
@@ -133,8 +132,11 @@ def collection_spec_from_json(G: FiniteGroup, data,
 
 def load_symbol(G: FiniteGroup, data):
     if "product" in _object(data, "symbol"):
-        a, b = data["product"]
-        return ProductSymbol(load_symbol(G, a), load_symbol(G, b))
+        factors = data["product"]
+        if not (isinstance(factors, list) and len(factors) == 2):
+            raise WrongShape("symbol field 'product' must be a list of two symbols, "
+                             f"not {json.dumps(factors)[:40]}")
+        return ProductSymbol(*(load_symbol(G, f) for f in factors))
     if "collection" in data:
         from .measures import CollectionSymbol
         spec = collection_spec_from_json(G, data["collection"])
@@ -167,10 +169,10 @@ def skeleton_from_json(G: FiniteGroup, atoms,
     for a in atoms:
         kind = _field(a, "kind", "atom")
         if kind == "twisted_unit":
-            out.append(twisted_unit(M.class_from_coords(tuple(a.get("class", ())))
-                                    if a.get("class") else M.trivial_class()))
+            out.append(twisted_unit(M.class_from_coords(_optional(a, "class", "atom"))))
         elif kind == "induced":
-            members = _field(a, "stabilizer", "induced atom")
+            members = json_integers(_field(a, "stabilizer", "induced atom"),
+                                    "induced atom 'stabilizer'")
             out.append(induced_atom(Subgroup(G, tuple(members)), M))
         else:
             raise ValueError(f"unknown atom kind {kind!r}")
@@ -232,7 +234,7 @@ def cmd_schur(args) -> int:
 
 def cmd_chartable(args) -> int:
     G = parse_group_arg(args.group)
-    table = character_table(G, seed=args.seed)
+    table = character_table(G)
     classes = G.conjugacy_classes()
     payload = {
         "group": G.label,
@@ -264,7 +266,7 @@ def cmd_cocycle(args) -> int:
         _emit(payload, args.json, "ok" if report.ok else f"FAIL: {report.message}")
         return 0 if report.ok else CHECK_FAILURE
     if args.action == "classify":
-        alpha = load_cocycle(args.files[0], G)
+        alpha = TwoCocycle(*cocycle_fields(args.files[0], G))
         M = schur_multiplier(alpha.group, args.max_order)
         cls = M.class_of(alpha)
         payload = {"invariant_factors": list(M.invariant_factors),
@@ -273,10 +275,10 @@ def cmd_cocycle(args) -> int:
               f"class {list(cls.coords)} in {M.describe()}")
         return 0
     if args.action == "mul":
-        a = load_cocycle(args.files[0], G)
-        b = load_cocycle(args.files[1], a.group)
+        a = TwoCocycle(*cocycle_fields(args.files[0], G))
+        b = TwoCocycle(*cocycle_fields(args.files[1], a.group))
         M = schur_multiplier(a.group, args.max_order)
-        cls = class_arith("mul", M.class_of(a), M.class_of(b))
+        cls = M.class_of(a).mul(M.class_of(b))
         payload = {"coordinates": list(cls.coords)}
         _emit(payload, args.json, f"product class {list(cls.coords)}")
         return 0
@@ -286,21 +288,19 @@ def cmd_cocycle(args) -> int:
 def cmd_twisted(args) -> int:
     G = parse_group_arg(args.group)
     if args.cocycle:
-        alpha = load_cocycle(args.cocycle, G)
+        alpha = TwoCocycle(*cocycle_fields(args.cocycle, G))
     elif args.cls is not None:
         M = schur_multiplier(G, args.max_order)
         coords = tuple(int(x) for x in args.cls.split(",")) if args.cls else ()
-        alpha = M.class_from_coords(coords).representative if coords \
-            else M.trivial_class().representative
+        alpha = M.class_from_coords(coords).representative
     else:
         alpha = TwoCocycle.trivial(G, G.order)
     algebra = build_twisted(G, alpha)
     reg = alpha_regular(G, alpha)
     center = center_basis(algebra)
-    profile = wedderburn_dims(algebra, seed=args.seed)
+    profile = wedderburn_dims(algebra)
     payload = {"group": G.label, "regular_classes": reg.count,
-               "center_dim": len(center), "dims": list(profile.dims),
-               "seed": args.seed}
+               "center_dim": len(center), "dims": list(profile.dims)}
     _emit(payload, args.json,
           f"{G.label}: {reg.count} regular classes, center dim {len(center)}, "
           f"block dims {list(profile.dims)}")
@@ -436,6 +436,13 @@ def _field(data, key: str, where: str, hint: str = ""):
     raise MissingField(f"{where} has no {key!r} field{hint}")
 
 
+def _optional(data: dict, key: str, where: str, parse=json_integers, default=()):
+    """data[key] from a JSON object, read by parse into a tuple (WrongShape
+    naming the field), or default when it is absent or null."""
+    value = data.get(key)
+    return default if value is None else tuple(parse(value, f"{where} {key!r}"))
+
+
 def cmd_selftest(args) -> int:
     failures, seconds = selftest_mod.run(fast=args.fast, verbose=not args.json)
     if args.json:
@@ -449,8 +456,6 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--seed", type=int, default=0,
-                        help="splitting order of the modular eigenspace searches")
     common.add_argument("--max-order", type=int, default=SCHUR_DEFAULT_MAX_ORDER,
                         help="group-order guard for multiplier computations")
     # the shared flags follow the subcommand; before it they are a usage error

@@ -51,6 +51,7 @@ import numpy as np
 from .errors import (
     BadModulus,
     GroupMismatch,
+    InconsistentAction,
     InvariantViolation,
     ModulusMismatch,
     NotACocycle,
@@ -122,13 +123,6 @@ class TwoCocycle:
     def trivial(G: FiniteGroup, modulus: int) -> "TwoCocycle":
         require_modulus(modulus)
         return TwoCocycle._trusted(G, modulus, np.zeros((G.order, G.order), dtype=np.int64))
-
-    @staticmethod
-    def from_exponents(G: FiniteGroup, modulus: int, table) -> "TwoCocycle":
-        return TwoCocycle(G, modulus, table)
-
-    def as_array(self) -> np.ndarray:
-        return self.table
 
     def promote(self, m: int) -> "TwoCocycle":
         """View the same mu_modulus-valued cocycle inside mu_m (modulus | m < 2^62)."""
@@ -499,7 +493,7 @@ def is_cohomologous(alpha: TwoCocycle, beta: TwoCocycle) -> CoboundaryWitness | 
     big = alpha.modulus * G.exponent()
     recon = _Reconstruction(G)
     W = G.word_counts()
-    x = alpha.promote(big).as_array() - beta.promote(big).as_array()
+    x = alpha.promote(big).table - beta.promote(big).table
     h, Y = recon.gauge_fix(x[None, recon.gens], big)
     T = recon.coboundaries(W).reshape(len(W.T), recon.dim)[:, recon.free]
     try:
@@ -522,7 +516,7 @@ def verify_witness(alpha: TwoCocycle, beta: TwoCocycle, w: CoboundaryWitness) ->
     if alpha.modulus != beta.modulus:
         raise ModulusMismatch("cocycle moduli differ")
     big = w.modulus
-    ea, eb = alpha.promote(big).as_array(), beta.promote(big).as_array()
+    ea, eb = alpha.promote(big).table, beta.promote(big).table
     if len(w.values) != G.order:
         return False
     d = np.array([int(v) % big for v in w.values], dtype=np.int64)
@@ -599,7 +593,7 @@ class SchurMultiplier:
         if self.modulus % alpha.modulus:
             raise ModulusMismatch(
                 f"modulus {alpha.modulus} does not divide {self.modulus}")
-        table = alpha.promote(self.modulus).as_array()
+        table = alpha.promote(self.modulus).table
         parts = []
         if self._components:
             x = self._recon.gauge_fix(table[None, self._recon.gens], self.modulus)[1][0]
@@ -620,8 +614,13 @@ class SchurMultiplier:
             int(c) % d for c, d in zip(coords, self.invariant_factors)), rep, self)
 
     def class_from_coords(self, coords: Sequence[int]) -> "CohomClass":
+        """The class with these coordinates; no coordinates at all name the
+        trivial class."""
+        if not coords:
+            coords = (0,) * len(self.invariant_factors)
         if len(coords) != len(self.invariant_factors):
-            raise ValueError("coordinate arity does not match invariant factors")
+            raise InconsistentAction(f"class coordinates {tuple(coords)} do not match "
+                                     f"the multiplier {self.describe()}")
         rep = TwoCocycle.trivial(self.group, self.modulus)
         for c, gen in zip(coords, self.section):
             if c:                       # a zero power adds nothing to the table
@@ -629,7 +628,7 @@ class SchurMultiplier:
         return self._class(coords, rep)
 
     def trivial_class(self) -> "CohomClass":
-        return self.class_from_coords((0,) * len(self.invariant_factors))
+        return self.class_from_coords(())
 
     def describe(self) -> str:
         if not self.invariant_factors:
@@ -737,20 +736,3 @@ class CohomClass:
     def key(self) -> tuple:
         return self.coords
 
-
-def class_arith(op: str, *args) -> CohomClass:
-    """Group operations on cohomology classes: mul, inv, pow."""
-    if op == "mul":
-        a, b = args
-        return a.mul(b)
-    if op == "inv":
-        (a,) = args
-        return a.inverse()
-    if op == "pow":
-        a, k = args
-        return a.power(int(k))
-    raise ValueError(f"unknown class operation {op!r}")
-
-
-def class_of(alpha: TwoCocycle, M: SchurMultiplier) -> CohomClass:
-    return M.class_of(alpha)

@@ -325,15 +325,3 @@ def _coerce(x) -> Cyclotomic:
         return Cyclotomic.from_rational(x)
     raise TypeError(f"cannot coerce {type(x)} into a cyclotomic value")
 
-
-def cyclo_arith(op: str, a: Cyclotomic, b: Cyclotomic | None = None) -> Cyclotomic:
-    """Dispatch for the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "conj":
-        return a.conjugate()
-    raise ValueError(f"unknown operation {op!r}")

@@ -125,7 +125,8 @@ class ParamRange(MotiveLabError):
 
 
 class InconsistentAction(MotiveLabError):
-    """An action description does not fit the entry's block structure."""
+    """An action does not fit the entry's block structure, or class
+    coordinates do not fit the multiplier."""
 
 
 class OddCohomology(MotiveLabError):
@@ -175,3 +176,10 @@ def json_integers(raw, where: str, pairs: bool = False) -> list:
     if pairs:
         return [(json_integer(a, where), json_integer(b, where)) for a, b in raw]
     return [json_integer(v, where) for v in raw]
+
+
+def json_integer_lists(raw, where: str) -> list:
+    """A JSON list of integer lists, or WrongShape naming the field."""
+    if not isinstance(raw, list):
+        raise WrongShape(f"{where} must be a list of integer lists, not {json.dumps(raw)[:40]}")
+    return [json_integers(r, where) for r in raw]

@@ -25,14 +25,14 @@ from .errors import (
     NotClosed,
     OrderBound,
     SizeBound,
-    WrongShape,
     check_invariant,
     json_integer,
-    json_integers,
+    json_integer_lists,
 )
 from .intlinalg import (
     diagonalize_mod_q,
     eliminate_mod_q,
+    is_prime,
     merge_primary,
     primary_slots,
     prime_power_factors,
@@ -48,6 +48,14 @@ def max_order() -> int:
     return int(os.environ.get("MOTIVELAB_MAX_ORDER", DEFAULT_MAX_ORDER))
 
 
+def _require_order(order: int, shown: str = "") -> None:
+    """OrderBound when a group of this order would pass the bound, the
+    message showing shown in place of the order; each constructor calls it
+    before any other work."""
+    if order > max_order():
+        raise OrderBound(f"order {shown or order} exceeds bound {max_order()}")
+
+
 class FiniteGroup:
     """A finite group materialized as an order x order Cayley table."""
 
@@ -59,8 +67,7 @@ class FiniteGroup:
             raise NotClosed("Cayley table must be square")
         if n == 0:
             raise NoIdentity("empty table")
-        if n > max_order():
-            raise OrderBound(f"order {n} exceeds bound {max_order()}")
+        _require_order(n)
         if table.min() < 0 or table.max() >= n:
             raise NotClosed("table entries out of element range")
         self.order = n
@@ -474,8 +481,7 @@ def _check_coset_space(G: FiniteGroup, H: Subgroup, space: CosetSpace) -> None:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise OrderBound("order must be positive")
-    if n > max_order():
-        raise OrderBound(f"order {n} exceeds bound {max_order()}")
+    _require_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, label=f"C{n}", gens=(1,) if n > 1 else ())
@@ -497,8 +503,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def dihedral_group(order: int) -> FiniteGroup:
     if order < 2 or order % 2:
         raise OrderBound("dihedral constructor needs an even order >= 2")
-    if order > max_order():
-        raise OrderBound(f"order {order} exceeds bound {max_order()}")
+    _require_order(order)
     n = order // 2
     table = np.zeros((order, order), dtype=np.int32)
     for e in (0, 1):
@@ -512,13 +517,14 @@ def dihedral_group(order: int) -> FiniteGroup:
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
-        raise OrderBound("p must be prime")
     if k < 1:
         raise OrderBound("k must be positive")
+    # p^k >= 2^k: past the bound's bit length k alone refuses, before p^k
+    # is built or p tested
+    _require_order(p ** min(k, max_order().bit_length() + 1), f"{p}^{k}")
+    if not is_prime(p):
+        raise OrderBound("p must be prime")
     order = p ** k
-    if order > max_order():
-        raise OrderBound(f"order {order} exceeds bound {max_order()}")
     idx = np.arange(order)
     digits = np.stack([(idx // p ** j) % p for j in range(k)], axis=1)
     table = np.zeros((order, order), dtype=np.int32)
@@ -531,8 +537,7 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
 
 def product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     order = a.order * b.order
-    if order > max_order():
-        raise OrderBound(f"order {order} exceeds bound {max_order()}")
+    _require_order(order)
     nb = b.order
     idx = np.arange(order)
     ai, bi = idx // nb, idx % nb
@@ -596,8 +601,8 @@ def group_from_permutations(degree: int, gens: Sequence[Sequence[int]]) -> Finit
         via, at = np.divmod(first[fresh], len(frontier))
         levels.append((via, len(perms) - len(frontier) + at))
         frontier = found[via, at]
-        if len(perms) + len(frontier) > max_order():
-            raise OrderBound(f"closure exceeds bound {max_order()}")
+        size = len(perms) + len(frontier)
+        _require_order(size, f"at least {size}")
         perms = np.vstack([perms, frontier])
         codes = np.concatenate([codes, new_codes[fresh]])
     order = np.argsort(codes)
@@ -647,10 +652,7 @@ def construct_group(spec) -> FiniteGroup:
         return json_integer(spec[key], f"group spec field '{key}'")
 
     def rows(key):
-        where = f"group spec field '{key}'"
-        if not isinstance(spec[key], list):
-            raise WrongShape(f"{where} must be a list of integer lists, not {spec[key]!r:.40}")
-        return [json_integers(r, where) for r in spec[key]]
+        return json_integer_lists(spec[key], f"group spec field '{key}'")
 
     if kind == "cyclic":
         return cyclic_group(param("n"))

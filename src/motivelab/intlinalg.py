@@ -21,40 +21,44 @@ import numpy as np
 from .errors import BadModulus, Unsolvable
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def inv_mod(a: int, n: int) -> int:
-    g, s, _ = xgcd(a % n, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    return s % n
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, deterministic for
+    n < 3.3 * 10^24 (every int64 modulus)."""
+    if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    s = ((n - 1) & (1 - n)).bit_length() - 1           # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_power_factors(n: int) -> list[tuple[int, int]]:
-    """Factor n as a list of (p, a) with p^a || n."""
+    """Factor n as a list of (p, a) with p^a || n, p ascending: trial
+    division, stopped as soon as the cofactor is prime."""
     out = []
     m = n
     p = 2
-    while p * p <= m:
+    prime = is_prime(m)
+    while not prime and p * p <= m:
         if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
             out.append((p, a))
+            prime = is_prime(m)
         p += 1 if p == 2 else 2
     if m > 1:
         out.append((m, 1))
@@ -79,7 +83,7 @@ def _require_int64(p: int, a: int, width: int = 1) -> None:
 def crt_idempotent(n: int, q: int) -> int:
     """e_q mod n for a prime power q || n: e_q == 1 mod q and 0 mod n/q."""
     m = n // q
-    return m * inv_mod(m % q, q) % n
+    return m * pow(m, -1, q) % n
 
 
 def crt_zip(parts: Sequence[tuple[int, Sequence[np.ndarray]]], n: int,
@@ -186,7 +190,7 @@ def _echelon_block(M: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[tupl
         pv = p ** v
         unit = int(M[r, c]) // pv
         if unit != 1:
-            M[r, c:] = _mod(M[r, c:] * inv_mod(unit, q), p, q)
+            M[r, c:] = _mod(M[r, c:] * pow(unit, -1, q), p, q)
         f = M[:, c] // pv if v else M[:, c].copy()
         f[r] = 0
         nz = f.nonzero()[0]
@@ -289,7 +293,7 @@ def diagonalize_mod_q(A: np.ndarray, p: int, a: int) -> tuple[np.ndarray, list[i
             V[:, [t, j]] = V[:, [j, t]]
         pv = p ** v
         unit = int(M[t, t]) // pv
-        ui = inv_mod(unit, q)
+        ui = pow(unit, -1, q)
         M[t] = M[t] * ui % q
         U[t] = U[t] * ui % q
         f = M[:, t] // pv

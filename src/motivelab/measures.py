@@ -32,7 +32,7 @@ from .motives import (
     decompose_collection,
     tensor_skeletons,
 )
-from .twisted import alpha_regular
+from .twisted import invariant_copies
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def blowup_check(X: K0VarExpr, Y: K0VarExpr, c: int, Bl: K0VarExpr,
 def _atom_unit_copies(atom: MotiveAtom) -> int:
     """Multiplicity of the base-field summand an additive invariant assigns."""
     if atom.kind == "unit":
-        return alpha_regular(atom.group, atom.unit_class.representative).count
+        return invariant_copies(atom.unit_class)
     sub, _ = atom.stabilizer.as_group()
     return len(sub.conjugacy_classes())
 

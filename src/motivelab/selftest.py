@@ -169,7 +169,7 @@ def check_central_type() -> None:
         reg = alpha_regular(G, alpha)
         check_invariant(reg.count == 1, f"{G.label}: {reg.count} regular classes")
         check_invariant(len(center_basis(algebra)) == 1, f"{G.label}: center is not C")
-        profile = wedderburn_dims(algebra, seed=0)
+        profile = wedderburn_dims(algebra)
         check_invariant(profile.dims == (expected_dim,), f"{G.label}: blocks {profile.dims}")
         check_invariant(sum(d * d for d in profile.dims) == G.order, f"{G.label}: sum d^2")
 
@@ -334,7 +334,7 @@ def property_suites(cases: int = 200, seed: int = 0) -> None:
             if n > 1:
                 check_invariant(not cocycle_validate(G, n, table).ok, f"{G.label}: broken cocycle")
                 try:
-                    TwoCocycle.from_exponents(G, n, table)
+                    TwoCocycle(G, n, table)
                     raise InvariantViolation(f"{G.label}: broken cocycle constructed")
                 except NotACocycle:
                     pass

@@ -117,7 +117,7 @@ def _check_central(G: FiniteGroup, alpha: TwoCocycle, supports: list[dict[int, i
     and x2 = tau^-1 y, x1 and x2 lie in the same support (or in none), and
     there t(x1) + alpha(x1, tau) == t(x2) + alpha(tau, x2) mod the modulus."""
     n = G.order
-    E = alpha.as_array()
+    E = alpha.table
     label = np.full(n, -1)
     t = np.zeros(n, dtype=np.int64)
     for i, support in enumerate(supports):
@@ -138,14 +138,14 @@ class WedderburnProfile:
     dims: tuple[int, ...]
 
 
-def wedderburn_dims(algebra: TwistedGroupAlgebra, seed: int = 0) -> WedderburnProfile:
+def wedderburn_dims(algebra: TwistedGroupAlgebra) -> WedderburnProfile:
     """Simple-block dimensions, exact: the alpha-projective character degrees.
     Summing the cocycle identity gives n alpha(g, h) = c(g) + c(h) - c(gh)
     (mod m) for n = |G|, c(g) = sum_h alpha(g, h); so e_g -> zeta_mn^c(g) u_g
     carries C^alpha G onto C^beta G, beta = (n alpha - dc) / m with values in
     mu_n whatever m is.  The structure constants of beta's twisted class sums
     lie in Z[zeta_n] and are split over F_p, p = 1 (mod n exp(G)) the least
-    prime above 2 sqrt|G|.  The seed only sets the splitting order."""
+    prime above 2 sqrt|G|, with draws from random.Random(0)."""
     G = algebra.group
     n = G.order
     if n > BLOCK_ORDER_GUARD:
@@ -181,7 +181,7 @@ def wedderburn_dims(algebra: TwistedGroupAlgebra, seed: int = 0) -> WedderburnPr
     a = np.zeros((k, k, k), dtype=np.int64)
     np.add.at(a, (label[x], label[y], l), zeta[(v // m % n).astype(np.int64)])
     partner = label[G.inverses[reps]].tolist()
-    dims = sorted(d for _, d in split_class_algebra(a, partner, n, p, random.Random(seed)))
+    dims = sorted(d for _, d in split_class_algebra(a, partner, n, p, random.Random(0)))
     check_invariant(sum(d * d for d in dims) == n, "block dimensions must square-sum to |G|")
     return WedderburnProfile(tuple(dims))
 

@@ -183,7 +183,7 @@ class FullBasisMultiplier:
 
     def project(self, alpha):
         """Coordinates of [alpha]: its generator rows in the basis, times V."""
-        x = alpha.promote(self.group.order).as_array()[self.recon.gens].reshape(-1)
+        x = alpha.promote(self.group.order).table[self.recon.gens].reshape(-1)
         parts = []
         for p, a, basis, piv, V, positions, factors in self.components:
             c = coeffs_in_basis(basis, piv, x, p, a)
@@ -209,8 +209,8 @@ def dense_is_cohomologous(alpha, beta):
     G = alpha.group
     n = G.order
     big = alpha.modulus * G.exponent()
-    ea = alpha.promote(big).as_array()
-    eb = beta.promote(big).as_array()
+    ea = alpha.promote(big).table
+    eb = beta.promote(big).table
     k = np.arange(n * n)
     rho, sigma = np.divmod(k, n)
     rows = np.zeros((n * n + 1, n), dtype=np.int64)

@@ -14,7 +14,7 @@ from motivelab.cyclotomic import Cyclotomic
 def cyclotomic_orthogonality(table):
     """The first pair (i, j), i <= j, whose inner product is not
     |G| delta_ij, or None when the rows are orthogonal."""
-    sizes = table.class_sizes()
+    sizes = table.sizes
     n = table.order
     k = table.num_irreducibles
     rows = table.irreducibles

@@ -22,7 +22,6 @@ from motivelab.characters import (
     permutation_character,
     rank,
     restrict,
-    rr_arith,
 )
 from motivelab.cocycles import TwoCocycle
 from motivelab.cyclotomic import Cyclotomic
@@ -82,26 +81,25 @@ def test_column_orthogonality():
     for G in (symmetric_group(3), dihedral_group(8)):
         table = character_table(G)
         k = table.num_irreducibles
-        sizes = table.class_sizes()
+        sizes = table.sizes
         for c1 in range(k):
             for c2 in range(k):
                 acc = Cyclotomic.zero(table.exponent)
                 for i in range(k):
-                    acc = acc + table.value(i, c1) * table.value(i, c2).conjugate()
+                    acc = acc + table.irreducibles[i][c1] * table.irreducibles[i][c2].conjugate()
                 expected = Fraction(G.order, sizes[c1]) if c1 == c2 else Fraction(0)
                 assert acc == Cyclotomic.from_rational(expected)
 
 
-def test_table_deterministic_across_seeds():
-    a = character_table(symmetric_group(4), seed=0)
-    b = character_table(symmetric_group(4), seed=12345)
-    # cached table is reused; compare from fresh groups
-    G2 = symmetric_group(4)
-    G2._char_table = None
-    c = character_table(G2, seed=999)
-    assert a.degrees == c.degrees
-    assert [[str(v) for v in row] for row in a.irreducibles] == \
-        [[str(v) for v in row] for row in c.irreducibles]
+def test_table_deterministic_across_seeds(split_seed):
+    a = character_table(symmetric_group(4))
+    # each fresh group builds its own table, its split drawn from another seed
+    for seed in (12345, 999):
+        split_seed(seed)
+        c = character_table(symmetric_group(4))
+        assert a.degrees == c.degrees
+        assert [[str(v) for v in row] for row in a.irreducibles] == \
+            [[str(v) for v in row] for row in c.irreducibles]
 
 
 def _s3_named():
@@ -133,8 +131,8 @@ def test_cyclic_ring_relation():
 
 def test_s3_relations():
     S3, one, sgn, psi = _s3_named()
-    assert rr_arith("mul", psi, psi) == one.add(sgn).add(psi)
-    assert rr_arith("mul", sgn, sgn) == one
+    assert psi.mul(psi) == one.add(sgn).add(psi)
+    assert sgn.mul(sgn) == one
 
 
 def test_unit_law_random():
@@ -142,7 +140,7 @@ def test_unit_law_random():
     S3, one, _, _ = _s3_named()
     for _ in range(20):
         coeffs = [int(c) for c in rng.integers(-3, 4, size=3)]
-        a = VirtualCharacter.from_coeffs(S3, coeffs)
+        a = VirtualCharacter(S3, coeffs)
         assert a.mul(one) == a
 
 
@@ -150,7 +148,7 @@ def test_mul_ring_laws_random():
     rng = np.random.default_rng(5)
     G = symmetric_group(3)
     for _ in range(15):
-        a, b, c = (VirtualCharacter.from_coeffs(G, [int(x) for x in
+        a, b, c = (VirtualCharacter(G, [int(x) for x in
                                                     rng.integers(-2, 3, size=3)])
                    for _ in range(3))
         assert a.mul(b) == b.mul(a)
@@ -172,8 +170,8 @@ def test_rank_is_ring_homomorphism():
     G = dihedral_group(8)
     k = character_table(G).num_irreducibles
     for _ in range(15):
-        a = VirtualCharacter.from_coeffs(G, [int(x) for x in rng.integers(-2, 3, size=k)])
-        b = VirtualCharacter.from_coeffs(G, [int(x) for x in rng.integers(-2, 3, size=k)])
+        a = VirtualCharacter(G, [int(x) for x in rng.integers(-2, 3, size=k)])
+        b = VirtualCharacter(G, [int(x) for x in rng.integers(-2, 3, size=k)])
         assert rank(a.add(b)) == rank(a) + rank(b)
         assert rank(a.mul(b)) == rank(a) * rank(b)
 
@@ -364,7 +362,7 @@ def test_rational_products_are_exact(G):
     for a in (idem.e_plus, idem.e_minus):
         for b in (idem.e_plus, idem.e_minus):
             assert a.mul(b).coeffs == _oracle_product(G, a, b)
-    third = VirtualCharacter.from_coeffs(G, [Fraction(i + 1, 3)
+    third = VirtualCharacter(G, [Fraction(i + 1, 3)
                                              for i in range(len(table.degrees))])
     assert third.mul(idem.e_minus).coeffs == _oracle_product(G, third, idem.e_minus)
 
@@ -535,7 +533,7 @@ def test_dropped_group_is_freed_and_its_table_still_works():
         gc.enable()
     H = symmetric_group(4)
     assert table.order == 24
-    assert table.class_sizes() == [c.size for c in H.conjugacy_classes()]
+    assert table.sizes == tuple(c.size for c in H.conjugacy_classes())
     table.verify_orthogonality()
     assert np.array_equal(table.structure_constants,
                           character_table(H).structure_constants)
@@ -594,10 +592,11 @@ SPLIT_GOLDEN = {
                                                         symmetric_group(3)),
                                   lambda: dihedral_group(64)],
                          ids=["S6", "D48", "S3xS4", "E16xS3", "D64"])
-def test_dixon_split_unchanged(monkeypatch, make, seed):
+def test_dixon_split_unchanged(monkeypatch, split_seed, make, seed):
+    split_seed(seed)
     calls = _recorded_splits(monkeypatch, characters)
     G = make()
-    character_table(G, seed)
+    character_table(G)
     [((a, _, n, p, _), out)] = calls
     assert _split_sha(out) == SPLIT_GOLDEN[G.label]
     _check_central_characters(a, n, p, out)
@@ -628,22 +627,24 @@ def test_split_cluster_path(monkeypatch):
                                   lambda: product_group(elementary_abelian_group(2, 4),
                                                         symmetric_group(3))],
                          ids=["D64", "E16xS3"])
-def test_split_chunks_do_not_show(monkeypatch, make, chunk):
+def test_split_chunks_do_not_show(monkeypatch, split_seed, make, chunk):
     """One root per stacked elimination, or three on a space of dimension 19
     or 48, splits in the same order as the default chunk."""
+    split_seed(3)
     calls = _recorded_splits(monkeypatch, characters)
-    character_table(make(), 3)
+    character_table(make())
     monkeypatch.setattr(characters, "_STACK_CHUNK", chunk)
-    character_table(make(), 3)
+    character_table(make())
     [(_, default), (_, chunked)] = calls
     assert chunked == default
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_split_line_path(monkeypatch, seed):
+def test_split_line_path(monkeypatch, split_seed, seed):
     """The trivial cocycle of C100: a first draw with 100 distinct
     eigenvalues gives every eigenline from one inverse, with no elimination
     of A - lam."""
+    split_seed(seed)
     calls = _recorded_splits(monkeypatch, twisted)
 
     def refuse(*args):
@@ -651,7 +652,7 @@ def test_split_line_path(monkeypatch, seed):
 
     monkeypatch.setattr(characters, "eliminate_stack_mod_p", refuse)
     C = cyclic_group(100)
-    assert wedderburn_dims(build_twisted(C, TwoCocycle.trivial(C, 100)), seed).dims == (1,) * 100
+    assert wedderburn_dims(build_twisted(C, TwoCocycle.trivial(C, 100))).dims == (1,) * 100
     [((a, _, n, p, _), out)] = calls
     assert _split_sha(out) == SPLIT_GOLDEN["C100"]
     _check_central_characters(a, n, p, out)

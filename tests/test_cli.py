@@ -227,7 +227,8 @@ def test_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("before, after", [
     (["--json"], ["schur", "--group", "dihedral:8", "--json"]),
     (["--max-order", "120"], ["schur", "--group", "symmetric:5", "--max-order", "120"]),
-    (["--seed", "3"], ["chartable", "--group", "symmetric:3", "--seed", "3"]),
+    (["--max-order", "24"], ["twisted", "--group", "symmetric:4", "--class", "1",
+                             "--max-order", "24"]),
 ])
 def test_shared_flags_follow_the_subcommand(capsys, before, after):
     """A shared flag before the subcommand is a usage error, not silently
@@ -236,6 +237,14 @@ def test_shared_flags_follow_the_subcommand(capsys, before, after):
     assert code == 1 and out == "" and "usage: motivelab" in err
     code, out, _ = run(capsys, *after)
     assert code == 0 and out
+
+
+def test_seed_is_a_usage_error(capsys):
+    """Tables and block dimensions take no splitting seed: their split
+    order never shows in the output."""
+    code, out, err = run(capsys, "chartable", "--group", "symmetric:3", "--seed", "3")
+    assert code == 1 and out == ""
+    assert "usage: motivelab" in err and "--seed" in err and "Traceback" not in err
 
 
 def test_selftest_fast(capsys):
@@ -274,7 +283,7 @@ def test_selftest_rows_raise_typed_errors(monkeypatch):
     from motivelab.twisted import WedderburnProfile
 
     monkeypatch.setattr(selftest, "wedderburn_dims",
-                        lambda algebra, seed=0: WedderburnProfile((1, 1, 1, 1)))
+                        lambda algebra: WedderburnProfile((1, 1, 1, 1)))
     with pytest.raises(InvariantViolation, match="blocks"):
         selftest.check_central_type()
 
@@ -428,3 +437,45 @@ def test_integer_list_fields_reject_other_values(tmp_path, capsys, argv, message
     code, _, err = run(capsys, *argv[:-1], last)
     assert code == 1
     assert message in err and "Traceback" not in err, err
+
+
+def _shape_inputs(tmp_path, field, value):
+    """argv whose JSON input holds value in the named field."""
+    def write(data):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(data))
+        return str(f)
+    if field in ("line_class", "special_classes", "point_orbits", "special_orbit"):
+        return ("motive", "decompose", "--group", "cyclic:2", "--catalog", "quadric_even:2",
+                "--action", json.dumps({field: value}))
+    if field in ("class", "stabilizer"):
+        atom = {"kind": "twisted_unit" if field == "class" else "induced", field: value}
+        return ("motive", "restrict", "--a", write({"group": "cyclic:2", "atoms": [atom]}))
+    if field == "product":
+        return ("measure", "factor-check", write({
+            "group": "cyclic:2", "symbol": {"product": value}, "fixed_locus": [1, 1]}))
+    return ("motive", "decompose", "--group", "cyclic:2", "--collection",
+            write({"blocks": [{"length": 1, field: value}]}))
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("line_class", 5, "action field 'line_class' must be a list of integers"),
+    ("line_class", [1.5], "action field 'line_class' must be an integer"),
+    ("special_classes", 5, "action field 'special_classes' must be a list of integer lists"),
+    ("special_classes", [5], "action field 'special_classes' must be a list of integers"),
+    ("point_orbits", [3], "action field 'point_orbits' must be a list of integers"),
+    ("special_orbit", 5, "action field 'special_orbit' must be a list of integers"),
+    ("class", 5, "atom 'class' must be a list of integers"),
+    ("stabilizer", 5, "induced atom 'stabilizer' must be a list of integers"),
+    ("product", 5, "symbol field 'product' must be a list of two symbols"),
+    ("product", [5, 5], "symbol must be a JSON object"),
+    ("cocycle_class", 5, "collection block 'cocycle_class' must be a list of integers"),
+])
+def test_json_fields_of_the_wrong_shape(tmp_path, capsys, field, value, error):
+    """Each list field of an action, a skeleton atom, a symbol or a
+    collection block that holds a number (or a float in place of an
+    integer) is WrongShape or NotAnObject, exit 1."""
+    code, out, err = run(capsys, *_shape_inputs(tmp_path, field, value))
+    assert code == 1 and out == ""
+    assert error in err and "Traceback" not in err, err
+

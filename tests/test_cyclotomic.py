@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from motivelab.cyclotomic import (
     Cyclotomic,
-    cyclo_arith,
     cyclotomic_polynomial,
     power_reduction_matrix,
     totient,
@@ -88,12 +87,12 @@ def test_conjugate_is_inverse_root():
         assert z * z.conjugate() == Cyclotomic.one()
 
 
-def test_cyclo_arith_dispatch():
+def test_field_operations_on_cube_roots():
     a, b = zeta(3), zeta(3, 2)
-    assert cyclo_arith("add", a, b) == Cyclotomic.from_rational(-1)
-    assert cyclo_arith("mul", a, b) == Cyclotomic.one()
-    assert cyclo_arith("inv", a) == b
-    assert cyclo_arith("conj", a) == b
+    assert a + b == Cyclotomic.from_rational(-1)
+    assert a * b == Cyclotomic.one()
+    assert a.inverse() == b
+    assert a.conjugate() == b
 
 
 def test_powers_and_division():

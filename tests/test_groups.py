@@ -342,6 +342,19 @@ def test_order_bound(monkeypatch):
     assert cyclic_group(11).order == 11
 
 
+def test_order_bound_comes_before_any_other_work():
+    """A prime p near 10^9 is refused by its order before any primality
+    test, and an exponent k past the bound's bit length before p^k is built."""
+    import time
+    for p, k in ((1000000007, 1), (1000000008, 1), (3, 10**9)):
+        t0 = time.perf_counter()
+        with pytest.raises(OrderBound, match=f"order {p}\\^{k} exceeds bound"):
+            elementary_abelian_group(p, k)
+        assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(OrderBound, match="p must be prime"):
+        elementary_abelian_group(9, 1)
+
+
 def test_subgroup_validation():
     G = symmetric_group(3)
     with pytest.raises(NotASubgroup):

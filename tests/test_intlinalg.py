@@ -4,7 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
+from motivelab.cocycles import random_cocycle
 from motivelab.errors import BadModulus, Unsolvable
+from motivelab.groups import cyclic_group
 from motivelab.intlinalg import (
     coeffs_in_basis,
     crt_idempotent,
@@ -13,25 +15,67 @@ from motivelab.intlinalg import (
     eliminate_mod_q,
     eliminate_stack_mod_p,
     invert_mod_q,
+    is_prime,
     kernel_mod_q,
     merge_primary,
     primary_slots,
     prime_power_factors,
     solve_mod,
-    xgcd,
 )
-
-
-def test_xgcd():
-    for a, b in [(12, 18), (0, 5), (7, 0), (-4, 6), (1, 1)]:
-        g, s, t = xgcd(a, b)
-        assert g == s * a + t * b
-        assert g >= 0
 
 
 def test_prime_power_factors():
     assert prime_power_factors(120) == [(2, 3), (3, 1), (5, 1)]
     assert prime_power_factors(1) == []
+
+
+def _trial_division(n):
+    """The factorization by trial division up to sqrt(n), cofactor last."""
+    out, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            out.append((p, a))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def test_prime_power_factors_match_trial_division():
+    """Stopping once the cofactor is prime changes no factorization: every
+    n below 3000, and seeded n below 10^9 with prime powers and large prime
+    cofactors among them."""
+    rng = np.random.default_rng(29)
+    ns = list(range(1, 3000)) + [int(x) for x in rng.integers(1, 10**9, size=300)]
+    ns += [2**30, 3**18, 2 * 999983, 999983 * 999979, 2**10 * 3**5 * 1000003]
+    for n in ns:
+        assert prime_power_factors(n) == _trial_division(n), n
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 5000):
+        assert is_prime(n) == (n > 1 and _trial_division(n) == [(n, 1)]), n
+    assert is_prime(2**61 - 1) and is_prime(2**50 - 27)
+    assert not is_prime(3215031751)          # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime((2**31 - 1) * (2**29 - 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_mod([[1]], [1], 2**50 - 27),
+    lambda: random_cocycle(cyclic_group(2), 2**50 - 27, np.random.default_rng(0)),
+], ids=["solve_mod", "random_cocycle"])
+def test_large_prime_modulus_refused_at_once(call):
+    """A prime modulus near 2^50 is factored by one primality test, not by
+    trial division up to its square root (about 2 s), and then refused."""
+    import time
+    t0 = time.perf_counter()
+    with pytest.raises(BadModulus, match="too large for exact int64"):
+        call()
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_crt_idempotent():

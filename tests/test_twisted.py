@@ -55,7 +55,7 @@ def test_build_rejects_corrupted_table():
     table = [list(r) for r in alpha.table]
     table[3][2] = (table[3][2] + 1) % 2
     with pytest.raises(NotACocycle):
-        build_twisted(alpha.group, TwoCocycle.from_exponents(alpha.group, 2, table))
+        build_twisted(alpha.group, TwoCocycle(alpha.group, 2, table))
 
 
 @pytest.mark.parametrize("n,entry", [(256, (17, 40)), (256, (50, 60)), (256, (11, 13)),
@@ -67,7 +67,7 @@ def test_entry_check_refuses_large_single_flips(n, entry):
     table = [[0] * n for _ in range(n)]
     table[entry[0]][entry[1]] = 1
     with pytest.raises(NotACocycle, match="cocycle identity fails"):
-        TwoCocycle.from_exponents(G, 2, table)
+        TwoCocycle(G, 2, table)
 
 
 def _central_by_loop(G, alpha, t):
@@ -162,7 +162,7 @@ def test_center_coboundary_shift_keeps_dimension():
     d = [0] + [int(rng.integers(0, n)) for _ in range(n - 1)]
     table = [[(d[r] + d[s] - d[G.mul(r, s)]) % n for s in G.elements()]
              for r in G.elements()]
-    algebra = build_twisted(G, TwoCocycle.from_exponents(G, n, table))
+    algebra = build_twisted(G, TwoCocycle(G, n, table))
     assert len(center_basis(algebra)) == len(G.conjugacy_classes())
 
 
@@ -186,11 +186,12 @@ def test_wedderburn_profiles():
         assert wedderburn_dims(build_twisted(C, TwoCocycle.trivial(C, n))).dims == (1,) * n
 
 
-def test_wedderburn_seed_stability():
+def test_wedderburn_seed_stability(split_seed):
     alpha = central_pairing_cocycle(cyclic_group(3))
     algebra = build_twisted(alpha.group, alpha)
     for seed in (0, 1, 17):
-        assert wedderburn_dims(algebra, seed=seed).dims == (3,)
+        split_seed(seed)
+        assert wedderburn_dims(algebra).dims == (3,)
 
 
 def test_wedderburn_guard():
@@ -206,7 +207,7 @@ def _shift_to_modulus(alpha, m, rng):
     d = [0] + [int(x) for x in rng.integers(0, m, size=G.order - 1)]
     table = [[(s * int(alpha.table[r, t]) + d[r] + d[t] - d[G.mul(r, t)]) % m
               for t in G.elements()] for r in G.elements()]
-    return TwoCocycle.from_exponents(G, m, table)
+    return TwoCocycle(G, m, table)
 
 
 @pytest.mark.parametrize("m", [2**20, 3 * 2**20, 10**12])
@@ -221,7 +222,7 @@ def test_wedderburn_modulus_above_group_order(m):
         classes = [M.trivial_class()] + [M.class_from_coords((1,) * k)] * bool(k)
         for cls in classes:
             alpha = _shift_to_modulus(cls.representative, m, rng)
-            E = alpha.as_array().ravel()
+            E = alpha.table.ravel()
             assert m // np.gcd.reduce(np.append(E, m)) > G.order
             dims = wedderburn_dims(build_twisted(G, alpha)).dims
             assert dims == spectral_dims(G, alpha)
@@ -278,13 +279,14 @@ def test_invariant_copies_depends_only_on_class():
         d = [0] + [int(rng.integers(0, n)) for _ in range(n - 1)]
         shift = [[(alpha.table[r][s] + d[r] + d[s] - d[G.mul(r, s)]) % n
                   for s in G.elements()] for r in G.elements()]
-        shifted = TwoCocycle.from_exponents(G, n, shift)
+        shifted = TwoCocycle(G, n, shift)
         assert M.class_of(shifted) == M.class_of(alpha)
         assert alpha_regular(G, shifted).count == base
 
 
-def test_center_equals_regular_equals_blocks_random():
+def test_center_equals_regular_equals_blocks_random(split_seed):
     rng = np.random.default_rng(12)
+    split_seed(1)
     for G in (cyclic_group(4), elementary_abelian_group(2, 2), dihedral_group(8),
               product_group(cyclic_group(2), cyclic_group(4)),
               elementary_abelian_group(2, 3), symmetric_group(3)):
@@ -294,14 +296,18 @@ def test_center_equals_regular_equals_blocks_random():
             algebra = build_twisted(G, alpha)
             reg = alpha_regular(G, alpha)
             dim = len(center_basis(algebra))
-            profile = wedderburn_dims(algebra, seed=1)
+            profile = wedderburn_dims(algebra)
             assert dim == reg.count == len(profile.dims)
             assert sum(d * d for d in profile.dims) == G.order
             assert profile.dims == spectral_dims(G, alpha, seed=1)
 
 
 def _class_rep(G, coords):
-    return schur_multiplier(G).class_from_coords(coords).representative
+    return schur_multiplier(G, G.order).class_from_coords(coords).representative
+
+
+def _a5():
+    return group_from_permutations(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
 
 
 def _c4xc4():
@@ -318,6 +324,9 @@ KNOWN_DIMS = {
     "C2xD8 class (1,1,0)": (lambda: _class_rep(product_group(cyclic_group(2), dihedral_group(8)),
                                                (1, 1, 0)), (4,)),
     "C4 central pairing": (lambda: central_pairing_cocycle(cyclic_group(4)), (4,)),
+    # the spin characters of the binary icosahedral group 2.A5 = SL(2, 5)
+    # (Schur 1911)
+    "A5 class 1": (lambda: _class_rep(_a5(), (1,)), (2, 2, 4, 6)),
 }
 
 
@@ -327,6 +336,15 @@ def test_wedderburn_known_values(name):
     alpha = make()
     assert wedderburn_dims(build_twisted(alpha.group, alpha)).dims == want
     assert spectral_dims(alpha.group, alpha) == want
+
+
+def test_s5_spin_blocks_match_the_literature():
+    """The nontrivial class of S5 has the degrees of the faithful characters
+    of its double covers 2.S5, (4, 4, 4, 6, 6) (Schur 1911).  Checked against
+    the literature only: the spectral oracle takes about a minute here."""
+    G = symmetric_group(5)
+    alpha = _class_rep(G, (1,))
+    assert wedderburn_dims(build_twisted(G, alpha)).dims == (4, 4, 4, 6, 6)
 
 
 def test_cluster_helpers_direct():
