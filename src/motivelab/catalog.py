@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .cocycles import SCHUR_DEFAULT_MAX_ORDER, schur_multiplier
-from .errors import InconsistentAction, ParamRange, UnknownEntry, check_invariant
+from .errors import InconsistentAction, ParamRange, UnknownEntry, check_invariant, comma_integers
 from .groups import FiniteGroup, Subgroup
 from .motives import Block, CollectionSpec
 
@@ -126,7 +126,7 @@ def parse_catalog_address(address: str) -> CatalogEntry:
     """Parse CLI-style addresses like projective_space:3 or grassmannian:2,4."""
     if ":" in address:
         name, raw = address.split(":", 1)
-        params = tuple(int(x) for x in raw.split(","))
+        params = comma_integers(raw, f"catalog parameters of {name!r}")
     else:
         name, params = address, ()
     return catalog_lookup(name, params)

@@ -28,6 +28,7 @@ from .errors import (
     NotAnObject,
     NotASubgroup,
     WrongShape,
+    comma_integers,
     json_integer,
     json_integer_lists,
     json_integers,
@@ -73,7 +74,7 @@ def parse_action(G: FiniteGroup, raw) -> ActionSpec:
         if raw == "trivial":
             return ActionSpec.trivial(G)
         if raw.startswith("swap:"):
-            members = tuple(int(x) for x in raw[5:].split(","))
+            members = comma_integers(raw[5:], f"action field {raw!r}")
             try:
                 Subgroup(G, members)
             except NotASubgroup as exc:
@@ -291,7 +292,7 @@ def cmd_twisted(args) -> int:
         alpha = TwoCocycle(*cocycle_fields(args.cocycle, G))
     elif args.cls is not None:
         M = schur_multiplier(G, args.max_order)
-        coords = tuple(int(x) for x in args.cls.split(",")) if args.cls else ()
+        coords = comma_integers(args.cls, "--class") if args.cls else ()
         alpha = M.class_from_coords(coords).representative
     else:
         alpha = TwoCocycle.trivial(G, G.order)

@@ -42,6 +42,7 @@ the size of K.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -121,26 +122,22 @@ class TwoCocycle:
 
     @staticmethod
     def trivial(G: FiniteGroup, modulus: int) -> "TwoCocycle":
-        require_modulus(modulus)
+        _require_cocycle_modulus(modulus)
         return TwoCocycle._trusted(G, modulus, np.zeros((G.order, G.order), dtype=np.int64))
 
     def promote(self, m: int) -> "TwoCocycle":
         """View the same mu_modulus-valued cocycle inside mu_m (modulus | m < 2^62)."""
-        if m >= MODULUS_BOUND:
-            raise BadModulus(f"cocycle modulus must be below 2^62, got {m}")
+        _require_cocycle_modulus(m)
         if m == self.modulus:
             return self
         if m % self.modulus:
-            raise ModulusMismatch("can only promote to a multiple of the modulus")
+            raise ModulusMismatch(f"modulus {self.modulus} does not divide {m}")
         return TwoCocycle._trusted(self.group, m, self.table * (m // self.modulus))
 
     # entries are below the modulus < 2^62, so the sum of two cannot wrap int64
 
     def mul(self, other: "TwoCocycle") -> "TwoCocycle":
-        if not same_group(self.group, other.group):
-            raise GroupMismatch("cocycles live on different groups")
-        if self.modulus != other.modulus:
-            raise ModulusMismatch("cocycle moduli differ")
+        _require_pair(self, other)
         return TwoCocycle._trusted(self.group, self.modulus,
                                    (self.table + other.table) % self.modulus)
 
@@ -148,13 +145,8 @@ class TwoCocycle:
         return TwoCocycle._trusted(self.group, self.modulus, -self.table % self.modulus)
 
     def power(self, k: int) -> "TwoCocycle":
-        n = self.modulus
-        k %= n
-        if (n - 1) * (n - 1) < 1 << 63:
-            return TwoCocycle._trusted(self.group, n, self.table * k % n)
-        # products of two residues can pass 2^63: exact in Python integers
-        return TwoCocycle._trusted(self.group, n,
-                                   (self.table.astype(object) * k % n).astype(np.int64))
+        return TwoCocycle._trusted(self.group, self.modulus,
+                                   _scale(self.table, k % self.modulus, self.modulus))
 
     def restrict(self, H: Subgroup) -> "TwoCocycle":
         """Restriction along a subgroup, on the subgroup's own numbering."""
@@ -178,13 +170,34 @@ def cocycle_validate(G: FiniteGroup, modulus: int, table) -> ValidationReport:
     return _first_failure(G, modulus, _exponent_array(G, modulus, table))
 
 
+def _require_cocycle_modulus(m: int) -> None:
+    """BadModulus unless 1 <= m < 2^62, the bound of every cocycle modulus."""
+    if m >= MODULUS_BOUND:
+        raise BadModulus(f"cocycle modulus must be below 2^62, got {m}")
+    require_modulus(m)
+
+
+def _scale(E: np.ndarray, k: int, n: int) -> np.ndarray:
+    """k E mod n for E and k reduced mod n < 2^62, exact: in Python integers
+    where a product of two residues can pass 2^63."""
+    if (n - 1) * (n - 1) < 1 << 63:
+        return E * k % n
+    return (E.astype(object) * k % n).astype(np.int64)
+
+
+def _require_pair(alpha: TwoCocycle, beta: TwoCocycle) -> None:
+    """GroupMismatch or ModulusMismatch unless alpha and beta share both."""
+    if not same_group(alpha.group, beta.group):
+        raise GroupMismatch("cocycles live on different groups")
+    if alpha.modulus != beta.modulus:
+        raise ModulusMismatch("cocycle moduli differ")
+
+
 def _exponent_array(G: FiniteGroup, modulus: int, table) -> np.ndarray:
     """The raw table reduced mod modulus, as a fresh int64 array: one array
     pass for a signed integer array (or a list of int64-sized integers),
     else entry by entry through int()."""
-    if modulus >= MODULUS_BOUND:
-        raise BadModulus(f"cocycle modulus must be below 2^62, got {modulus}")
-    require_modulus(modulus)
+    _require_cocycle_modulus(modulus)
     n, m = G.order, modulus
     try:
         E = np.asarray(table)
@@ -201,7 +214,8 @@ def _exponent_array(G: FiniteGroup, modulus: int, table) -> np.ndarray:
 
 
 def _violations(G: FiniteGroup, m: int, E: np.ndarray, tau: int) -> np.ndarray:
-    """bad[rho, sigma]: the cocycle identity at (tau, rho, sigma) fails mod m."""
+    """bad[rho, sigma]: the cocycle identity at (tau, rho, sigma) fails mod m,
+    for E reduced mod m; a trailing axis of E stacks tables, bad[rho, sigma, k]."""
     t = G.cayley
     # e(rho,sigma) + e(tau,rho sigma) - e(tau,rho) - e(tau rho,sigma), over reduced
     # entries, lies in (-2m, 2m): it is 0 mod m exactly when its absolute value is 0 or m
@@ -275,25 +289,24 @@ class _Reconstruction:
         n = G.order
         self.gens = gens
         self.dim = len(gens) * n
-        self.parent, self.tree_order = G.word_tree()
+        self.pos, self.parent, self.levels = G.word_tree()
         # the coordinates (pos, g') off the tree edges: the gauge-fixed unknowns
         tree = np.zeros(self.dim, dtype=bool)
-        for g in self.tree_order[1:]:
-            pos, gp = self.parent[g]
-            tree[pos * n + gp] = True
+        tree[(self.pos * n + self.parent)[1:]] = True
         self.free = np.flatnonzero(~tree)
 
     def tables(self, X: np.ndarray) -> np.ndarray:
         """E[g, sigma, k] = e_k(g, sigma), unreduced, for the generator-row
         vectors X[k], by e(s g', sigma) = e(g', sigma) + e(s, g' sigma) - e(s, g')
-        along the tree."""
+        along the tree, one level at a time."""
         n = self.group.order
         t = self.group.cayley
         rows = X.reshape(len(X), len(self.gens), n)
         E = np.zeros((n, n, len(X)), dtype=X.dtype)
-        for g in self.tree_order[1:]:
-            pos, gp = self.parent[g]
-            E[g] = E[gp] + rows[:, pos, t[gp]].T - rows[:, pos, gp]
+        for level in self.levels:
+            pos, gp = self.pos[level], self.parent[level]
+            E[level] = (E[gp] + rows[:, pos[:, None], t[gp]].transpose(1, 2, 0)
+                        - rows[:, pos, gp].T[:, None, :])
         return E
 
     def blocks(self, edges: np.ndarray, q: int) -> np.ndarray:
@@ -302,17 +315,22 @@ class _Reconstruction:
         edges (pos, rho) = divmod(free[k], |G|), k in edges.  Each is read off
         tree paths: e(g, sigma) sums x(s', g' sigma) - x(s', g') over the steps
         (s', g') from g to the root, so an identity is the path of rho, the
-        step (s, rho) itself, minus the path of s rho."""
+        step (s, rho) itself, minus the path of s rho.  All paths are walked
+        together, one tree level per step."""
         n = self.group.order
         t = self.group.cayley
-        steps = []                                       # (edge, sign, pos, g')
-        for k, (pos, rho) in enumerate(zip(*np.divmod(self.free[edges], n))):
-            steps.append((k, 1, pos, rho))
-            for g, sign in ((rho, 1), (t[self.gens[pos], rho], -1)):
-                while g:
-                    steps.append((k, sign, *self.parent[g]))
-                    g = self.parent[g][1]
-        k, sign, pos, gp = np.array(steps, dtype=np.int64).reshape(-1, 4).T
+        pos, rho = np.divmod(self.free[edges], n)
+        k = np.arange(len(edges))
+        steps = [(k, np.ones_like(k), pos, rho)]         # (edge, sign, pos, g')
+        # the paths of rho (sign 1) and of s rho (sign -1), one level per pass
+        k, sign = np.tile(k, 2), np.repeat([1, -1], len(edges))
+        g = np.concatenate([rho, t[self.gens[pos], rho]])
+        while g.any():
+            live = g != 0
+            k, sign, g = k[live], sign[live], g[live]
+            steps.append((k, sign, self.pos[g], self.parent[g]))
+            g = self.parent[g]
+        k, sign, pos, gp = (np.concatenate(c) for c in zip(*steps))
         # tree coordinates go to a last column that is dropped
         column = np.full(self.dim, len(self.free))
         column[self.free] = np.arange(len(self.free))
@@ -329,7 +347,6 @@ class _Reconstruction:
         with normalization these are all the identities with a generator
         first: InvariantViolation when normalization fails."""
         n = self.group.order
-        t = self.group.cayley
         full = np.zeros((len(X), self.dim), dtype=np.int64)
         full[:, self.free] = X % q
         if full[:, ::n].any():
@@ -339,23 +356,27 @@ class _Reconstruction:
         # the tested groups up to order 120 fit in one chunk
         step = max(1, _CERTIFICATE_CHUNK // (n * n))
         for lo in range(0, len(X), step):
-            chunk = full[lo:lo + step]
-            E = self.tables(chunk)
+            # E[s] is the generator row of s: its tree edge is (pos, identity)
+            E = self.tables(full[lo:lo + step])
             E %= q
             for pos, s in enumerate(self.gens):
-                xs = chunk[:, pos * n:(pos + 1) * n].T     # [h, k] = e_k(s, h)
-                R = E[t[s]]                    # in place: each term has |G|^2 |chunk| entries
-                np.subtract(E, R, out=R)
-                R += xs[t]
-                R -= xs[:, None, :]
-                # four terms reduced mod q: R lies in (-2q, 2q), and is 0 mod q
-                # exactly when its absolute value is 0 or q
-                np.abs(R, out=R)
-                bad[pos * n:(pos + 1) * n, lo:lo + step] = ((R != 0) & (R != q)).any(axis=1)
+                bad[pos * n:(pos + 1) * n, lo:lo + step] = _violations(
+                    self.group, q, E, s).any(axis=1)
         return bad[self.free].T
 
     def expand(self, x: np.ndarray, q: int) -> np.ndarray:
         return self.tables(x[None].astype(np.int64))[:, :, 0] % q
+
+    def join(self, parts, n: int) -> np.ndarray:
+        """The table sum_q e_q expand(y_q) mod n over the pairs (q, y_q), y_q
+        on the free coordinates and e_q the CRT idempotent of q || n."""
+        acc = np.zeros((self.group.order, self.group.order), dtype=np.int64)
+        for q, y in parts:
+            x = np.zeros(self.dim, dtype=np.int64)
+            x[self.free] = y
+            # two residues mod n < 2^62 sum without wrapping
+            acc = (acc + _scale(self.expand(x, q), crt_idempotent(n, q), n)) % n
+        return acc
 
     def coboundaries(self, F: np.ndarray) -> np.ndarray:
         """Generator rows [c, pos, h'] of the coboundaries of the columns f of
@@ -371,9 +392,9 @@ class _Reconstruction:
         vanishes on the tree edges.  Reduced at every step, nothing wraps."""
         n = self.group.order
         h = np.zeros((len(X), n), dtype=np.int64)
-        for g in self.tree_order[1:]:
-            pos, gp = self.parent[g]
-            h[:, g] = (h[:, gp] - X[:, pos, gp]) % N
+        for level in self.levels:
+            gp = self.parent[level]
+            h[:, level] = (h[:, gp] - X[:, self.pos[level], gp]) % N
         Y = X - h[:, None, :] + h[:, self.group.cayley[self.gens]]
         return h, Y.reshape(len(X), self.dim)[:, self.free] % N
 
@@ -428,28 +449,21 @@ def random_cocycle(G: FiniteGroup, n: int, rng: np.random.Generator) -> TwoCocyc
     (c, h) -> alpha is a surjective homomorphism and the draw is uniform on
     Z^2(G, Z/n).  BadModulus for n outside [1, 2^62), before n is factored,
     and for an odd p^a || n too large for the exact int64 core."""
-    if n >= MODULUS_BOUND:
-        raise BadModulus(f"cocycle modulus must be below 2^62, got {n}")
-    require_modulus(n)
+    _require_cocycle_modulus(n)
     size = G.order
-    acc = np.zeros((size, size), dtype=np.int64)
     # the trivial group has only the zero cocycle, and no word tree to solve on
-    recon = _Reconstruction(G) if size > 1 else None
-    for p, a in prime_power_factors(n) if recon else ():
-        q = p ** a
-        K = _gauge_fixed_kernel(recon, p, a)
-        x = np.zeros(recon.dim, dtype=np.int64)
-        # c @ K is exact mod q: for odd p kernel_mod_q has refused q unless its
-        # width, at least |K|, times q^2 is below 2^63, and for p = 2 the int64
-        # sum wraps mod 2^64, a multiple of q
-        x[recon.free] = rng.integers(0, q, size=len(K)) @ K % q
-        part = recon.expand(x, q)
-        e = crt_idempotent(n, q)
-        if (n - 1) * (n - 1) < 1 << 63:
-            acc = (acc + e * part % n) % n
-        else:
-            # e_q times a residue can pass 2^63: exact in Python integers
-            acc = ((acc.astype(object) + e * part.astype(object)) % n).astype(np.int64)
+    acc = 0
+    if size > 1:
+        recon = _Reconstruction(G)
+        parts = []
+        for p, a in prime_power_factors(n):
+            q = p ** a
+            K = _gauge_fixed_kernel(recon, p, a)
+            # c @ K is exact mod q: for odd p kernel_mod_q has refused q unless
+            # its width, at least |K|, times q^2 is below 2^63, and for p = 2 the
+            # int64 sum wraps mod 2^64, a multiple of q
+            parts.append((q, rng.integers(0, q, size=len(K)) @ K % q))
+        acc = recon.join(parts, n)
     h = rng.integers(0, n, size=size)
     h[0] = 0
     # every term is reduced mod n < 2^62: the sum lies in (-n, 2n), no wrap
@@ -486,10 +500,7 @@ def is_cohomologous(alpha: TwoCocycle, beta: TwoCocycle) -> CoboundaryWitness | 
     the |S| tree coboundaries d(w_c) c_c: then delta = h + W c, W the word
     counts, since a normalized cocycle is fixed by its generator rows."""
     G = alpha.group
-    if not same_group(G, beta.group):
-        raise GroupMismatch("cocycles live on different groups")
-    if alpha.modulus != beta.modulus:
-        raise ModulusMismatch("cocycle moduli differ")
+    _require_pair(alpha, beta)
     big = alpha.modulus * G.exponent()
     recon = _Reconstruction(G)
     W = G.word_counts()
@@ -510,11 +521,8 @@ def verify_witness(alpha: TwoCocycle, beta: TwoCocycle, w: CoboundaryWitness) ->
     delta(rho sigma) + alpha(rho, sigma) = delta(sigma) + delta(rho) +
     beta(rho, sigma) mod w.modulus on every pair, checked in one array pass.
     A witness with other than |G| values is not one."""
+    _require_pair(alpha, beta)
     G = alpha.group
-    if not same_group(G, beta.group):
-        raise GroupMismatch("cocycles live on different groups")
-    if alpha.modulus != beta.modulus:
-        raise ModulusMismatch("cocycle moduli differ")
     big = w.modulus
     ea, eb = alpha.promote(big).table, beta.promote(big).table
     if len(w.values) != G.order:
@@ -564,35 +572,22 @@ class SchurMultiplier:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
     def _section_cocycle(self, slot, Vinv: list[np.ndarray | None]) -> TwoCocycle:
-        n = self.modulus
-        G = self.group
-        acc = np.zeros((G.order, G.order), dtype=np.int64)
-        for ci, t in slot:
-            comp = self._components[ci]
-            q = comp.q
-            x = np.zeros(self._recon.dim, dtype=np.int64)
-            x[self._recon.free] = Vinv[ci][comp.positions[t]] @ comp.basis
-            table = self._recon.expand(x, q)
-            acc = (acc + crt_idempotent(n, q) * table) % n
-        return TwoCocycle._trusted(G, n, acc)
+        comps = self._components
+        return TwoCocycle._trusted(self.group, self.modulus, self._recon.join(
+            [(comps[ci].q, Vinv[ci][comps[ci].positions[t]] @ comps[ci].basis)
+             for ci, t in slot], self.modulus))
 
     def project(self, alpha: TwoCocycle) -> tuple[int, ...]:
         """Canonical coordinates of [alpha] in the invariant-factor basis."""
         G = self.group
         if not same_group(G, alpha.group):
             raise GroupMismatch("cocycle lives on a different group")
-        if self.modulus % alpha.modulus:
-            raise ModulusMismatch(
-                f"modulus {alpha.modulus} does not divide {self.modulus}")
         table = alpha.promote(self.modulus).table
         parts = []
         if self._components:
@@ -732,7 +727,4 @@ class CohomClass:
 
     def __hash__(self):
         return hash((id(self.group), self.coords))
-
-    def key(self) -> tuple:
-        return self.coords
 

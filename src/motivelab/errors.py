@@ -156,7 +156,8 @@ class NotAnObject(MotiveLabError):
 
 
 class WrongShape(MotiveLabError):
-    """A JSON input holds a number where a list is expected, or an object for an integer."""
+    """A JSON input holds a number where a list is expected, or an object for
+    an integer; or a command-line field holds other than comma-separated integers."""
 
 
 def json_integer(value, where: str) -> int:
@@ -176,6 +177,14 @@ def json_integers(raw, where: str, pairs: bool = False) -> list:
     if pairs:
         return [(json_integer(a, where), json_integer(b, where)) for a, b in raw]
     return [json_integer(v, where) for v in raw]
+
+
+def comma_integers(raw: str, where: str) -> tuple[int, ...]:
+    """The comma-separated integers of a command-line field, or WrongShape naming it."""
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise WrongShape(f"{where} must be comma-separated integers, not {raw!r}") from None
 
 
 def json_integer_lists(raw, where: str) -> list:

@@ -242,21 +242,23 @@ class FiniteGroup:
                 return reached
             reached = grown
 
-    def word_tree(self) -> tuple[tuple[tuple[int, int] | None, ...], tuple[int, ...]]:
-        """The breadth-first word tree on generating_set(), computed once:
-        parent[g] = (generator position, g') with g = gens[pos] * g' (None
-        at the identity), and tree_order lists every element after its
-        parent.  A level visits its elements g' in order and, for each, the
-        generators in order."""
+    def word_tree(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """The breadth-first word tree on generating_set(), computed once, as
+        read-only int64 arrays (pos, parent, levels): g = gens[pos[g]] *
+        parent[g] (pos -1 and parent 0 at the identity), and levels[d - 1]
+        holds the elements at depth d.  A level visits its elements g' in
+        order and, for each, the generators in order."""
         if self._word_tree is None:
             n = self.order
             gens = np.asarray(self.generating_set(), dtype=np.int64)
-            parent: list[tuple[int, int] | None] = [None] * n
-            order = [0]
+            pos = np.full(n, -1, dtype=np.int64)
+            parent = np.zeros(n, dtype=np.int64)
+            levels = []
             seen = np.zeros(n, dtype=bool)
             seen[0] = True
             frontier = np.zeros(1, dtype=np.int64)
             while frontier.size:
+                levels.append(frontier)
                 # s g' for g' in frontier and s in gens, g'-major: the first
                 # occurrence of each unseen element is its tree edge
                 found = self.cayley[np.ix_(gens, frontier)].T.reshape(-1)
@@ -264,23 +266,22 @@ class FiniteGroup:
                 first = np.sort(first[~seen[new]])
                 new = found[first]
                 seen[new] = True
-                at, pos = np.divmod(first, len(gens))
-                for g, s, gp in zip(new.tolist(), pos.tolist(), frontier[at].tolist()):
-                    parent[g] = (s, gp)
-                order += new.tolist()
+                at, pos[new] = np.divmod(first, len(gens))
+                parent[new] = frontier[at]
                 frontier = new
             check_invariant(bool(seen.all()), "generating set does not generate the group")
-            self._word_tree = (tuple(parent), tuple(order))
+            for a in (pos, parent, *levels):
+                a.flags.writeable = False
+            self._word_tree = (pos, parent, tuple(levels[1:]))
         return self._word_tree
 
     def word_counts(self) -> np.ndarray:
         """W[g, pos]: how often gens[pos] occurs in the tree word of g."""
-        parent, tree_order = self.word_tree()
+        pos, parent, levels = self.word_tree()
         W = np.zeros((self.order, len(self.generating_set())), dtype=np.int64)
-        for g in tree_order[1:]:
-            pos, gp = parent[g]
-            W[g] = W[gp]
-            W[g, pos] += 1
+        for level in levels:
+            W[level] = W[parent[level]]
+            W[level, pos[level]] += 1
         return W
 
     # -- conjugacy ----------------------------------------------------------

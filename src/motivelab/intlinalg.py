@@ -13,7 +13,7 @@ the primes merge into invariant factors with CRT coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
@@ -46,23 +46,43 @@ def is_prime(n: int) -> bool:
 
 def prime_power_factors(n: int) -> list[tuple[int, int]]:
     """Factor n as a list of (p, a) with p^a || n, p ascending: trial
-    division, stopped as soon as the cofactor is prime."""
-    out = []
+    division by the primes up to 37, then each cofactor is prime by
+    Miller-Rabin or split by Pollard-Brent rho."""
+    counts: dict[int, int] = {}
     m = n
-    p = 2
-    prime = is_prime(m)
-    while not prime and p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            out.append((p, a))
-            prime = is_prime(m)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
+    for p in _SMALL_PRIMES:
+        while m > 1 and m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            stack += [d, m // d]
+    return sorted(counts.items())
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor up to 37, by
+    Brent's cycle search on x -> x^2 + c mod n from x = 2, for c = 1, 2, ...
+    until one splits n: deterministic, about n^(1/4) steps."""
+    c = 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(y - x, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def require_modulus(n: int) -> None:

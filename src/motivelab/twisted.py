@@ -28,7 +28,7 @@ from .cyclotomic import Cyclotomic
 from .errors import NotACocycle, SizeBound, check_invariant
 from .groups import FiniteGroup
 
-BLOCK_ORDER_GUARD = 256
+BLOCK_CLASS_GUARD = 256
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,37 @@ class TwistedGroupAlgebra:
         return self.group.order
 
     @cached_property
-    def center_exponents(self) -> tuple[dict[int, int], ...]:
+    def center_exponents(self) -> tuple[np.ndarray, np.ndarray]:
         """Center basis in exponent form, computed once per algebra by
-        transport along conjugation: per regular class, x -> t(x), the
-        twisted class sum having coefficient zeta^t(x) at e_x.  Conjugating
-        by u_h carries u_r to zeta^gamma(h) u_(h r h^-1), gamma(h) =
+        transport along conjugation, as read-only int64 arrays (label, t):
+        label[x] numbers the regular class holding x (-1 off them), whose
+        twisted class sum has coefficient zeta^t(x) at e_x.  Conjugating by
+        u_h carries u_r to zeta^gamma(h) u_(h r h^-1), gamma(h) =
         alpha(h, r) + alpha(h r, h^-1) - alpha(h, h^-1), for the class
         representative r; the class is regular exactly when gamma is a
-        function of h r h^-1, and that function is t.  Each support starts
-        at r, where t = 0.  Cross-checked against the regular-class test and
-        against exact centrality."""
+        function of h r h^-1, and that function is t, with t(r) = 0.
+        Cross-checked against the regular-class test and against exact
+        centrality."""
         G = self.group
         E = self.cocycle.table
-        classes = G.conjugacy_classes()
         # every class at once: column c for the representative r of class c
-        r, c = G.class_representatives(), np.arange(len(classes))
+        r = G.class_representatives()
+        c = np.arange(len(r))
         h, hi = np.arange(G.order)[:, None], G.inverses[:, None]
         hr = G.cayley[h, r]
         y = G.cayley[hr, hi]                                          # [h, c]
         gamma = (E[h, r] + E[hr, hi] - E[h, hi]) % self.cocycle.modulus
-        ty = np.zeros((G.order, len(classes)), dtype=np.int64)
+        ty = np.zeros((G.order, len(r)), dtype=np.int64)
         ty[y, c] = gamma
         consistent = (ty[y, c] == gamma).all(axis=0)
         check_invariant(consistent.tolist() == list(alpha_regular(G, self.cocycle).flags),
                         "transport consistency must match the regular-class test")
-        supports = [dict(zip(cls.members, ty[list(cls.members), ci].tolist()))
-                    for ci, cls in enumerate(classes) if consistent[ci]]
-        _check_central(G, self.cocycle, supports)
-        return tuple(supports)
+        ci = G.class_index()
+        label = np.where(consistent, np.cumsum(consistent) - 1, -1)[ci]
+        t = np.where(label >= 0, ty[np.arange(G.order), ci], 0)
+        _check_central(G, self.cocycle, label, t)
+        label.flags.writeable = t.flags.writeable = False
+        return label, t
 
 
 def build_twisted(G: FiniteGroup, alpha: TwoCocycle) -> TwistedGroupAlgebra:
@@ -101,30 +104,24 @@ def center_basis(algebra: TwistedGroupAlgebra) -> list[list[Cyclotomic]]:
     n = algebra.cocycle.modulus
     zero = Cyclotomic.zero(n if n > 1 else 1)
     roots: dict[int, Cyclotomic] = {}
-    out = []
-    for support in algebra.center_exponents:
-        vec = [zero] * algebra.group.order
-        for x, t in support.items():
-            if t not in roots:
-                roots[t] = Cyclotomic.root_of_unity(n, t) if n > 1 else Cyclotomic.one()
-            vec[x] = roots[t]
-        out.append(vec)
+    label, t = algebra.center_exponents
+    out = [[zero] * algebra.group.order for _ in range(label.max() + 1)]
+    support = np.flatnonzero(label >= 0)
+    for x, i, e in zip(support.tolist(), label[support].tolist(), t[support].tolist()):
+        if e not in roots:
+            roots[e] = Cyclotomic.root_of_unity(n, e) if n > 1 else Cyclotomic.one()
+        out[i][x] = roots[e]
     return out
 
 
-def _check_central(G: FiniteGroup, alpha: TwoCocycle, supports: list[dict[int, int]]) -> None:
-    """Exact centrality of every twisted class sum at once: with x1 = y tau^-1
-    and x2 = tau^-1 y, x1 and x2 lie in the same support (or in none), and
-    there t(x1) + alpha(x1, tau) == t(x2) + alpha(tau, x2) mod the modulus."""
-    n = G.order
+def _check_central(G: FiniteGroup, alpha: TwoCocycle, label: np.ndarray, t: np.ndarray) -> None:
+    """Exact centrality of every twisted class sum at once, for the
+    center_exponents arrays: with x1 = y tau^-1 and x2 = tau^-1 y, x1 and x2
+    carry the same label (a support or none), and there t(x1) +
+    alpha(x1, tau) == t(x2) + alpha(tau, x2) mod the modulus."""
     E = alpha.table
-    label = np.full(n, -1)
-    t = np.zeros(n, dtype=np.int64)
-    for i, support in enumerate(supports):
-        label[list(support)] = i
-        t[list(support)] = list(support.values())
     inv = G.inverses
-    tau = np.arange(n)[:, None]
+    tau = np.arange(G.order)[:, None]
     x1 = G.cayley[:, inv].T                          # [tau, y] -> y tau^-1
     x2 = G.cayley[inv]                               # [tau, y] -> tau^-1 y
     check_invariant(np.array_equal(label[x1], label[x2]),
@@ -148,8 +145,13 @@ def wedderburn_dims(algebra: TwistedGroupAlgebra) -> WedderburnProfile:
     prime above 2 sqrt|G|, with draws from random.Random(0)."""
     G = algebra.group
     n = G.order
-    if n > BLOCK_ORDER_GUARD:
-        raise SizeBound(f"block dimensions limited to order {BLOCK_ORDER_GUARD}")
+    # the regular-class count k is known before the centre's |G| x k transport
+    k = alpha_regular(G, algebra.cocycle).count
+    if k > BLOCK_CLASS_GUARD:
+        raise SizeBound(f"block dimensions limited to {BLOCK_CLASS_GUARD} regular classes, got {k}")
+    label, t = algebra.center_exponents
+    reps = G.class_representatives()
+    reps = reps[label[reps] >= 0]
     m = algebra.cocycle.modulus
     # every term below is a sum of at most four terms under m n in absolute
     # value: int64 is exact while m n < 2^61, Python integers beyond
@@ -160,15 +162,7 @@ def wedderburn_dims(algebra: TwistedGroupAlgebra) -> WedderburnProfile:
     zeta = np.array([pow(z, v, p) for v in range(n)], dtype=np.int64)  # zeta_n^v -> z^v
     # K_i at u_x is zeta_mn^(n t(x) + c(x) - c(r_i)), 1 at its representative r_i;
     # on the support of K_i, label(x) = i and s(x) = n t(x) - c(r_i)
-    supports = algebra.center_exponents
-    k = len(supports)
-    reps = np.array([next(iter(support)) for support in supports], dtype=np.int64)
-    label = np.full(n, -1, dtype=np.int64)
-    t = np.zeros(n, dtype=E.dtype)
-    for i, support in enumerate(supports):
-        label[list(support)] = i
-        t[list(support)] = list(support.values())
-    s = n * t - c[reps[label]]
+    s = n * t.astype(E.dtype) - c[reps[label]]
     # K_i K_j = sum_l a_ijl K_l, read off at u_r for the representative r of K_l:
     # the term at u_x u_y, y = x^-1 r, is zeta_mn^(s(x) + s(y) + n alpha(x, y) + c(r)),
     # an n-th root

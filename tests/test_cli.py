@@ -380,6 +380,23 @@ def test_swap_error_names_the_action_field(capsys):
     assert "swap:9" in err and "element 9 is outside the group of order 4" in err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (("motive", "decompose", "--group", "cyclic:4", "--catalog", "del_pezzo_bl2",
+      "--action", "swap:x"), "action field 'swap:x'"),
+    (("twisted", "--group", "symmetric:4", "--class", "x"), "--class"),
+    (("motive", "decompose", "--group", "cyclic:2", "--catalog", "projective_space:x"),
+     "catalog parameters of 'projective_space'"),
+    (("chow", "--catalog", "projective_space:"), "catalog parameters of 'projective_space'"),
+])
+def test_comma_separated_integer_fields_name_the_field(capsys, argv, field):
+    """A command-line field of comma-separated integers holding anything else
+    is WrongShape naming the field, exit 1."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"{field} must be comma-separated integers" in err, err
+    assert "invalid literal" not in err and "Traceback" not in err
+
+
 def _integer_field_inputs(tmp_path, bad):
     """(argv, field name) for each integer JSON field, holding the value bad."""
     def write(name, data):

@@ -345,6 +345,10 @@ def test_bad_modulus_is_typed():
     for n in (0, -2, 2**62, 2**62 + 1, 2**64):
         with pytest.raises(BadModulus):
             random_cocycle(G, n, np.random.default_rng(0))
+    alpha = TwoCocycle.trivial(cyclic_group(4), 4)
+    for m in (0, -4, 2**62):
+        with pytest.raises(BadModulus):
+            alpha.promote(m)
 
 
 def test_central_pairing_needs_abelian_group():
@@ -1224,21 +1228,14 @@ def test_multiplier_matches_full_basis_oracle(name):
 ], ids=["C2", "C4", "C2xC4", "C6xC6", "C3xC4"])
 def test_central_pairing_cocycle_is_of_central_type(make):
     """The pairing cocycle on H x H^ makes the twisted algebra simple: one
-    alpha-regular class and a single block of dimension |H|.  Block
-    dimensions stop at BLOCK_ORDER_GUARD; above it (C6xC6, order 1296) the
-    one regular class alone says the algebra is simple."""
-    from motivelab.twisted import (
-        BLOCK_ORDER_GUARD,
-        alpha_regular,
-        build_twisted,
-        wedderburn_dims,
-    )
+    alpha-regular class and a single block of dimension |H|; the block guard
+    counts regular classes, so C6xC6 (order 1296) is within it."""
+    from motivelab.twisted import alpha_regular, build_twisted, wedderburn_dims
     H = make()
     alpha = central_pairing_cocycle(H)
     G = alpha.group
     assert alpha_regular(G, alpha).count == 1
-    if G.order <= BLOCK_ORDER_GUARD:
-        assert wedderburn_dims(build_twisted(G, alpha)).dims == (H.order,)
+    assert wedderburn_dims(build_twisted(G, alpha)).dims == (H.order,)
 
 
 # ---------------------------------------------------------------------------

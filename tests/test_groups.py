@@ -464,9 +464,9 @@ def test_generating_set_is_chosen_before_the_word_tree():
     a4 = group_from_permutations(4, [[1, 2, 0, 3], [1, 0, 3, 2]])
     G = product_group(elementary_abelian_group(2, 2), a4)
     abelianization(G)
-    parent, _ = G.word_tree()
+    pos, _, _ = G.word_tree()
     assert len(G.generating_set()) == 2
-    assert {edge[0] for edge in parent[1:]} == {0, 1}
+    assert set(pos[1:].tolist()) == {0, 1}
 
 
 def test_abelianization_mixed_primes():
@@ -559,16 +559,19 @@ def test_reconstruction_and_abelianization_share_the_word_tree():
     from motivelab.cocycles import _Reconstruction
     G = product_group(dihedral_group(8), cyclic_group(2))
     abelianization(G)
-    parent, tree_order = G.word_tree()
+    pos, parent, levels = G.word_tree()
     recon = _Reconstruction(G)
-    assert recon.parent is parent and recon.tree_order is tree_order
-    # every element follows its parent, g = gens[pos] * g'
+    assert recon.pos is pos and recon.parent is parent and recon.levels is levels
+    assert pos[0] == -1 and parent[0] == 0
+    assert not any(a.flags.writeable for a in (pos, parent, *levels))
+    # every element follows its parent, g = gens[pos] * g', one level deeper
     gens = G.generating_set()
     seen = {0}
-    for g in tree_order[1:]:
-        pos, gp = parent[g]
-        assert gp in seen and G.mul(gens[pos], gp) == g
-        seen.add(g)
+    for level in levels:
+        assert level.size and all(parent[g] in seen for g in level.tolist())
+        for g in level.tolist():
+            assert G.mul(gens[pos[g]], parent[g]) == g
+            seen.add(g)
     assert len(seen) == G.order
 
 

@@ -56,6 +56,34 @@ def test_prime_power_factors_match_trial_division():
         assert prime_power_factors(n) == _trial_division(n), n
 
 
+def test_prime_power_factors_of_large_products():
+    """Seeded products of primes and prime powers below 2^62, with prime
+    factors of up to 31 bits, factor into the (p, a) they were built from,
+    the one factorization trial division would also find."""
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        want, n = {}, 1
+        for _ in range(int(rng.integers(1, 5))):
+            p = int(rng.integers(2, 1 << int(rng.integers(2, 32))))
+            while not is_prime(p):
+                p += 1
+            a = int(rng.integers(1, 4))
+            if n * p ** a >= 1 << 62:
+                break
+            want[p] = want.get(p, 0) + a
+            n *= p ** a
+        assert prime_power_factors(n) == sorted(want.items()), n
+
+
+def test_semiprime_modulus_factors_at_once():
+    """A product of two primes near 2^25 is split by Pollard-Brent rho, not
+    trial-divided up to the smaller one (about 2 s)."""
+    import time
+    t0 = time.perf_counter()
+    assert solve_mod([[1]], [1], 33554467 * 33554473).particular == (1,)
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_is_prime_matches_trial_division():
     for n in range(-3, 5000):
         assert is_prime(n) == (n > 1 and _trial_division(n) == [(n, 1)]), n

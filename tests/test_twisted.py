@@ -1,3 +1,4 @@
+import functools
 from math import isqrt
 
 import numpy as np
@@ -13,6 +14,7 @@ from motivelab.cocycles import (
 )
 from motivelab.errors import InvariantViolation, NotACocycle, SizeBound
 from motivelab.groups import (
+    DEFAULT_MAX_ORDER,
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
@@ -21,7 +23,7 @@ from motivelab.groups import (
     symmetric_group,
 )
 from motivelab.twisted import (
-    BLOCK_ORDER_GUARD,
+    BLOCK_CLASS_GUARD,
     alpha_regular,
     build_twisted,
     center_basis,
@@ -84,23 +86,32 @@ def _central_by_loop(G, alpha, t):
     return None
 
 
+def _supports(label, t):
+    """The center_exponents arrays as one dict x -> t(x) per regular class."""
+    return [{x: int(t[x]) for x in np.flatnonzero(label == i)} for i in range(label.max() + 1)]
+
+
 def test_check_central_matches_loop_and_catches_corruptions():
     from motivelab.twisted import _check_central
     for G, alpha in ((symmetric_group(4), _class_rep(symmetric_group(4), (1,))),
                      (dihedral_group(16), _class_rep(dihedral_group(16), (1,))),
                      (symmetric_group(3), TwoCocycle.trivial(symmetric_group(3), 6))):
-        supports = list(build_twisted(G, alpha).center_exponents)
-        _check_central(G, alpha, supports)
-        assert all(_central_by_loop(G, alpha, t) is None for t in supports)
-        i = next(i for i, t in enumerate(supports) if len(t) > 1)
+        label, t = build_twisted(G, alpha).center_exponents
+        assert not (label.flags.writeable or t.flags.writeable)
+        _check_central(G, alpha, label, t)
+        supports = _supports(label, t)
+        assert all(_central_by_loop(G, alpha, s) is None for s in supports)
+        i = next(i for i, s in enumerate(supports) if len(s) > 1)
         last = list(supports[i])[-1]
-        shifted = {**supports[i], last: (supports[i][last] + 1) % alpha.modulus}
-        dropped = {x: v for x, v in supports[i].items() if x != last}
-        for bad, message in ((shifted, "fails exact centrality"),
-                             (dropped, "not conjugation-stable")):
-            assert _central_by_loop(G, alpha, bad) == message
+        shifted_t = t.copy()
+        shifted_t[last] = (t[last] + 1) % alpha.modulus
+        dropped_label = label.copy()
+        dropped_label[last] = -1
+        for bad_label, bad_t, message in ((label, shifted_t, "fails exact centrality"),
+                                          (dropped_label, t, "not conjugation-stable")):
+            assert _central_by_loop(G, alpha, _supports(bad_label, bad_t)[i]) == message
             with pytest.raises(InvariantViolation, match=message):
-                _check_central(G, alpha, supports[:i] + [bad] + supports[i + 1:])
+                _check_central(G, alpha, bad_label, bad_t)
 
 
 def test_regular_trivial_cocycle():
@@ -195,9 +206,13 @@ def test_wedderburn_seed_stability(split_seed):
 
 
 def test_wedderburn_guard():
-    G = dihedral_group(1024)
-    with pytest.raises(SizeBound):
-        wedderburn_dims(build_twisted(G, TwoCocycle.trivial(G, 2)))
+    # D1024 has 259 classes and C257 has 257, just above the bound; both are
+    # refused before the centre is transported
+    for G in (dihedral_group(1024), cyclic_group(257)):
+        algebra = build_twisted(G, TwoCocycle.trivial(G, 2))
+        with pytest.raises(SizeBound, match="regular classes"):
+            wedderburn_dims(algebra)
+        assert "center_exponents" not in algebra.__dict__
 
 
 def _shift_to_modulus(alpha, m, rng):
@@ -251,10 +266,14 @@ def test_blocks_and_regular_classes_where_m_times_order_passes_int64(make):
 
 
 def test_block_primes_exist_below_guard():
-    # every conductor |G| exp(G) that wedderburn_dims can meet (exp(G) divides
-    # |G| <= BLOCK_ORDER_GUARD) has its prime below the int64 limit
-    for n in range(1, BLOCK_ORDER_GUARD + 1):
+    # every conductor |G| exp(G) that wedderburn_dims can meet has its prime
+    # below the int64 limit: exp(G) is a proper divisor of |G| up to the group
+    # bound, and exp(G) = |G| only for a cyclic group, whose |G| classes are
+    # all regular, so BLOCK_CLASS_GUARD bounds its order
+    for n in range(1, DEFAULT_MAX_ORDER + 1):
         for exponent in (d for d in range(1, n + 1) if n % d == 0):
+            if exponent == n and n > BLOCK_CLASS_GUARD:
+                continue
             p = _find_prime(n * exponent, 2 * isqrt(n) + 1, SPLIT_PRIME_LIMIT)
             assert (p - 1) % (n * exponent) == 0
 
@@ -345,6 +364,42 @@ def test_s5_spin_blocks_match_the_literature():
     G = symmetric_group(5)
     alpha = _class_rep(G, (1,))
     assert wedderburn_dims(build_twisted(G, alpha)).dims == (4, 4, 4, 6, 6)
+
+
+@functools.cache
+def _s6_a6_multiplier(name):
+    """M(S6) = C2 or M(A6) = C6, computed once for the cases below."""
+    G = (symmetric_group(6) if name == "S6"
+         else group_from_permutations(6, [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]))
+    return schur_multiplier(G, G.order)
+
+
+# the degrees of S6 and of the faithful characters of 2.S6 (Schur 1911), and
+# of A6 and the faithful characters of its covers 2.A6, 3.A6 and 6.A6 (ATLAS
+# of Finite Groups, 1985), by the order of the class in M(S6) = C2 and
+# M(A6) = C6
+S6_A6_BLOCKS = {
+    "S6 trivial": ("S6", (0,), (1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16)),
+    "S6 order 2": ("S6", (1,), (4, 4, 4, 4, 16, 20)),
+    "A6 trivial": ("A6", (0,), (1, 5, 5, 8, 8, 9, 10)),
+    "A6 order 6 (1)": ("A6", (1,), (6, 6, 12, 12)),
+    "A6 order 3 (2)": ("A6", (2,), (3, 3, 6, 9, 15)),
+    "A6 order 2": ("A6", (3,), (4, 4, 8, 8, 10, 10)),
+    "A6 order 3 (4)": ("A6", (4,), (3, 3, 6, 9, 15)),
+    "A6 order 6 (5)": ("A6", (5,), (6, 6, 12, 12)),
+}
+
+
+@pytest.mark.parametrize("name", list(S6_A6_BLOCKS))
+def test_s6_and_a6_blocks_match_the_literature(name):
+    """S6 and A6 (orders 720 and 360, at most 11 regular classes) lie within
+    the class-count guard, and each of their classes has the degrees of the
+    faithful characters of the matching cover."""
+    group, coords, want = S6_A6_BLOCKS[name]
+    M = _s6_a6_multiplier(group)
+    assert M.invariant_factors == {"S6": (2,), "A6": (6,)}[group]
+    alpha = M.class_from_coords(coords).representative
+    assert wedderburn_dims(build_twisted(M.group, alpha)).dims == want
 
 
 def test_cluster_helpers_direct():
